@@ -1,10 +1,20 @@
 """Filters (up-closed sets) of the monomial orders: tests, counts, enumeration.
 
-Counting uses a pivot recursion on bitmask subposets: filters avoiding a
-pivot element are filters of the poset minus the pivot's down-set, and
-filters containing it correspond to filters of the poset minus the pivot's
-up-set.  Tracking cardinalities turns the count into a polynomial (one
-coefficient per filter size), memoized per bitmask.
+Counting sweeps the Hasse diagram, deciding vertex after vertex whether it
+is in the filter.  A vertex may join only if its decided upper covers are
+in, and may stay out only if none of its decided lower covers is in.  The
+sweep's state is the in/out pattern of the frontier (decided vertices with
+an undecided cover neighbour), each state carrying its filter counts by
+size.  Vertices go in lex order of their exponent vectors (index-reversed
+for the dual family), along which every family's layers leave a narrow
+frontier; a live-state budget bounds the work.  Counting the filters of an
+arbitrary poset is #P-complete, so that layering is where the speed comes
+from.
+
+A pivot recursion on bitmask subposets stays as the independent oracle and
+drives enumeration: filters avoiding a pivot are filters of the poset minus
+the pivot's down-set, and filters containing it correspond to filters of
+the poset minus the pivot's up-set.
 
 Also here: the closed-form counters for two and three variables, the
 weighted-walk recursion behind the stable-order counts, and monomial-ideal
@@ -118,8 +128,96 @@ def is_filter_by_layers(elements, nvars, degree):
     return True
 
 
+STATE_CAP = 200_000
+
+
+def _sweep_order(h):
+    """Vertex indices in the sweep order: lex on exponent vectors, on the
+    index-reversed vectors for the dual family."""
+    n = h.poset.nvars
+    step = -1 if h.poset.family is Family.DUAL_BOREL else 1
+    return sorted(range(len(h)), key=lambda i: h.vertices[i].exponent_vector(n)[::step])
+
+
+def _frontier_sweep(h, width, state_cap):
+    """One sweep over the diagram in _sweep_order.
+
+    Each live state (the frontier's in/out bits, one slot per frontier
+    vertex) maps to its filter counts by size packed into one integer,
+    `width` bits per size; width 0 packs nothing and counts every size
+    together.  Returns the final packed counts and the largest number of
+    partial assignments alive at any step, which bounds every packed field.
+    """
+    order = _sweep_order(h)
+    position = [0] * len(h)
+    for t, v in enumerate(order):
+        position[v] = t
+    last = position[:]  # step of each vertex's last cover neighbour (or its own)
+    earlier_up = [[] for _ in order]
+    earlier_down = [[] for _ in order]
+    for lo, hi in h.covers:
+        if position[lo] < position[hi]:
+            earlier_down[hi].append(lo)
+            last[lo] = max(last[lo], position[hi])
+        else:
+            earlier_up[lo].append(hi)
+            last[hi] = max(last[hi], position[lo])
+    slot = [0] * len(h)
+    free, next_slot = [], 0
+    states = {0: 1}
+    peak = 1
+    for t, v in enumerate(order):
+        need_in = need_out = leaving = 0
+        for u in earlier_up[v]:
+            need_in |= 1 << slot[u]
+        for u in earlier_down[v]:
+            need_out |= 1 << slot[u]
+        for u in earlier_up[v] + earlier_down[v]:
+            if last[u] == t:
+                leaving |= 1 << slot[u]
+                free.append(slot[u])
+        bit = 0
+        if last[v] > t:
+            if free:
+                slot[v] = free.pop()
+            else:
+                slot[v], next_slot = next_slot, next_slot + 1
+            bit = 1 << slot[v]
+        keep = ~leaving
+        grown = {}
+        get = grown.get
+        for state, counts in states.items():
+            if not state & need_out:
+                key = state & keep
+                grown[key] = get(key, 0) + counts
+            if state & need_in == need_in:
+                key = state & keep | bit
+                grown[key] = get(key, 0) + (counts << width)
+        if len(grown) > state_cap:
+            raise CapExceededError(
+                f"filter counting needs {len(grown)} live states at step {t + 1} of "
+                f"{len(h)}, over the cap of {state_cap}; raise it with --state-cap"
+            )
+        states = grown
+        if not width:
+            peak = max(peak, sum(states.values()))
+    return states[0], peak
+
+
+def _frontier_counts(h, state_cap):
+    """Filter counts of the diagram by size, computed once and kept on it."""
+    if h._filter_counts is None:
+        _, peak = _frontier_sweep(h, 0, state_cap)
+        width = peak.bit_length()
+        packed, _ = _frontier_sweep(h, width, state_cap)
+        field = (1 << width) - 1
+        h._filter_counts = tuple(packed >> (width * k) & field for k in range(len(h) + 1))
+    return h._filter_counts
+
+
 def _filter_poly(h, mask, memo, rng=None):
-    """Filter counts of the bitmask subposet, indexed by filter cardinality."""
+    """Filter counts of the bitmask subposet, indexed by filter cardinality
+    (the pivot recursion: the oracle, and enumeration's pruning)."""
     out = memo.get(mask)
     if out is not None:
         return out
@@ -155,16 +253,28 @@ def _filter_poly(h, mask, memo, rng=None):
     return out
 
 
-def count_filters(h, cardinality=None, *, pivot_rng=None):
+def pivot_filter_counts(h, rng=None):
+    """Filter counts by size from the pivot recursion with a fresh memo: the
+    oracle for count_filters.  The largest up-set is the pivot, or a random
+    element when rng is given (the counts do not depend on the pivot).
+    Recursive and unbounded, so only for small diagrams."""
+    return _filter_poly(h, (1 << len(h)) - 1, {}, rng)
+
+
+def count_filters(h, cardinality=None, *, state_cap=STATE_CAP, pivot_rng=None):
     """Number of filters of the diagram's poset, optionally of one cardinality.
 
-    The empty poset has exactly one filter (the empty one).  Passing a random
-    generator as pivot_rng re-derives the count with random pivots (the result
-    is pivot-independent; used as a self-check).
+    The empty poset has exactly one filter (the empty one).  The frontier
+    sweep raises CapExceededError when more than state_cap states are live at
+    once.  Passing a random generator as pivot_rng re-derives the count with
+    the pivot oracle instead.
     """
-    full = (1 << len(h)) - 1
-    memo = {} if pivot_rng is not None else h._filter_polys
-    poly = _filter_poly(h, full, memo, pivot_rng)
+    if pivot_rng is not None:
+        poly = pivot_filter_counts(h, pivot_rng)
+    elif cardinality is None and h._filter_counts is None:
+        return _frontier_sweep(h, 0, state_cap)[0]
+    else:
+        poly = _frontier_counts(h, state_cap)
     if cardinality is None:
         return sum(poly)
     if 0 <= cardinality < len(poly):
@@ -177,10 +287,16 @@ def enumerate_filters(h, cardinality=None, cap=1_000_000):
 
     Raises CapExceededError when more than `cap` filters would be produced.
     """
-    total = count_filters(h, cardinality)
+    full = (1 << len(h)) - 1
+    memo = h._filter_polys
+    if cardinality is None:
+        total = count_filters(h)
+    else:
+        # the pruning below needs the pivot memo anyway; its top entry has the count
+        profile = _filter_poly(h, full, memo)
+        total = profile[cardinality] if 0 <= cardinality < len(profile) else 0
     if total > cap:
         raise CapExceededError(f"{total} filters exceed the cap of {cap}")
-    memo = h._filter_polys
     up, down = h.up_masks(), h.down_masks()
 
     def viable(mask, chosen):
@@ -213,7 +329,6 @@ def enumerate_filters(h, cardinality=None, cap=1_000_000):
             if viable(branch, picked):
                 yield from emit(branch, picked)
 
-    full = (1 << len(h)) - 1
     if viable(full, 0):
         for chosen in emit(full, 0):
             yield frozenset(h.vertices[i] for i in range(len(h)) if chosen >> i & 1)
@@ -343,6 +458,7 @@ __all__ = [
     "filter_layers",
     "is_filter_by_layers",
     "count_filters",
+    "pivot_filter_counts",
     "enumerate_filters",
     "catalan",
     "filter_count_three_vars",
@@ -355,7 +471,4 @@ __all__ = [
     "is_borel_ideal",
     "is_stable_ideal",
     "CapExceededError",
-    "HasseDiagram",
-    "build_hasse",
-    "ground_monomials",
 ]

@@ -60,7 +60,10 @@ class Monomial:
         if text == "1":
             return cls()
         if text.startswith("["):
-            vec = literal_eval(text)
+            try:
+                vec = literal_eval(text)
+            except (SyntaxError, ValueError, TypeError, MemoryError, RecursionError):
+                raise ValueError(f"malformed exponent vector {text!r}") from None
             if not isinstance(vec, (list, tuple)):
                 raise ValueError(f"not an exponent vector: {text!r}")
             return cls(vec)

@@ -59,6 +59,11 @@ class TestCompare:
         assert code == 2
         assert "ground set" in err
 
+    def test_unclosed_exponent_vector(self, capsys):
+        code, out, err = run(capsys, "compare", "--poset", "A[n=3,d=4]", "[1,2", "x1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
 
 class TestHasse:
     def test_text(self, capsys):
@@ -157,6 +162,24 @@ class TestCount:
         )
         assert code == 0
         assert json.loads(out) == {"poset": "A[n=3,d=4]", "count": 1, "cardinality": 0}
+
+    @pytest.mark.parametrize(
+        "poset_text, expected",
+        [
+            ("A[n=3,d=45]", 2**46),  # past the old recursion limit
+            ("A[n=2,d=1500]", 1502),
+            ("A[n=3,d=30]", 2**31),  # the old memo ran out of memory here
+        ],
+    )
+    def test_large_posets(self, capsys, poset_text, expected):
+        code, out, _ = run(capsys, "count", "--poset", poset_text)
+        assert (code, out) == (0, f"{expected}\n")
+
+    def test_state_cap(self, capsys):
+        code, out, err = run(capsys, "count", "--poset", "A[n=4,d=4]", "--state-cap", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "--state-cap" in err and "live states" in err
 
 
 class TestEnumerate:
@@ -287,6 +310,14 @@ class TestBijections:
                 [6], [3, 3], [2, 4], [1, 5], [0, 6], [1, 4], [0, 5], [0, 4],
             ]
         }
+
+    @pytest.mark.parametrize("payload", ['{"foo":1}', '{"elements": 3}'])
+    def test_walk_rejects_malformed_records(self, capsys, payload):
+        code, out, err = run(
+            capsys, "bijection", "walk", "--poset", "D[n=2,d=6]", "--filter", payload
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
     def test_walk_inverse_needs_region(self, capsys):
         code, _, err = run(capsys, "bijection", "walk", "--inverse", "DR")

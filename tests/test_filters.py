@@ -6,6 +6,8 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis import seed as fixed_seed
 
 from stableorders.filters import (
     borel_closure,
@@ -22,6 +24,7 @@ from stableorders.filters import (
     is_filter_by_layers,
     is_stable_ideal,
     minimal_generators,
+    pivot_filter_counts,
     stable_closure,
     stable_filter_counts,
     weighted_walk_count,
@@ -178,6 +181,26 @@ class TestCounting:
             baseline = count_filters(h)
             assert count_filters(h, pivot_rng=random.Random(seed)) == baseline
             assert count_filters(h, 4, pivot_rng=random.Random(seed)) == count_filters(h, 4)
+
+    @fixed_seed(20260)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        family=st.sampled_from("ABCD"),
+        nvars=st.integers(min_value=1, max_value=4),
+        degree=st.integers(min_value=0, max_value=5),
+        glued=st.booleans(),
+    )
+    def test_frontier_counts_match_pivot_oracle(self, family, nvars, degree, glued):
+        if glued:
+            poset, max_degree = PosetId.parse(f"{family}[n={nvars}]"), degree
+        else:
+            poset, max_degree = PosetId.parse(f"{family}[n={nvars},d={degree}]"), None
+        h = build_hasse(poset, max_degree=max_degree)
+        assume(len(h) <= 40)
+        oracle = pivot_filter_counts(h)
+        assert [count_filters(h, v) for v in range(len(h) + 1)] == list(oracle)
+        fresh = build_hasse(poset, max_degree=max_degree)
+        assert count_filters(fresh) == sum(oracle)
 
     def test_enumeration_by_cardinality(self):
         h = build_hasse(PosetId.parse("B[n=3,d=2]"))
@@ -342,3 +365,9 @@ class TestIdeals:
                 closed = close(gens)
                 assert close(closed) == closed
                 assert all(ideal_contains(closed, g) for g in gens)
+
+
+def test_star_import():
+    namespace = {}
+    exec("from stableorders.filters import *", namespace)
+    assert "count_filters" in namespace and "pivot_filter_counts" in namespace
