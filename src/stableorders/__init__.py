@@ -56,6 +56,7 @@ from .filters import (
     count_filters,
     enumerate_filters,
     filter_count_three_vars,
+    filter_counts_by_size,
     filter_layers,
     interior,
     is_borel_ideal,

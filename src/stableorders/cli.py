@@ -42,13 +42,13 @@ from .lattice import (
     rank_sizes,
 )
 from .filters import (
-    STATE_CAP,
     borel_closure,
     boundary,
     catalan,
     count_filters,
     enumerate_filters,
     filter_count_three_vars,
+    filter_counts_by_size,
     interior,
     is_borel_ideal,
     is_filter,
@@ -235,15 +235,14 @@ def _cmd_count(args):
     poset = PosetId.parse(args.poset)
     h = build_hasse(poset, cap=args.cap, max_degree=args.max_degree)
     if args.by_cardinality:
-        # the first call computes the whole size profile; the rest read it
-        counts = [count_filters(h, v, state_cap=args.state_cap) for v in range(len(h) + 1)]
+        counts = list(filter_counts_by_size(h))
         if args.format == "json":
             _print_json({"poset": str(poset), "counts": counts})
         else:
             for v, cnt in enumerate(counts):
                 print(f"{v} {cnt}")
     else:
-        total = count_filters(h, args.cardinality, state_cap=args.state_cap)
+        total = count_filters(h, args.cardinality)
         if args.format == "json":
             payload = {"poset": str(poset), "count": total}
             if args.cardinality is not None:
@@ -582,9 +581,9 @@ def _suite_filter_counts(c, rng):
     c.check("three-variable filter count is 2^(degree+1)", ok)
     for d in range(1, 6):
         h = build_hasse(PosetId(Family.BOREL, 3, d))
-        oracle = pivot_filter_counts(h)
+        oracle, counts = pivot_filter_counts(h), filter_counts_by_size(h)
         ok = all(
-            filter_count_three_vars(d, v) == oracle[v] == count_filters(h, v)
+            filter_count_three_vars(d, v) == oracle[v] == counts[v]
             for v in range(len(h) + 1)
         )
         c.check(f"three-variable recurrence matches pivot counts (d={d})", ok)
@@ -614,9 +613,9 @@ def _suite_stable_counts(c, rng):
     for d in range(1, 5):
         h = build_hasse(PosetId(Family.STABLE, 3, d))
         _, by_size = stable_filter_counts(d)
-        oracle = pivot_filter_counts(h)
+        oracle, counts = pivot_filter_counts(h), filter_counts_by_size(h)
         ok = all(
-            count_filters(h, v) == (by_size[v] if v < len(by_size) else 0) == oracle[v]
+            counts[v] == (by_size[v] if v < len(by_size) else 0) == oracle[v]
             for v in range(len(h) + 1)
         )
         c.check(f"stable counts by size match pivot counts (d={d})", ok)
@@ -833,10 +832,6 @@ def _build_parser():
     p.add_argument("--by-cardinality", action="store_true", help="print the whole size profile")
     p.add_argument("--max-degree", type=int, default=None)
     p.add_argument("--cap", type=int, default=50_000)
-    p.add_argument(
-        "--state-cap", type=int, default=STATE_CAP,
-        help="most live states the filter counter may hold at once",
-    )
     _add_format(p)
     p.set_defaults(handler=_cmd_count)
 

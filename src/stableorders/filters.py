@@ -7,9 +7,9 @@ sweep's state is the in/out pattern of the frontier (decided vertices with
 an undecided cover neighbour), each state carrying its filter counts by
 size.  Vertices go in lex order of their exponent vectors (index-reversed
 for the dual family), along which every family's layers leave a narrow
-frontier; a live-state budget bounds the work.  Counting the filters of an
-arbitrary poset is #P-complete, so that layering is where the speed comes
-from.
+frontier; a memory budget on the live states bounds the work.  Counting
+the filters of an arbitrary poset is #P-complete, so that layering is where
+the speed comes from.
 
 A pivot recursion on bitmask subposets stays as the independent oracle and
 drives enumeration: filters avoiding a pivot are filters of the poset minus
@@ -128,7 +128,10 @@ def is_filter_by_layers(elements, nvars, degree):
     return True
 
 
-STATE_CAP = 200_000
+# Memory budget of the states one sweep step keeps: each holds its frontier
+# bits and its packed counts, on top of a dict entry's fixed overhead.
+SWEEP_BUDGET_BYTES = 1 << 27
+_ENTRY_BYTES = 120
 
 
 def _sweep_order(h):
@@ -139,7 +142,7 @@ def _sweep_order(h):
     return sorted(range(len(h)), key=lambda i: h.vertices[i].exponent_vector(n)[::step])
 
 
-def _frontier_sweep(h, width, state_cap):
+def _frontier_sweep(h, width):
     """One sweep over the diagram in _sweep_order.
 
     Each live state (the frontier's in/out bits, one slot per frontier
@@ -147,6 +150,8 @@ def _frontier_sweep(h, width, state_cap):
     `width` bits per size; width 0 packs nothing and counts every size
     together.  Returns the final packed counts and the largest number of
     partial assignments alive at any step, which bounds every packed field.
+    Raises CapExceededError when the states kept after a step would need
+    more than SWEEP_BUDGET_BYTES.
     """
     order = _sweep_order(h)
     position = [0] * len(h)
@@ -193,10 +198,13 @@ def _frontier_sweep(h, width, state_cap):
             if state & need_in == need_in:
                 key = state & keep | bit
                 grown[key] = get(key, 0) + (counts << width)
-        if len(grown) > state_cap:
+        # after t + 1 decisions a count has at most t + 2 bits per size field
+        state_bytes = _ENTRY_BYTES + (next_slot + max(width, 1) * (t + 2)) // 8
+        if len(grown) * state_bytes > SWEEP_BUDGET_BYTES:
             raise CapExceededError(
-                f"filter counting needs {len(grown)} live states at step {t + 1} of "
-                f"{len(h)}, over the cap of {state_cap}; raise it with --state-cap"
+                f"filter counting needs {len(grown)} live states of up to {state_bytes} "
+                f"bytes at step {t + 1} of {len(h)}, over the budget of "
+                f"{SWEEP_BUDGET_BYTES >> 20} MiB"
             )
         states = grown
         if not width:
@@ -204,15 +212,15 @@ def _frontier_sweep(h, width, state_cap):
     return states[0], peak
 
 
-def _frontier_counts(h, state_cap):
-    """Filter counts of the diagram by size, computed once and kept on it."""
-    if h._filter_counts is None:
-        _, peak = _frontier_sweep(h, 0, state_cap)
-        width = peak.bit_length()
-        packed, _ = _frontier_sweep(h, width, state_cap)
-        field = (1 << width) - 1
-        h._filter_counts = tuple(packed >> (width * k) & field for k in range(len(h) + 1))
-    return h._filter_counts
+def filter_counts_by_size(h):
+    """Filter counts of the diagram by size: entry k is the number of filters
+    with k elements, for k = 0 .. len(h).  Two frontier sweeps: the first,
+    without sizes, fixes the field width of the second."""
+    _, peak = _frontier_sweep(h, 0)
+    width = peak.bit_length()
+    packed, _ = _frontier_sweep(h, width)
+    field = (1 << width) - 1
+    return tuple(packed >> (width * k) & field for k in range(len(h) + 1))
 
 
 def _filter_poly(h, mask, memo, rng=None):
@@ -255,37 +263,32 @@ def _filter_poly(h, mask, memo, rng=None):
 
 def pivot_filter_counts(h, rng=None):
     """Filter counts by size from the pivot recursion with a fresh memo: the
-    oracle for count_filters.  The largest up-set is the pivot, or a random
-    element when rng is given (the counts do not depend on the pivot).
-    Recursive and unbounded, so only for small diagrams."""
+    oracle for filter_counts_by_size.  The largest up-set is the pivot, or a
+    random element when rng is given (the counts do not depend on the
+    pivot).  Recursive and unbounded, so only for small diagrams."""
     return _filter_poly(h, (1 << len(h)) - 1, {}, rng)
 
 
-def count_filters(h, cardinality=None, *, state_cap=STATE_CAP, pivot_rng=None):
+def count_filters(h, cardinality=None):
     """Number of filters of the diagram's poset, optionally of one cardinality.
 
-    The empty poset has exactly one filter (the empty one).  The frontier
-    sweep raises CapExceededError when more than state_cap states are live at
-    once.  Passing a random generator as pivot_rng re-derives the count with
-    the pivot oracle instead.
+    The empty poset has exactly one filter (the empty one).  Raises
+    CapExceededError when the frontier sweep overruns SWEEP_BUDGET_BYTES.
+    For several cardinalities of one diagram, filter_counts_by_size sweeps
+    once.
     """
-    if pivot_rng is not None:
-        poly = pivot_filter_counts(h, pivot_rng)
-    elif cardinality is None and h._filter_counts is None:
-        return _frontier_sweep(h, 0, state_cap)[0]
-    else:
-        poly = _frontier_counts(h, state_cap)
     if cardinality is None:
-        return sum(poly)
-    if 0 <= cardinality < len(poly):
-        return poly[cardinality]
+        return _frontier_sweep(h, 0)[0]
+    if 0 <= cardinality <= len(h):
+        return filter_counts_by_size(h)[cardinality]
     return 0
 
 
 def enumerate_filters(h, cardinality=None, cap=1_000_000):
     """Yield every filter (as a frozenset of monomials), largest poset first.
 
-    Raises CapExceededError when more than `cap` filters would be produced.
+    Raises CapExceededError when more than `cap` filters would be produced,
+    or when counting them overruns the frontier sweep's memory budget.
     """
     full = (1 << len(h)) - 1
     memo = h._filter_polys
@@ -458,6 +461,7 @@ __all__ = [
     "filter_layers",
     "is_filter_by_layers",
     "count_filters",
+    "filter_counts_by_size",
     "pivot_filter_counts",
     "enumerate_filters",
     "catalan",

@@ -60,7 +60,6 @@ class HasseDiagram:
     _up: list | None = field(default=None, repr=False)
     _down: list | None = field(default=None, repr=False)
     _filter_polys: dict = field(default_factory=dict, repr=False)
-    _filter_counts: tuple | None = field(default=None, repr=False)
 
     def __len__(self):
         return len(self.vertices)

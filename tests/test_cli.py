@@ -175,11 +175,12 @@ class TestCount:
         code, out, _ = run(capsys, "count", "--poset", poset_text)
         assert (code, out) == (0, f"{expected}\n")
 
-    def test_state_cap(self, capsys):
-        code, out, err = run(capsys, "count", "--poset", "A[n=4,d=4]", "--state-cap", "2")
+    def test_sweep_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr("stableorders.filters.SWEEP_BUDGET_BYTES", 1000)
+        code, out, err = run(capsys, "count", "--poset", "A[n=4,d=4]")
         assert (code, out) == (2, "")
         assert err.startswith("error:") and len(err.splitlines()) == 1
-        assert "--state-cap" in err and "live states" in err
+        assert "live states" in err and "budget" in err
 
 
 class TestEnumerate:

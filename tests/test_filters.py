@@ -16,6 +16,7 @@ from stableorders.filters import (
     count_filters,
     enumerate_filters,
     filter_count_three_vars,
+    filter_counts_by_size,
     filter_layers,
     ideal_contains,
     interior,
@@ -179,8 +180,8 @@ class TestCounting:
         for poset_text in ("A[n=3,d=3]", "B[n=3,d=3]"):
             h = build_hasse(PosetId.parse(poset_text))
             baseline = count_filters(h)
-            assert count_filters(h, pivot_rng=random.Random(seed)) == baseline
-            assert count_filters(h, 4, pivot_rng=random.Random(seed)) == count_filters(h, 4)
+            assert sum(pivot_filter_counts(h, random.Random(seed))) == baseline
+            assert pivot_filter_counts(h, random.Random(seed))[4] == count_filters(h, 4)
 
     @fixed_seed(20260)
     @settings(max_examples=60, deadline=None, database=None)
@@ -198,9 +199,8 @@ class TestCounting:
         h = build_hasse(poset, max_degree=max_degree)
         assume(len(h) <= 40)
         oracle = pivot_filter_counts(h)
-        assert [count_filters(h, v) for v in range(len(h) + 1)] == list(oracle)
-        fresh = build_hasse(poset, max_degree=max_degree)
-        assert count_filters(fresh) == sum(oracle)
+        assert filter_counts_by_size(h) == oracle
+        assert count_filters(h) == sum(oracle)
 
     def test_enumeration_by_cardinality(self):
         h = build_hasse(PosetId.parse("B[n=3,d=2]"))
@@ -370,4 +370,4 @@ class TestIdeals:
 def test_star_import():
     namespace = {}
     exec("from stableorders.filters import *", namespace)
-    assert "count_filters" in namespace and "pivot_filter_counts" in namespace
+    assert {"count_filters", "filter_counts_by_size", "pivot_filter_counts"} <= namespace.keys()
