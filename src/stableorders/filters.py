@@ -32,24 +32,8 @@ from .monomials import (
     graded_lex_key,
     stable_moves_up,
 )
-from .orders import Family, GroundSetError, PosetId, dual_rename
+from .orders import Family, GroundSetError, PosetId, _generating_moves
 from .lattice import CapExceededError
-
-
-def _generating_moves(poset, m):
-    """Upward moves of m that generate the (finite) poset's order."""
-    family = poset.family
-    if family is Family.BOREL:
-        return borel_moves_up(m)
-    if family is Family.STABLE:
-        return stable_moves_up(m)
-    if family is Family.DUAL_BOREL:
-        n = poset.nvars
-        return frozenset(dual_rename(u, n) for u in borel_moves_up(dual_rename(m, n)))
-    # divisibility staircase
-    if m.degree() >= poset.degree:
-        return frozenset()
-    return frozenset(m.times_var(i) for i in range(1, poset.nvars + 1))
 
 
 def is_filter(elements, poset):
@@ -223,6 +207,20 @@ def filter_counts_by_size(h):
     return tuple(packed >> (width * k) & field for k in range(len(h) + 1))
 
 
+def _pivot(up, mask):
+    """The lowest-indexed element of the mask with the largest up-set in it."""
+    pivot, best = -1, -1
+    probe = mask
+    while probe:
+        low = probe & -probe
+        i = low.bit_length() - 1
+        size = (up[i] & mask).bit_count()
+        if size > best:
+            pivot, best = i, size
+        probe ^= low
+    return pivot
+
+
 def _filter_poly(h, mask, memo, rng=None):
     """Filter counts of the bitmask subposet, indexed by filter cardinality
     (the pivot recursion: the oracle, and enumeration's pruning)."""
@@ -235,15 +233,7 @@ def _filter_poly(h, mask, memo, rng=None):
     up = h.up_masks()
     down = h.down_masks()
     if rng is None:
-        pivot, best = -1, -1
-        probe = mask
-        while probe:
-            low = probe & -probe
-            i = low.bit_length() - 1
-            size = (up[i] & mask).bit_count()
-            if size > best:
-                pivot, best = i, size
-            probe ^= low
+        pivot = _pivot(up, mask)
     else:
         candidates = [i for i in range(len(h)) if mask >> i & 1]
         pivot = rng.choice(candidates)
@@ -291,7 +281,7 @@ def enumerate_filters(h, cardinality=None, cap=1_000_000):
     or when counting them overruns the frontier sweep's memory budget.
     """
     full = (1 << len(h)) - 1
-    memo = h._filter_polys
+    memo = {}
     if cardinality is None:
         total = count_filters(h)
     else:
@@ -311,30 +301,22 @@ def enumerate_filters(h, cardinality=None, cap=1_000_000):
         poly = _filter_poly(h, mask, memo)
         return poly[need] > 0
 
-    def emit(mask, chosen):
+    # depth first on an explicit stack: the filters avoiding the pivot come
+    # before those containing it
+    stack = [(full, 0)] if viable(full, 0) else []
+    while stack:
+        mask, chosen = stack.pop()
         if mask == 0:
-            yield chosen
-            return
-        pivot, best = -1, -1
-        probe = mask
-        while probe:
-            low = probe & -probe
-            i = low.bit_length() - 1
-            size = (up[i] & mask).bit_count()
-            if size > best:
-                pivot, best = i, size
-            probe ^= low
+            yield frozenset(h.vertices[i] for i in range(len(h)) if chosen >> i & 1)
+            continue
+        pivot = _pivot(up, mask)
         principal = up[pivot] & mask
         for branch, picked in (
-            (mask & ~(down[pivot] & mask), chosen),
             (mask & ~principal, chosen | principal),
+            (mask & ~(down[pivot] & mask), chosen),
         ):
             if viable(branch, picked):
-                yield from emit(branch, picked)
-
-    if viable(full, 0):
-        for chosen in emit(full, 0):
-            yield frozenset(h.vertices[i] for i in range(len(h)) if chosen >> i & 1)
+                stack.append((branch, picked))
 
 
 def catalan(n):

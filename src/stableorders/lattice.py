@@ -2,8 +2,8 @@
 
 Fixed-degree ground sets of the strongly-stable order form distributive
 lattices computed coordinatewise on partial sums; the stable order also
-forms a lattice but a non-modular one, with an explicit three-case meet
-recursion and joins found by scanning minimal common upper bounds.
+forms a lattice but a non-modular one, whose meets and joins follow the
+same case split on the last variable as its comparisons.
 """
 
 from __future__ import annotations
@@ -11,15 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from graphlib import TopologicalSorter
 
-from .monomials import Monomial, monomials_up_to_degree, stable_moves_up
+from .monomials import Monomial, monomials_up_to_degree
 from .orders import (
     Family,
     GroundSetError,
     PosetId,
-    _stable_context,
+    _generating_moves,
+    _pad_with_top,
+    _stable_leq,
+    _strip_top,
     dual_rename,
     ground_monomials,
-    leq,
     monomial_from_partial_sums,
     partial_sums,
     PartialSumSequence,
@@ -59,7 +61,6 @@ class HasseDiagram:
     _index: dict | None = field(default=None, repr=False)
     _up: list | None = field(default=None, repr=False)
     _down: list | None = field(default=None, repr=False)
-    _filter_polys: dict = field(default_factory=dict, repr=False)
 
     def __len__(self):
         return len(self.vertices)
@@ -133,58 +134,54 @@ class HasseDiagram:
         }
 
 
-def _covers_from_leq(vertices, leq_pair):
-    """Transitive reduction of an explicit order relation (generic fallback)."""
-    n = len(vertices)
-    up = [0] * n
-    for i in range(n):
-        mask = 1 << i
-        for j in range(n):
-            if j != i and leq_pair(vertices[i], vertices[j]):
-                mask |= 1 << j
-        up[i] = mask
-    down = [0] * n
-    for i in range(n):
-        for j in _iter_bits(up[i]):
-            down[j] |= 1 << i
+def _reduce_moves(vertices, moves):
+    """Covering pairs of the order that the move edges generate.
+
+    The edges u -> moves(u) form an acyclic graph (index weight, or the
+    degree, changes along each), so up-masks fill in topological order.  An
+    edge i -> j is a cover unless another target of i already reaches j.
+    """
+    index = {m: i for i, m in enumerate(vertices)}
+    targets = [sorted(index[u] for u in moves(m)) for m in vertices]
+    up = [0] * len(vertices)
     covers = []
-    for i in range(n):
-        strict_up = up[i] & ~(1 << i)
-        for j in _iter_bits(strict_up):
-            between = strict_up & down[j] & ~(1 << j)
-            if between == 0:
+    for i in TopologicalSorter(dict(enumerate(targets))).static_order():
+        mask = 1 << i
+        for j in targets[i]:
+            mask |= up[j]
+        up[i] = mask
+        for j in targets[i]:
+            if not any(k != j and up[k] >> j & 1 for k in targets[i]):
                 covers.append((i, j))
-    return sorted(covers)
+    return covers
 
 
 def build_hasse(poset, cap=50_000, max_degree=None):
     """Build the Hasse diagram of a finite ground set.
 
-    Fixed-degree strongly-stable diagrams use adjacent-index exchange covers;
-    stable diagrams reduce the move edges against the reachability table;
-    divisibility uses multiply-by-one-variable covers.  For an unbounded-degree
-    poset pass max_degree to build the truncation to degrees <= max_degree
-    (covers are then computed by generic transitive reduction of leq).
+    Fixed-degree strongly-stable diagrams use adjacent-index exchange covers
+    and the divisibility staircase multiply-by-one-variable covers.  Stable
+    diagrams, and the truncation of an unbounded-degree poset to degrees
+    <= max_degree, reduce the generating-move edges (_generating_moves)
+    against their own up-masks.
     """
     if poset.nvars is None:
         raise ValueError(f"{poset} has unboundedly many variables; no finite diagram")
     n = poset.nvars
-
     if poset.degree is None:
         if max_degree is None:
             raise ValueError(f"{poset} is degree-unbounded; pass max_degree to truncate")
         vertices = tuple(monomials_up_to_degree(n, max_degree))
-        if len(vertices) > cap:
-            raise CapExceededError(f"{len(vertices)} vertices exceed the cap of {cap}")
-        covers = tuple(_covers_from_leq(vertices, lambda a, b: leq(poset, a, b)))
-        return HasseDiagram(poset, vertices, covers)
-
-    vertices = tuple(ground_monomials(poset))
+    else:
+        vertices = tuple(ground_monomials(poset))
     if len(vertices) > cap:
         raise CapExceededError(f"{len(vertices)} vertices exceed the cap of {cap}")
+    if poset.degree is None or poset.family is Family.STABLE:
+        covers = _reduce_moves(vertices, lambda m: _generating_moves(poset, m, max_degree))
+        return HasseDiagram(poset, vertices, tuple(sorted(covers)))
+
     index = {m: i for i, m in enumerate(vertices)}
     covers = []
-
     if poset.family is Family.BOREL:
         for i, m in enumerate(vertices):
             for k in range(1, n):
@@ -197,21 +194,13 @@ def build_hasse(poset, cap=50_000, max_degree=None):
                 if renamed.exponent(k + 1) > 0:
                     upper = dual_rename(renamed.transfer(k, k + 1), n)
                     covers.append((i, index[upper]))
-    elif poset.family is Family.STABLE:
-        table = _stable_context(n, poset.degree)
-        for i, m in enumerate(vertices):
-            targets = sorted(table.index[t] for t in stable_moves_up(m))
-            for j in targets:
-                if not any(k != j and table.up[k] >> j & 1 for k in targets):
-                    covers.append((i, j))
     else:  # divisibility staircase
         for i, m in enumerate(vertices):
             if m.degree() < poset.degree:
                 for k in range(1, n + 1):
                     covers.append((i, index[m.times_var(k)]))
 
-    diagram = HasseDiagram(poset, vertices, tuple(sorted(set(covers))))
-    return diagram
+    return HasseDiagram(poset, vertices, tuple(sorted(set(covers))))
 
 
 def meet(poset, m, mp):
@@ -281,16 +270,6 @@ def meet_stable(m, mp, nvars, degree):
     return _meet_stable(m, mp, nvars)
 
 
-def _strip_top(m, n):
-    return Monomial(m.exps[: n - 1])
-
-
-def _pad_with_top(w, nvars, degree):
-    exps = w.exponent_vector(nvars)
-    exps[nvars - 1] += degree - w.degree()
-    return Monomial(exps)
-
-
 def _divisors(m):
     out = [Monomial(())]
     for i in range(1, m.max_support() + 1):
@@ -303,30 +282,6 @@ def _divisors(m):
                 grown.append(cur)
         out = grown
     return out
-
-
-def _stable_leq(m, mp, n):
-    """Comparability in the stable order by the same case split as the meet
-    (no reachability tables): on the divisible block it is divisibility of
-    the stripped parts, and a divisible monomial sits below a free one
-    exactly when its stripped part, padded back to full degree with the next
-    variable down, does."""
-    if m == mp:
-        return True
-    if n <= 1:
-        return False
-    if n == 2:
-        return m.exponent(2) > mp.exponent(2)
-    em, ep = m.exponent(n), mp.exponent(n)
-    if em and ep:
-        return _strip_top(m, n).divides(_strip_top(mp, n))
-    if not em and not ep:
-        return _stable_leq(m, mp, n - 1)
-    if not em:
-        # nothing free of the last variable sits below the divisible block
-        return False
-    w = _strip_top(m, n)
-    return _stable_leq(_pad_with_top(w, n - 1, m.degree()), mp, n - 1)
 
 
 def _meet_stable(m, mp, n):
@@ -358,17 +313,39 @@ def _meet_stable(m, mp, n):
 
 
 def join_stable(m, mp, nvars, degree):
-    """Least upper bound in the stable order: fold the meet over all minimal
-    common upper bounds read off the reachability table."""
+    """Least upper bound in the stable order on fixed-degree monomials.
+
+    The same case split as the meet: recurse when neither uses the last
+    variable x_n.  Nothing free of x_n lies below something with x_n, and
+    u*x_{n-1}^a is the least monomial free of x_n above u*x_n^a, so the upper
+    bounds free of x_n are those of the pair with x_n stripped and padded
+    back with x_{n-1}.  When both use x_n and the lcm L of the stripped parts
+    has degree below d, L*x_n^(d - deg L) is an upper bound with x_n, the
+    least of those by divisibility; the join (the order is a lattice) lies
+    below it, so uses x_n too, and is it.  Otherwise no upper bound uses x_n,
+    and the join is that of the padded pair on n - 1 variables.  On one
+    variable there is a single monomial.
+    """
     _check_stable_args(m, mp, nvars, degree)
-    table = _stable_context(nvars, degree)
-    common = table.up[table.index[m]] & table.up[table.index[mp]]
-    down = table.down_masks()
-    minimal = [k for k in _iter_bits(common) if down[k] & common == 1 << k]
-    out = table.vertices[minimal[0]]
-    for k in minimal[1:]:
-        out = _meet_stable(out, table.vertices[k], nvars)
-    return out
+    return _join_stable(m, mp, nvars)
+
+
+def _join_stable(m, mp, n):
+    if m == mp or n <= 1:
+        return m
+    degree = m.degree()
+    em, ep = m.exponent(n), mp.exponent(n)
+    if em == 0 and ep == 0:
+        return _join_stable(m, mp, n - 1)
+    if em > 0 and ep > 0:
+        lcm = _strip_top(m, n).lcm(_strip_top(mp, n))
+        if lcm.degree() < degree:
+            return _pad_with_top(lcm, n, degree)
+    return _join_stable(
+        _pad_with_top(_strip_top(m, n), n - 1, degree),
+        _pad_with_top(_strip_top(mp, n), n - 1, degree),
+        n - 1,
+    )
 
 
 def _meet_join_tables(h):

@@ -7,8 +7,9 @@ lets the largest-index variable move.  A poset is identified by a family
 code plus optional bounds on the number of variables and the degree.
 
 Comparability in the strongly-stable family is decided in linear time from
-partial sums of the exponent vector; the stable family memoizes reachability
-tables per fixed (nvars, degree) ground set.
+partial sums of the exponent vector; the stable family by a case split on
+the last variable, and its glued order by one fixed-degree comparison with
+the lex-greatest divisor of matching degree.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from itertools import accumulate
 
 from .monomials import (
@@ -24,7 +24,6 @@ from .monomials import (
     graded_lex_key,
     borel_moves_up,
     stable_moves_up,
-    index_weight,
     monomials_of_degree,
     monomials_up_to_degree,
 )
@@ -228,83 +227,78 @@ def antitone_dual_sequence(m, window):
     return PartialSumSequence(prefix, window)
 
 
-class _StableTable:
-    """Reachability table for the stable order on a fixed (nvars, degree) set."""
-
-    __slots__ = ("vertices", "index", "up")
-
-    def __init__(self, vertices, index, up):
-        self.vertices = vertices
-        self.index = index
-        self.up = up
-
-    def leq(self, m, mp):
-        return bool(self.up[self.index[m]] >> self.index[mp] & 1)
-
-    def down_masks(self):
-        n = len(self.vertices)
-        down = [0] * n
-        for i in range(n):
-            mask = self.up[i]
-            while mask:
-                low = mask & -mask
-                down[low.bit_length() - 1] |= 1 << i
-                mask ^= low
-        return down
-
-
-@lru_cache(maxsize=None)
-def _stable_context(nvars, degree):
-    """Upward-reachability bitmasks for the stable order on all monomials of
-    one degree, computed by a sweep in decreasing index-weight order."""
-    vertices = tuple(monomials_of_degree(nvars, degree))
-    index = {m: i for i, m in enumerate(vertices)}
-    up = [0] * len(vertices)
-    for i in sorted(range(len(vertices)), key=lambda k: index_weight(vertices[k])):
-        mask = 1 << i
-        for target in stable_moves_up(vertices[i]):
-            mask |= up[index[target]]
-        up[i] = mask
-    return _StableTable(vertices, index, tuple(up))
-
-
 def _effective_nvars(poset, m, mp):
     if poset.nvars is not None:
         return poset.nvars
     return max(m.max_support(), mp.max_support(), 1)
 
 
-def _stable_glued_search(m, mp, nvars):
-    """Breadth-first search interleaving stable moves with multiplication."""
+def _strip_top(m, n):
+    """m with the variable x_n (and anything above it) removed."""
+    return Monomial(m.exps[: n - 1])
+
+
+def _pad_with_top(w, nvars, degree):
+    """w raised to the given degree by powers of x_nvars."""
+    exps = w.exponent_vector(nvars)
+    exps[nvars - 1] += degree - w.degree()
+    return Monomial(exps)
+
+
+def _stable_leq(m, mp, n):
+    """Comparability of two same-degree monomials in the stable order on n
+    variables, by a case split on the last variable.
+
+    Moves of the stable order only ever replace x_n while it occurs, so a
+    monomial with x_n keeps its stripped part: on the block of monomials
+    with x_n the order is divisibility of the stripped parts.  Nothing free
+    of x_n lies below something with x_n, and a monomial u*x_n^a with a > 0
+    sits below a free one exactly when u*x_{n-1}^a does, the least monomial
+    free of x_n above it.  Free of x_n, it is the order on n - 1 variables.
+    """
     if m == mp:
         return True
-    target_degree = mp.degree()
-    if m.degree() > target_degree:
+    if n <= 1:
         return False
-    seen = {m}
-    frontier = [m]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            neighbors = set(stable_moves_up(u))
-            if u.degree() < target_degree:
-                neighbors.update(u.times_var(i) for i in range(1, nvars + 1))
-            for w in neighbors:
-                if w == mp:
-                    return True
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return False
+    if n == 2:
+        return m.exponent(2) > mp.exponent(2)
+    em, ep = m.exponent(n), mp.exponent(n)
+    if em and ep:
+        return _strip_top(m, n).divides(_strip_top(mp, n))
+    if not em and not ep:
+        return _stable_leq(m, mp, n - 1)
+    if not em:
+        # nothing free of the last variable sits below the divisible block
+        return False
+    w = _strip_top(m, n)
+    return _stable_leq(_pad_with_top(w, n - 1, m.degree()), mp, n - 1)
+
+
+def _lex_greatest_divisor(mp, degree):
+    """The lex-greatest divisor of mp of the given degree (at most mp's)."""
+    exps = []
+    for e in mp.exps:
+        exps.append(min(e, degree))
+        degree -= exps[-1]
+    return Monomial(exps)
 
 
 def leq(poset, m, mp):
     """Decide m <= mp in the given poset.
 
     Strongly-stable comparability is partial-sum domination; the stable family
-    uses memoized reachability tables (fixed degree) or an interleaved search
-    (unbounded degree).  Raises GroundSetError off the ground set.
+    splits on the last variable (_stable_leq).  Raises GroundSetError off the
+    ground set.
+
+    In the glued stable order (unbounded degree) m <= mp exactly when
+    deg m <= deg mp and m <= w* in the fixed-degree order, where w* is the
+    lex-greatest divisor of mp of degree deg m.  A multiplication followed by
+    a move is a move followed by a multiplication, or is itself a
+    multiplication, so every path can do its multiplications last: m <= mp
+    iff m <= w for some divisor w of mp of degree deg m.  Every such w lies
+    below w*: moving the top unit of w to the first index where w falls short
+    of w* is a stable move (that index is smaller than the top one, since
+    the degrees agree) and keeps a divisor of mp, so repeating it reaches w*.
     """
     _require_member(poset, m)
     _require_member(poset, mp)
@@ -316,12 +310,37 @@ def leq(poset, m, mp):
     if family is Family.DUAL_BOREL:
         n = poset.nvars
         return partial_sums(dual_rename(mp, n)).dominates(partial_sums(dual_rename(m, n)))
-    if m == mp:
-        return True
+    n = _effective_nvars(poset, m, mp)
     if poset.degree is not None:
-        table = _stable_context(_effective_nvars(poset, m, mp), poset.degree)
-        return table.leq(m, mp)
-    return _stable_glued_search(m, mp, _effective_nvars(poset, m, mp))
+        return _stable_leq(m, mp, n)
+    degree = m.degree()
+    return degree <= mp.degree() and _stable_leq(m, _lex_greatest_divisor(mp, degree), n)
+
+
+def _generating_moves(poset, m, max_degree=None):
+    """The upward moves of m that generate the order on a finite ground set:
+    the family's exchange moves, plus multiplication by one variable while the
+    degree stays within the bound (the staircase degree of family D, or
+    max_degree for the truncation of a degree-unbounded poset)."""
+    family = poset.family
+    n = poset.nvars
+    if family is Family.BOREL:
+        moves = borel_moves_up(m)
+    elif family is Family.STABLE:
+        moves = stable_moves_up(m)
+    elif family is Family.DUAL_BOREL:
+        moves = frozenset(dual_rename(u, n) for u in borel_moves_up(dual_rename(m, n)))
+    else:
+        moves = frozenset()
+    if poset.degree is None:
+        bound = max_degree
+    elif family is Family.DIVISIBILITY:
+        bound = poset.degree
+    else:
+        return moves
+    if m.degree() >= bound:
+        return moves
+    return moves | {m.times_var(i) for i in range(1, n + 1)}
 
 
 def relation(poset, m, mp):
@@ -341,7 +360,7 @@ def reachability_oracle(poset, m, mp):
     """Decide m <= mp by brute-force search over generating relations only.
 
     Used as an independent check on leq: it never consults partial sums or
-    the memoized tables, just walks exchange moves (and multiplication when
+    the stable case split, just walks exchange moves (and multiplication when
     the degree is unbounded).
     """
     _require_member(poset, m)

@@ -209,6 +209,14 @@ class TestEnumerate:
             ((2,), (1, 1), (0, 2)),
         }
 
+    def test_long_chain(self, capsys):
+        # 1501 elements in a chain: deeper than the recursion limit
+        code, out, _ = run(capsys, "enumerate", "--poset", "A[n=2,d=1500]")
+        lines = out.splitlines()
+        assert (code, len(lines)) == (0, 1502)
+        assert lines[:2] == ["{}", "{x1^1500}"]
+        assert lines[-1].count(", ") == 1500
+
     def test_cap(self, capsys):
         code, _, err = run(capsys, "enumerate", "--poset", "A[n=3,d=3]", "--cap", "3")
         assert code == 2

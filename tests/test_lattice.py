@@ -12,6 +12,7 @@ from stableorders.lattice import (
     HasseDiagram,
     NotGradedError,
     NotLatticeError,
+    _meet_join_tables,
     build_hasse,
     check_distributive,
     find_n5,
@@ -24,7 +25,13 @@ from stableorders.lattice import (
     rank_sizes,
 )
 from stableorders.monomials import Monomial
-from stableorders.orders import GroundSetError, PosetId, ground_monomials, leq
+from stableorders.orders import (
+    GroundSetError,
+    PosetId,
+    ground_monomials,
+    leq,
+    reachability_oracle,
+)
 
 M = Monomial.parse
 
@@ -41,6 +48,20 @@ def local_covers(poset):
         (i, j)
         for i, j in strict
         if not any((i, k) in strict and (k, j) in strict for k in range(len(vertices)))
+    )
+
+
+def oracle_covers(poset, vertices):
+    """Transitive reduction of move reachability (brute-force search)."""
+    above = [
+        {j for j, v in enumerate(vertices) if v != u and reachability_oracle(poset, u, v)}
+        for u in vertices
+    ]
+    return sorted(
+        (i, j)
+        for i, uppers in enumerate(above)
+        for j in uppers
+        if not any(j in above[k] for k in uppers)
     )
 
 
@@ -79,6 +100,16 @@ class TestBuildHasse:
     def test_covers_match_local_transitive_reduction(self, poset_text):
         poset = PosetId.parse(poset_text)
         assert sorted(build_hasse(poset).covers) == local_covers(poset)
+
+    @pytest.mark.parametrize(
+        ("poset_text", "max_degree"),
+        [("B[n=3,d=4]", None), ("B[n=4,d=3]", None), ("B[n=3,d=6]", None),
+         ("A[n=3]", 4), ("B[n=2]", 6), ("B[n=3]", 4), ("C[n=3]", 4), ("D[n=3]", 3)],
+    )
+    def test_covers_match_oracle_reduction(self, poset_text, max_degree):
+        poset = PosetId.parse(poset_text)
+        h = build_hasse(poset, max_degree=max_degree)
+        assert list(h.covers) == oracle_covers(poset, h.vertices)
 
     def test_truncated_glued_divisibility_matches_staircase(self):
         truncated = build_hasse(PosetId.parse("D[n=2]"), max_degree=2)
@@ -195,6 +226,15 @@ class TestMeetJoin:
                     join(poset, m, mp)
             else:
                 assert h.index(join(poset, m, mp)) == expected_join
+
+    @pytest.mark.parametrize(("n", "d"), [(3, 8), (4, 5)])
+    def test_stable_meet_join_match_tables(self, n, d):
+        h = build_hasse(PosetId.parse(f"B[n={n},d={d}]"))
+        meets, joins = _meet_join_tables(h)
+        for i, m in enumerate(h.vertices):
+            for j, mp in enumerate(h.vertices):
+                assert meet_stable(m, mp, n, d) == h.vertices[meets[i][j]]
+                assert join_stable(m, mp, n, d) == h.vertices[joins[i][j]]
 
     def test_meet_join_are_commutative_idempotent(self):
         poset = PosetId.parse("B[n=3,d=3]")
