@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -98,10 +99,6 @@ _RELATION_SYMBOL = {"lt": "<", "gt": ">", "eq": "=", "incomparable": "||"}
 # small input/output helpers
 
 
-def _parse_monomial(text):
-    return Monomial.parse(text)
-
-
 def _parse_elements(text):
     """Comma separated monomials, e.g. 'x1^2,x1*x2' (empty string allowed)."""
     text = text.strip()
@@ -170,8 +167,26 @@ def _format_filter(elements):
     return "{" + ", ".join(str(m) for m in _sorted_elements(elements)) + "}"
 
 
-def _print_json(obj):
-    print(json.dumps(obj, indent=2))
+def _emit(args, payload, *lines):
+    """The one place that picks the output format: the payload as indented
+    JSON under --format json, otherwise the text lines, one per line."""
+    if args.format == "json":
+        print(json.dumps(payload, indent=2))
+    else:
+        for line in lines:
+            print(line)
+
+
+def _emit_monomial(args, m):
+    _emit(args, {"monomial": str(m), "exponents": list(m.exps)}, m)
+
+
+def _emit_partition(args, parts):
+    _emit(args, {"partition": list(parts)}, _format_parts(parts))
+
+
+def _emit_filter(args, elements):
+    _emit(args, _elements_json_dict(elements), _format_filter(elements))
 
 
 # ---------------------------------------------------------------------------
@@ -180,54 +195,50 @@ def _print_json(obj):
 
 def _cmd_compare(args):
     poset = PosetId.parse(args.poset)
-    m = _parse_monomial(args.left)
-    mp = _parse_monomial(args.right)
+    m = Monomial.parse(args.left)
+    mp = Monomial.parse(args.right)
     rel = relation(poset, m, mp)
-    if args.format == "json":
-        _print_json({"poset": str(poset), "left": str(m), "right": str(mp), "relation": rel})
-    else:
-        print(f"{m} {_RELATION_SYMBOL[rel]} {mp}")
+    payload = {"poset": str(poset), "left": str(m), "right": str(mp), "relation": rel}
+    _emit(args, payload, f"{m} {_RELATION_SYMBOL[rel]} {mp}")
     return 0
 
 
 def _cmd_hasse(args):
     poset = PosetId.parse(args.poset)
     h = build_hasse(poset, cap=args.cap, max_degree=args.max_degree)
+    # each format is built only when asked for: large diagrams make them costly
     if args.format == "dot":
         print(h.to_dot())
     elif args.format == "json":
-        _print_json(h.to_json_dict())
+        _emit(args, h.to_json_dict())
     else:
-        print(f"poset: {poset}")
-        print(f"vertices: {len(h)}")
-        print(f"covers: {len(h.covers)}")
-        for lo, hi in h.covers:
-            print(f"{h.vertices[hi]} covers {h.vertices[lo]}")
+        header = (f"poset: {poset}", f"vertices: {len(h)}", f"covers: {len(h.covers)}")
+        covers = (f"{h.vertices[hi]} covers {h.vertices[lo]}" for lo, hi in h.covers)
+        _emit(args, None, *header, *covers)
     return 0
 
 
 def _cmd_bound(args):
     poset = PosetId.parse(args.poset)
-    m = _parse_monomial(args.left)
-    mp = _parse_monomial(args.right)
+    m = Monomial.parse(args.left)
+    mp = Monomial.parse(args.right)
     op = join if args.operation == "join" else meet
     try:
         result = op(poset, m, mp)
     except NotLatticeError as exc:
         print(f"no {args.operation}: {exc}", file=sys.stderr)
         return 1
-    if args.format == "json":
-        _print_json(
-            {
-                "poset": str(poset),
-                "left": str(m),
-                "right": str(mp),
-                args.operation: str(result),
-                "exponents": list(result.exps),
-            }
-        )
-    else:
-        print(result)
+    _emit(
+        args,
+        {
+            "poset": str(poset),
+            "left": str(m),
+            "right": str(mp),
+            args.operation: str(result),
+            "exponents": list(result.exps),
+        },
+        result,
+    )
     return 0
 
 
@@ -236,37 +247,35 @@ def _cmd_count(args):
     h = build_hasse(poset, cap=args.cap, max_degree=args.max_degree)
     if args.by_cardinality:
         counts = list(filter_counts_by_size(h))
-        if args.format == "json":
-            _print_json({"poset": str(poset), "counts": counts})
-        else:
-            for v, cnt in enumerate(counts):
-                print(f"{v} {cnt}")
-    else:
-        total = count_filters(h, args.cardinality)
-        if args.format == "json":
-            payload = {"poset": str(poset), "count": total}
-            if args.cardinality is not None:
-                payload["cardinality"] = args.cardinality
-            _print_json(payload)
-        else:
-            print(total)
+        _emit(
+            args,
+            {"poset": str(poset), "counts": counts},
+            *(f"{v} {cnt}" for v, cnt in enumerate(counts)),
+        )
+        return 0
+    total = count_filters(h, args.cardinality)
+    payload = {"poset": str(poset), "count": total}
+    if args.cardinality is not None:
+        payload["cardinality"] = args.cardinality
+    _emit(args, payload, total)
     return 0
 
 
 def _cmd_enumerate(args):
     poset = PosetId.parse(args.poset)
     h = build_hasse(poset, cap=args.hasse_cap, max_degree=args.max_degree)
-    filters = list(enumerate_filters(h, args.cardinality, cap=args.cap))
+    filters = enumerate_filters(h, args.cardinality, cap=args.cap)
+    # each format is built only when asked for: large listings make them costly
     if args.format == "json":
-        _print_json(
+        _emit(
+            args,
             {
                 "poset": str(poset),
                 "filters": [_elements_json_dict(f) for f in filters],
-            }
+            },
         )
     else:
-        for f in filters:
-            print(_format_filter(f))
+        _emit(args, None, *map(_format_filter, filters))
     return 0
 
 
@@ -274,17 +283,9 @@ def _cmd_bijection_young(args):
     if (args.monomial is None) == (args.inverse is None):
         raise ValueError("give either a monomial or --inverse PARTS")
     if args.monomial is not None:
-        parts = monomial_to_young(_parse_monomial(args.monomial))
-        if args.format == "json":
-            _print_json({"partition": list(parts)})
-        else:
-            print(_format_parts(parts))
+        _emit_partition(args, monomial_to_young(Monomial.parse(args.monomial)))
     else:
-        m = young_to_monomial(_parse_parts(args.inverse))
-        if args.format == "json":
-            _print_json({"monomial": str(m), "exponents": list(m.exps)})
-        else:
-            print(m)
+        _emit_monomial(args, young_to_monomial(_parse_parts(args.inverse)))
     return 0
 
 
@@ -303,20 +304,12 @@ def _degree_of(args, family, nvars, what):
 
 
 def _cmd_bijection_partition(args):
+    degree = _degree_of(args, Family.BOREL, 3, "partition")
     if args.inverse is not None:
-        degree = _degree_of(args, Family.BOREL, 3, "partition")
-        elements = distinct_partition_to_filter(_parse_parts(args.inverse), degree)
-        if args.format == "json":
-            _print_json(_elements_json_dict(elements))
-        else:
-            print(_format_filter(elements))
+        _emit_filter(args, distinct_partition_to_filter(_parse_parts(args.inverse), degree))
     else:
-        degree = _degree_of(args, Family.BOREL, 3, "partition")
         parts = filter_to_distinct_partition(_filter_payload(args.filter), degree)
-        if args.format == "json":
-            _print_json({"partition": list(parts)})
-        else:
-            print(_format_parts(parts))
+        _emit_partition(args, parts)
     return 0
 
 
@@ -324,21 +317,12 @@ def _cmd_bijection_walk(args):
     if args.inverse is not None:
         if args.region is None:
             raise ValueError("--inverse needs --region")
-        walk = LatticeWalk.from_string(args.region, args.inverse)
-        elements = walk_to_filter(walk)
-        if args.format == "json":
-            _print_json(_elements_json_dict(elements))
-        else:
-            print(_format_filter(elements))
+        _emit_filter(args, walk_to_filter(LatticeWalk.from_string(args.region, args.inverse)))
     else:
         degree = _degree_of(args, Family.DIVISIBILITY, 2, "walk")
         walk = filter_to_walk(_filter_payload(args.filter), degree)
-        if args.format == "json":
-            _print_json(
-                {"region": walk.region, "steps": str(walk), "weight": walk_weight(walk)}
-            )
-        else:
-            print(walk)
+        payload = {"region": walk.region, "steps": str(walk), "weight": walk_weight(walk)}
+        _emit(args, payload, walk)
     return 0
 
 
@@ -347,16 +331,10 @@ def _cmd_bijection_squarefree(args):
         raise ValueError("give either --parts or --inverse MONOMIAL")
     if args.parts is not None:
         m = distinct_partition_to_squarefree(_parse_parts(args.parts), args.degree)
-        if args.format == "json":
-            _print_json({"monomial": str(m), "exponents": list(m.exps)})
-        else:
-            print(m)
+        _emit_monomial(args, m)
     else:
-        parts = squarefree_to_distinct_partition(_parse_monomial(args.inverse), args.degree)
-        if args.format == "json":
-            _print_json({"partition": list(parts)})
-        else:
-            print(_format_parts(parts))
+        parts = squarefree_to_distinct_partition(Monomial.parse(args.inverse), args.degree)
+        _emit_partition(args, parts)
     return 0
 
 
@@ -364,32 +342,24 @@ def _cmd_termorder_check(args):
     weights = _parse_parts(args.weights) if args.weights else None
     order = TermOrder(args.order, weights=weights, degree_first=args.degree_first)
     ok, witness = refines_borel(order, args.n, args.max_degree)
-    if args.format == "json":
-        payload = {"order": args.order, "refines": ok}
-        if witness is not None:
-            key = "sample" if ok else "violated"
-            payload[key] = [str(witness[0]), str(witness[1])]
-        _print_json(payload)
-    else:
-        if ok:
-            print("refines: yes")
-            if witness is not None:
-                print(f"sample relation: {witness[1]} < {witness[0]}")
-        else:
-            print("refines: no")
-            print(f"violated: {witness[0]} < {witness[1]} in the exchange order")
+    payload = {"order": args.order, "refines": ok}
+    lines = [f"refines: {'yes' if ok else 'no'}"]
+    if not ok:
+        payload["violated"] = [str(witness[0]), str(witness[1])]
+        lines.append(f"violated: {witness[0]} < {witness[1]} in the exchange order")
+    elif witness is not None:
+        payload["sample"] = [str(witness[0]), str(witness[1])]
+        lines.append(f"sample relation: {witness[1]} < {witness[0]}")
+    _emit(args, payload, *lines)
     return 0 if ok else 1
 
 
 def _cmd_termorder_separate(args):
-    m = _parse_monomial(args.left)
-    mp = _parse_monomial(args.right)
+    m = Monomial.parse(args.left)
+    mp = Monomial.parse(args.right)
     above, below = separating_witnesses(m, mp, nvars=args.n, budget=args.budget)
-    if args.format == "json":
-        _print_json({"above": list(above), "below": list(below)})
-    else:
-        print(f"above: {_format_parts(above)}")
-        print(f"below: {_format_parts(below)}")
+    lines = (f"above: {_format_parts(above)}", f"below: {_format_parts(below)}")
+    _emit(args, {"above": list(above), "below": list(below)}, *lines)
     return 0
 
 
@@ -400,60 +370,51 @@ def _cmd_ideal(args):
     close = borel_closure if args.order == "A" else stable_closure
     is_closed = is_borel_ideal if args.order == "A" else is_stable_ideal
     if args.action == "close":
-        closure = close(gens)
-        if args.format == "json":
-            _print_json(_elements_json_dict(closure))
-        else:
-            print(_format_filter(closure))
+        _emit_filter(args, close(gens))
         return 0
     mingens = minimal_generators(gens)
     ok = is_closed(gens)
-    if args.format == "json":
-        _print_json(
-            {
-                "closed": ok,
-                "minimal_generators": [str(m) for m in _sorted_elements(mingens)],
-            }
-        )
-    else:
-        print(f"minimal generators: {_format_filter(mingens)}")
-        print(f"closed under exchange moves: {'yes' if ok else 'no'}")
+    _emit(
+        args,
+        {
+            "closed": ok,
+            "minimal_generators": [str(m) for m in _sorted_elements(mingens)],
+        },
+        f"minimal generators: {_format_filter(mingens)}",
+        f"closed under exchange moves: {'yes' if ok else 'no'}",
+    )
     return 0 if ok else 1
 
 
 def _cmd_gf(args):
     coeffs = fountain_gf_coefficients(args.terms)
-    if args.format == "json":
-        _print_json({"coefficients": coeffs})
-    else:
-        print(" ".join(str(c) for c in coeffs))
+    _emit(args, {"coefficients": coeffs}, " ".join(str(c) for c in coeffs))
     return 0
 
 
 def _cmd_verify(args):
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     reports = [run_suite(name, seed=args.seed) for name in names]
-    if args.format == "json":
-        _print_json(
-            [
-                {
-                    "suite": r.suite,
-                    "passed": r.passed,
-                    "failed": r.failed,
-                    "failures": r.failures,
-                }
-                for r in reports
-            ]
-        )
-    else:
-        for r in reports:
-            total = r.passed + r.failed
-            if r.failed:
-                print(f"{r.suite}: FAIL ({r.failed} of {total} checks)")
-                for f in r.failures[:10]:
-                    print(f"  - {f}")
-            else:
-                print(f"{r.suite}: PASS ({r.passed} checks)")
+    lines = []
+    for r in reports:
+        if r.failed:
+            lines.append(f"{r.suite}: FAIL ({r.failed} of {r.passed + r.failed} checks)")
+            lines += [f"  - {f}" for f in r.failures[:10]]
+        else:
+            lines.append(f"{r.suite}: PASS ({r.passed} checks)")
+    _emit(
+        args,
+        [
+            {
+                "suite": r.suite,
+                "passed": r.passed,
+                "failed": r.failed,
+                "failures": r.failures,
+            }
+            for r in reports
+        ],
+        *lines,
+    )
     for r in reports:
         print(f"[{r.suite} took {r.runtime_ms:.0f} ms]", file=sys.stderr)
     return 1 if any(r.failed for r in reports) else 0
@@ -790,9 +751,11 @@ _SUITES = {
 # parser
 
 
-def _add_format(parser, *, dot=False):
+def _finish_subcommand(parser, handler, *, dot=False, **defaults):
+    """Give a subcommand its --format option, its handler and other defaults."""
     choices = ("text", "json", "dot") if dot else ("text", "json")
     parser.add_argument("--format", choices=choices, default="text")
+    parser.set_defaults(handler=handler, **defaults)
 
 
 def _build_parser():
@@ -808,23 +771,20 @@ def _build_parser():
     p.add_argument("--poset", required=True, help=poset_help)
     p.add_argument("left")
     p.add_argument("right")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_compare)
+    _finish_subcommand(p, _cmd_compare)
 
     p = sub.add_parser("hasse", help="build the Hasse diagram of a finite order")
     p.add_argument("--poset", required=True, help=poset_help)
     p.add_argument("--max-degree", type=int, default=None, help="truncate an unbounded order")
     p.add_argument("--cap", type=int, default=50_000, help="largest allowed vertex count")
-    _add_format(p, dot=True)
-    p.set_defaults(handler=_cmd_hasse)
+    _finish_subcommand(p, _cmd_hasse, dot=True)
 
     for op in ("meet", "join"):
         p = sub.add_parser(op, help=f"{op} of two monomials")
         p.add_argument("--poset", required=True, help=poset_help)
         p.add_argument("left")
         p.add_argument("right")
-        _add_format(p)
-        p.set_defaults(handler=_cmd_bound, operation=op)
+        _finish_subcommand(p, _cmd_bound, operation=op)
 
     p = sub.add_parser("count", help="count the filters of a finite order")
     p.add_argument("--poset", required=True, help=poset_help)
@@ -832,8 +792,7 @@ def _build_parser():
     p.add_argument("--by-cardinality", action="store_true", help="print the whole size profile")
     p.add_argument("--max-degree", type=int, default=None)
     p.add_argument("--cap", type=int, default=50_000)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_count)
+    _finish_subcommand(p, _cmd_count)
 
     p = sub.add_parser("enumerate", help="list the filters of a finite order")
     p.add_argument("--poset", required=True, help=poset_help)
@@ -841,8 +800,7 @@ def _build_parser():
     p.add_argument("--cap", type=int, default=1_000_000, help="largest allowed filter count")
     p.add_argument("--hasse-cap", type=int, default=50_000)
     p.add_argument("--max-degree", type=int, default=None)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_enumerate)
+    _finish_subcommand(p, _cmd_enumerate)
 
     p = sub.add_parser("bijection", help="run one of the combinatorial bijections")
     bsub = p.add_subparsers(dest="bijection", required=True)
@@ -850,30 +808,26 @@ def _build_parser():
     b = bsub.add_parser("young", help="monomial <-> Young diagram")
     b.add_argument("monomial", nargs="?")
     b.add_argument("--inverse", metavar="PARTS", help="partition such as 3,1,1")
-    _add_format(b)
-    b.set_defaults(handler=_cmd_bijection_young)
+    _finish_subcommand(b, _cmd_bijection_young)
 
     b = bsub.add_parser("partition", help="three-variable filter <-> distinct parts")
     b.add_argument("--poset", help="A[n=3,d=<degree>]")
     b.add_argument("--filter", help="JSON record, JSON file, '-', or comma separated monomials")
     b.add_argument("--inverse", metavar="PARTS", help="partition such as 6,5,3,1")
-    _add_format(b)
-    b.set_defaults(handler=_cmd_bijection_partition)
+    _finish_subcommand(b, _cmd_bijection_partition)
 
     b = bsub.add_parser("walk", help="two-variable staircase filter <-> lattice walk")
     b.add_argument("--poset", help="D[n=2,d=<degree>] (forward direction)")
     b.add_argument("--filter", help="JSON record, JSON file, '-', or comma separated monomials")
     b.add_argument("--inverse", metavar="STEPS", help="walk string such as DDRDRR")
     b.add_argument("--region", type=int, help="walk region (with --inverse)")
-    _add_format(b)
-    b.set_defaults(handler=_cmd_bijection_walk)
+    _finish_subcommand(b, _cmd_bijection_walk)
 
     b = bsub.add_parser("squarefree", help="distinct parts <-> squarefree monomial")
     b.add_argument("--degree", type=int, required=True)
     b.add_argument("--parts", help="partition such as 6,5,3,1")
     b.add_argument("--inverse", metavar="MONOMIAL")
-    _add_format(b)
-    b.set_defaults(handler=_cmd_bijection_squarefree)
+    _finish_subcommand(b, _cmd_bijection_squarefree)
 
     p = sub.add_parser("termorder", help="test term orders against the exchange orders")
     tsub = p.add_subparsers(dest="action", required=True)
@@ -884,16 +838,14 @@ def _build_parser():
     t.add_argument("--degree-first", action="store_true")
     t.add_argument("--n", type=int, required=True, help="number of variables")
     t.add_argument("--max-degree", type=int, default=4)
-    _add_format(t)
-    t.set_defaults(handler=_cmd_termorder_check)
+    _finish_subcommand(t, _cmd_termorder_check)
 
     t = tsub.add_parser("separate", help="weight vectors ordering an incomparable pair both ways")
     t.add_argument("left")
     t.add_argument("right")
     t.add_argument("--n", type=int, default=None, help="number of variables")
     t.add_argument("--budget", type=int, default=10_000)
-    _add_format(t)
-    t.set_defaults(handler=_cmd_termorder_separate)
+    _finish_subcommand(t, _cmd_termorder_separate)
 
     p = sub.add_parser("ideal", help="monomial ideals closed under exchange moves")
     isub = p.add_subparsers(dest="action", required=True)
@@ -901,21 +853,18 @@ def _build_parser():
         i = isub.add_parser(action)
         i.add_argument("--order", choices=("A", "B"), required=True)
         i.add_argument("--gens", required=True, help="comma separated generators")
-        _add_format(i)
-        i.set_defaults(handler=_cmd_ideal, action=action)
+        _finish_subcommand(i, _cmd_ideal)
 
     p = sub.add_parser("gf", help="generating functions")
     gsub = p.add_subparsers(dest="series", required=True)
     g = gsub.add_parser("fountains", help="coin fountain counts")
     g.add_argument("--terms", type=int, required=True)
-    _add_format(g)
-    g.set_defaults(handler=_cmd_gf)
+    _finish_subcommand(g, _cmd_gf)
 
     p = sub.add_parser("verify", help="re-check the package's claims")
     p.add_argument("--suite", choices=("all", *_SUITES), default="all")
     p.add_argument("--seed", type=int, default=0)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_verify)
+    _finish_subcommand(p, _cmd_verify)
 
     return parser
 
@@ -924,7 +873,13 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a reader that went away surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # send what is left to the null device, so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,10 +11,10 @@ frontier; a memory budget on the live states bounds the work.  Counting
 the filters of an arbitrary poset is #P-complete, so that layering is where
 the speed comes from.
 
-A pivot recursion on bitmask subposets stays as the independent oracle and
-drives enumeration: filters avoiding a pivot are filters of the poset minus
-the pivot's down-set, and filters containing it correspond to filters of
-the poset minus the pivot's up-set.
+Enumeration walks the pivot tree on bitmask subposets: filters avoiding a
+pivot are filters of the poset minus the pivot's down-set, and filters
+containing it correspond to filters of the poset minus the pivot's up-set.
+The same split, memoized, counts filters as the independent oracle.
 
 Also here: the closed-form counters for two and three variables, the
 weighted-walk recursion behind the stable-order counts, and monomial-ideal
@@ -33,7 +33,7 @@ from .monomials import (
     stable_moves_up,
 )
 from .orders import Family, GroundSetError, PosetId, _generating_moves
-from .lattice import CapExceededError
+from .lattice import CapExceededError, _iter_bits
 
 
 def is_filter(elements, poset):
@@ -223,7 +223,7 @@ def _pivot(up, mask):
 
 def _filter_poly(h, mask, memo, rng=None):
     """Filter counts of the bitmask subposet, indexed by filter cardinality
-    (the pivot recursion: the oracle, and enumeration's pruning)."""
+    (the pivot recursion behind the oracle pivot_filter_counts)."""
     out = memo.get(mask)
     if out is not None:
         return out
@@ -277,37 +277,35 @@ def count_filters(h, cardinality=None):
 def enumerate_filters(h, cardinality=None, cap=1_000_000):
     """Yield every filter (as a frozenset of monomials), largest poset first.
 
+    The walk splits on a pivot: a branch (mask, chosen) stands for the
+    filters `chosen | F` with F a filter of the subposet induced on `mask`.
+    A finite poset has a filter of every size from 0 to its own size (the
+    top k elements of a linear extension), so a branch holds a filter of
+    the wanted cardinality exactly when `0 <= cardinality - |chosen| <=
+    |mask|`; no counting is needed to prune.  Hence every node pushed on
+    the stack leads to at least one yielded filter, and as each pivot step
+    removes at least the pivot from the mask, the walk takes at most
+    (N + 1) * cap pivot steps on N vertices.
+
     Raises CapExceededError when more than `cap` filters would be produced,
     or when counting them overruns the frontier sweep's memory budget.
     """
-    full = (1 << len(h)) - 1
-    memo = {}
-    if cardinality is None:
-        total = count_filters(h)
-    else:
-        # the pruning below needs the pivot memo anyway; its top entry has the count
-        profile = _filter_poly(h, full, memo)
-        total = profile[cardinality] if 0 <= cardinality < len(profile) else 0
+    total = count_filters(h, cardinality)
     if total > cap:
         raise CapExceededError(f"{total} filters exceed the cap of {cap}")
     up, down = h.up_masks(), h.down_masks()
 
     def viable(mask, chosen):
-        if cardinality is None:
-            return True
-        need = cardinality - chosen.bit_count()
-        if need < 0 or need > mask.bit_count():
-            return False
-        poly = _filter_poly(h, mask, memo)
-        return poly[need] > 0
+        return cardinality is None or 0 <= cardinality - chosen.bit_count() <= mask.bit_count()
 
     # depth first on an explicit stack: the filters avoiding the pivot come
     # before those containing it
+    full = (1 << len(h)) - 1
     stack = [(full, 0)] if viable(full, 0) else []
     while stack:
         mask, chosen = stack.pop()
         if mask == 0:
-            yield frozenset(h.vertices[i] for i in range(len(h)) if chosen >> i & 1)
+            yield frozenset(h.vertices[i] for i in _iter_bits(chosen))
             continue
         pivot = _pivot(up, mask)
         principal = up[pivot] & mask

@@ -3,6 +3,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -221,6 +225,32 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--poset", "A[n=3,d=3]", "--cap", "3")
         assert code == 2
         assert "cap" in err
+
+    def test_cardinality_on_a_large_poset(self, capsys):
+        # 1081 elements: pruning by size must not recurse through the poset
+        code, out, _ = run(
+            capsys, "enumerate", "--poset", "A[n=3,d=45]", "--cardinality", "3"
+        )
+        assert (code, out.splitlines()) == (
+            0,
+            ["{x1^45, x1^44*x2, x1^44*x3}", "{x1^45, x1^44*x2, x1^43*x2^2}"],
+        )
+
+    def test_closed_pipe(self):
+        # the reader stops after 100 of about 350,000 bytes
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "stableorders.cli", "enumerate", "--poset", "A[n=3,d=9]"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.read(100).startswith(b"{}\n")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 class TestBijections:

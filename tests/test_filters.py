@@ -162,6 +162,8 @@ class TestCounting:
         histogram = Counter(len(f) for f in expected)
         for v in range(len(h) + 1):
             assert count_filters(h, v) == histogram.get(v, 0)
+        for v in range(-1, len(h) + 2):
+            assert list(enumerate_filters(h, v)) == [f for f in got if len(f) == v]
 
     def test_known_totals(self):
         assert count_filters(build_hasse(PosetId.parse("A[n=3,d=2]"))) == 8
