@@ -9,6 +9,7 @@ verification fails, 2 on bad usage or malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -29,6 +30,7 @@ from .orders import (
     relation,
 )
 from .lattice import (
+    CapExceededError,
     NotLatticeError,
     _meet_join_tables,
     build_hasse,
@@ -85,6 +87,7 @@ from .bijections import (
 from .termorders import (
     GREATER,
     LESS,
+    REFINES_PAIR_CAP,
     TermOrder,
     ordinal_sum_leq,
     random_weight_vector,
@@ -265,17 +268,22 @@ def _cmd_enumerate(args):
     poset = PosetId.parse(args.poset)
     h = build_hasse(poset, cap=args.hasse_cap, max_degree=args.max_degree)
     filters = enumerate_filters(h, args.cardinality, cap=args.cap)
+    # each vertex is rendered once, and a filter lists its vertices by
+    # descending graded-lex rank, the order of _sorted_elements
+    ranked = sorted(h.vertices, key=graded_lex_key)
+    rank = {m: r for r, m in enumerate(ranked)}
+
+    def ranks(f):
+        return sorted([rank[m] for m in f], reverse=True)
+
     # each format is built only when asked for: large listings make them costly
     if args.format == "json":
-        _emit(
-            args,
-            {
-                "poset": str(poset),
-                "filters": [_elements_json_dict(f) for f in filters],
-            },
-        )
+        exps = [list(m.exps) for m in ranked]
+        records = [{"elements": [exps[r] for r in ranks(f)]} for f in filters]
+        _emit(args, {"poset": str(poset), "filters": records})
     else:
-        _emit(args, None, *map(_format_filter, filters))
+        text = [str(m) for m in ranked]
+        _emit(args, None, *("{" + ", ".join([text[r] for r in ranks(f)]) + "}" for f in filters))
     return 0
 
 
@@ -341,7 +349,10 @@ def _cmd_bijection_squarefree(args):
 def _cmd_termorder_check(args):
     weights = _parse_parts(args.weights) if args.weights else None
     order = TermOrder(args.order, weights=weights, degree_first=args.degree_first)
-    ok, witness = refines_borel(order, args.n, args.max_degree)
+    try:
+        ok, witness = refines_borel(order, args.n, args.max_degree, cap=args.cap)
+    except CapExceededError as exc:
+        raise CapExceededError(f"{exc}; raise it with --cap") from None
     payload = {"order": args.order, "refines": ok}
     lines = [f"refines: {'yes' if ok else 'no'}"]
     if not ok:
@@ -838,6 +849,9 @@ def _build_parser():
     t.add_argument("--degree-first", action="store_true")
     t.add_argument("--n", type=int, required=True, help="number of variables")
     t.add_argument("--max-degree", type=int, default=4)
+    t.add_argument(
+        "--cap", type=int, default=REFINES_PAIR_CAP, help="largest allowed number of pairs scanned"
+    )
     _finish_subcommand(t, _cmd_termorder_check)
 
     t = tsub.add_parser("separate", help="weight vectors ordering an incomparable pair both ways")
@@ -869,9 +883,15 @@ def _build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of this process, built on the first call of main and
+    reused by every later one; _build_parser itself builds afresh."""
+    return _build_parser()
+
+
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.handler(args)
         sys.stdout.flush()  # a reader that went away surfaces here, not at exit

@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
+from operator import le
 
 from .monomials import (
     Monomial,
@@ -200,6 +201,15 @@ def partial_sums(m):
     return PartialSumSequence(sums, m.degree())
 
 
+def _running_sums(exps, n):
+    """The running partial sums of an exponent vector of at most n entries,
+    padded to n entries with its last value.  The last entry is the degree,
+    so componentwise <= of these tuples is the strongly stable order, at
+    fixed degree and glued alike: partial-sum domination, tails included."""
+    sums = tuple(accumulate(exps))
+    return sums + (sums[-1] if sums else 0,) * (n - len(sums))
+
+
 def monomial_from_partial_sums(seq):
     """Inverse of partial_sums: difference the sequence back to exponents."""
     values = list(seq.prefix) + [seq.tail]
@@ -305,12 +315,13 @@ def leq(poset, m, mp):
     family = poset.family
     if family is Family.DIVISIBILITY:
         return m.divides(mp)
-    if family is Family.BOREL:
-        return partial_sums(mp).dominates(partial_sums(m))
-    if family is Family.DUAL_BOREL:
-        n = poset.nvars
-        return partial_sums(dual_rename(mp, n)).dominates(partial_sums(dual_rename(m, n)))
     n = _effective_nvars(poset, m, mp)
+    if family is Family.BOREL:
+        return all(map(le, _running_sums(m.exps, n), _running_sums(mp.exps, n)))
+    if family is Family.DUAL_BOREL:
+        # the renamed monomials' partial sums: those of the reversed exponents
+        return all(map(le, _running_sums(m.exponent_vector(n)[::-1], n),
+                       _running_sums(mp.exponent_vector(n)[::-1], n)))
     if poset.degree is not None:
         return _stable_leq(m, mp, n)
     degree = m.degree()

@@ -421,6 +421,25 @@ class TestTermOrders:
         assert code == 2
         assert "nothing to separate" in err
 
+    def test_check_cap(self, capsys):
+        # 12,870 monomials: about 1.7e8 ordered pairs, refused before the scan
+        code, out, err = run(
+            capsys, "termorder", "check", "--order", "lex", "--n", "8", "--max-degree", "8"
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: 165624030 pairs of monomials exceed the cap of 1000000; raise it with --cap"
+        ]
+
+    def test_check_cap_flag(self, capsys):
+        # 15 monomials, 210 ordered pairs
+        argv = ("termorder", "check", "--order", "lex", "--n", "2", "--max-degree", "4")
+        code, _, err = run(capsys, *argv, "--cap", "209")
+        assert code == 2
+        assert "210 pairs" in err and "--cap" in err
+        code, out, _ = run(capsys, *argv, "--cap", "210")
+        assert (code, out) == (0, "refines: yes\nsample relation: 1 < x2\n")
+
 
 class TestIdeals:
     def test_check_open(self, capsys):
@@ -499,6 +518,58 @@ class TestVerify:
             main(["verify", "--suite", "nonsense"])
         assert excinfo.value.code == 2
         capsys.readouterr()
+
+
+class TestParserReuse:
+    # one process, one parser: no call may see what an earlier one parsed
+    SEQUENCE = [
+        ["frobnicate"],
+        ["meet", "--poset", "B[n=3,d=2]", "x1*x3", "x2^2"],
+        ["join", "--poset", "B[n=3,d=2]", "x1*x3", "x2^2"],
+        ["compare", "--poset", "B[n=3,d=2]", "x2*x3", "x1*x3"],
+        ["hasse", "--poset", "A[n=2,d=2]", "--format", "dot"],
+        ["count", "--poset", "A[n=3,d=4]"],
+    ]
+
+    def test_mixed_sequence_matches_golden(self, capsys, monkeypatch):
+        from stableorders import cli
+
+        golden = Path(__file__).parent / "data" / "cli_golden.jsonl"
+        records = [json.loads(line) for line in golden.read_text().splitlines()]
+        expected = {tuple(r["argv"]): (r["code"], r["stdout"]) for r in records}
+        builds = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        for argv in self.SEQUENCE:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            out, _ = capsys.readouterr()
+            assert (code, out) == expected[tuple(argv)], argv
+        assert len(builds) == 1
+        cli._parser.cache_clear()
+
+    def test_import_builds_no_parser(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = "
+            "lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+            "import stableorders.cli\n"
+            "print(len(built))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (0, "0\n")
 
 
 class TestUsage:

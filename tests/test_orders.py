@@ -263,11 +263,11 @@ class TestComparability:
         for m, mp in product(ground_monomials(poset), repeat=2):
             assert leq(poset, m, mp) == local_reachable(m, mp, moves_fn)
 
-    @pytest.mark.parametrize("family", ["A", "B"])
+    @pytest.mark.parametrize("family", ["A", "B", "C"])
     def test_glued_leq_matches_reachability(self, family):
         # glued B compares with one divisor of the right side, so it gets
         # more variables and higher degrees
-        sizes = {"A": [(3, 3)], "B": [(2, 8), (3, 5), (4, 4)]}[family]
+        sizes = {"A": [(3, 3)], "B": [(2, 8), (3, 5), (4, 4)], "C": [(3, 3)]}[family]
         for nvars, max_degree in sizes:
             poset = PosetId(Family.from_code(family), nvars)
             pool = monomials_up_to_degree(nvars, max_degree)

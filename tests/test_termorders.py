@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from stableorders.lattice import CapExceededError
 from stableorders.monomials import ONE, Monomial, monomials_of_degree, monomials_up_to_degree
-from stableorders.orders import PosetId, leq, relation
+from stableorders.orders import Family, PosetId, leq, relation
 from stableorders.termorders import (
     EQUAL,
     GREATER,
@@ -142,6 +143,28 @@ class TestRefinement:
         assert leq(PosetId.parse("A[n=3]"), bottom, top)
         assert TermOrder("weighted", (1, 2, 3)).compare(bottom, top) != LESS
 
+    def test_cap_refuses_before_scanning(self, monkeypatch):
+        import stableorders.termorders as termorders
+
+        def no_ground(*args):
+            raise AssertionError("the ground set was built")
+
+        monkeypatch.setattr(termorders, "monomials_up_to_degree", no_ground)
+        with pytest.raises(CapExceededError, match="165624030 pairs"):
+            refines_borel(TermOrder("lex"), 8, 8)
+        with pytest.raises(CapExceededError, match="210 pairs .* cap of 209"):
+            refines_borel(TermOrder("lex"), 2, 4, cap=209)
+        # comb(2 * 10**6, 10**6) alone would take about a minute
+        with pytest.raises(CapExceededError, match=r"at least 2\*\*1000000 monomials"):
+            refines_borel(TermOrder("lex"), 10**6, 10**6)
+        with pytest.raises(CapExceededError):
+            refines_borel(TermOrder("lex"), 1, 1, cap=0)
+
+    def test_default_cap_admits_the_largest_check(self):
+        # 210 monomials in 4 variables up to degree 6: 43,890 ordered pairs
+        assert refines_borel(TermOrder("lex"), 4, 6)[0]
+        assert refines_borel(TermOrder("lex"), 2, 4, cap=210)[0]
+
     def test_is_strictly_decreasing(self):
         assert is_strictly_decreasing((5, 3, 1))
         assert not is_strictly_decreasing((5, 5, 1))
@@ -233,3 +256,48 @@ class TestOrdinalSum:
                 down = TermOrder("weighted", below, degree_first=True)
                 assert up.compare(m, mp) == GREATER
                 assert down.compare(m, mp) == LESS
+
+
+def _scan_with_leq(order, nvars, max_degree):
+    """refines_borel's contract, spelled out: every ordered pair of the
+    graded-lex ground set, inner loop over the second element, compared
+    with leq in the glued strongly stable order."""
+    poset = PosetId(Family.BOREL, nvars)
+    ground = monomials_up_to_degree(nvars, max_degree)
+    sample = None
+    for m in ground:
+        for mp in ground:
+            if m == mp or not leq(poset, m, mp):
+                continue
+            if order.compare(m, mp) != LESS:
+                return False, (m, mp)
+            if sample is None:
+                sample = (mp, m)
+    return True, sample
+
+
+def _oracle_orders():
+    # (1, 2, 3, 2) violates both x4 < x1 and x3 < x2 at n = 4, so a scan
+    # that nests its loops the other way names another first violation
+    orders = [TermOrder("lex"), TermOrder("deglex"), TermOrder("degrevlex"),
+              TermOrder("weighted", (1, 2, 3, 2))]
+    rng = random.Random(20261018)
+    for k in range(20):
+        weights = [rng.randint(1, 6) for _ in range(4)]
+        if k % 3 == 0:
+            weights.sort()  # non-decreasing: these fail unless all weights are equal
+        orders.append(TermOrder("weighted", tuple(weights), degree_first=k % 2 == 1))
+    return orders
+
+
+class TestRefinementOracle:
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+    @pytest.mark.parametrize("max_degree", [-1, 0, 1, 2, 3, 4])
+    def test_same_answer_and_witness_as_a_leq_scan(self, nvars, max_degree):
+        outcomes = set()
+        for order in _oracle_orders():
+            expected = _scan_with_leq(order, nvars, max_degree)
+            assert refines_borel(order, nvars, max_degree) == expected, order
+            outcomes.add(expected[0])
+        if nvars >= 2 and max_degree >= 1:
+            assert outcomes == {True, False}
