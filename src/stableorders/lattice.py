@@ -17,14 +17,9 @@ from .orders import (
     GroundSetError,
     PosetId,
     _generating_moves,
-    _pad_with_top,
-    _stable_leq,
-    _strip_top,
+    _running_sums,
     dual_rename,
     ground_monomials,
-    monomial_from_partial_sums,
-    partial_sums,
-    PartialSumSequence,
 )
 
 
@@ -243,11 +238,10 @@ def _bound(poset, m, mp, want_join):
 
 
 def _borel_bound(m, mp, want_join):
-    a, b = partial_sums(m), partial_sums(mp)
+    n = max(m.max_support(), mp.max_support())
     pick = max if want_join else min
-    span = max(len(a.prefix), len(b.prefix))
-    prefix = tuple(pick(a.value_at(i), b.value_at(i)) for i in range(1, span + 1))
-    return monomial_from_partial_sums(PartialSumSequence(prefix, pick(a.tail, b.tail)))
+    sums = list(map(pick, _running_sums(m.exps, n), _running_sums(mp.exps, n)))
+    return Monomial(b - a for a, b in zip([0] + sums, sums))
 
 
 def _check_stable_args(m, mp, nvars, degree):
@@ -259,93 +253,82 @@ def _check_stable_args(m, mp, nvars, degree):
 def meet_stable(m, mp, nvars, degree):
     """Greatest lower bound in the stable order on fixed-degree monomials.
 
-    Case split on the last variable: recurse when neither uses it; when both
-    do, strip it, take a gcd, and pad back to full degree with the last
-    variable.  In the mixed case every common lower bound uses the last
-    variable, and stripping it leaves ordinary divisibility, so the meet is
-    the largest divisor of the stripped side that still sits below the free
-    side once padded back to full degree with the next variable down.
+    Case split on the last variable x_n, by the two facts of
+    orders._stable_leq: on monomials with x_n the order is divisibility of
+    the stripped parts, and u*x_n^a (a > 0) lies below a monomial free of
+    x_n iff u*x_{n-1}^a does.  When neither side uses x_n, every lower bound
+    with x_n lies below one free of x_n, so the meet is that on n - 1
+    variables; on two variables the order is a chain.  When both use x_n,
+    the lower bounds with x_n are w*x_n^(d - deg w) for the common divisors
+    w of the stripped parts, so the meet is their gcd padded back with x_n.
+
+    Mixed case: f is free of x_n and D = u*x_n^a with a > 0.  Every lower
+    bound of D uses x_n, so it is w*x_n^(d - deg w) for a divisor w of u,
+    and it lies below f iff w*x_{n-1}^(d - deg w) <= f on n - 1 variables.
+    Follow that condition down for k = n - 1, n - 2, ...; the padded w uses
+    x_k, since d - deg w >= d - deg u > 0.  If f uses x_k, the condition is
+    that w without x_k divides f without x_k, whatever w's x_k exponent.
+    If not, padding with x_{k-1} absorbs w's x_k part, and the condition is
+    the same one for w without x_k on k - 1 variables.  On two variables the
+    chain asks w_1 <= d - f_2 = f_1, the same divisibility, and on one
+    variable every w passes.  So with k the largest index below n with
+    f_k > 0 (or k = 1 when there is none), w passes iff w_i <= f_i for all
+    i < k.  The largest such divisor w* keeps u's exponents from x_k to
+    x_{n-1} and takes gcd(u, f) below x_k.  It passes, and every w that
+    passes divides it, so w*x_n^(d - deg w*) lies above every common lower
+    bound and is the meet: the formula constructs the maximum.
+
+    Each step either answers or lowers n by one, so the split runs as a loop.
     """
     _check_stable_args(m, mp, nvars, degree)
-    return _meet_stable(m, mp, nvars)
-
-
-def _divisors(m):
-    out = [Monomial(())]
-    for i in range(1, m.max_support() + 1):
-        grown = []
-        for w in out:
-            cur = w
-            grown.append(cur)
-            for _ in range(m.exponent(i)):
-                cur = cur.times_var(i)
-                grown.append(cur)
-        out = grown
-    return out
-
-
-def _meet_stable(m, mp, n):
-    if m == mp:
-        return m
-    if n <= 1:
-        return m
-    if n == 2:
+    n = nvars
+    a, b = m.exponent_vector(n), mp.exponent_vector(n)
+    while n > 2 and not a[n - 1] and not b[n - 1]:
+        n -= 1
+    if n <= 2:
         # a chain: the larger last exponent sits lower
-        return m if m.exponent(2) >= mp.exponent(2) else mp
-    em, ep = m.exponent(n), mp.exponent(n)
-    if em == 0 and ep == 0:
-        return _meet_stable(m, mp, n - 1)
-    degree = m.degree()
-    if em > 0 and ep > 0:
-        g = _strip_top(m, n).gcd(_strip_top(mp, n))
-        return Monomial(g.exponent_vector(n - 1) + [degree - g.degree()])
-    free, divisible = (m, mp) if em == 0 else (mp, m)
-    stripped = _strip_top(divisible, n)
-    liftable = [
-        w
-        for w in _divisors(stripped)
-        if _stable_leq(_pad_with_top(w, n - 1, degree), free, n - 1)
-    ]
-    g = max(liftable, key=lambda w: (w.degree(), w.exps))
-    if not all(w.divides(g) for w in liftable):
-        raise NotLatticeError(f"{m} and {mp} lack a unique meet")
-    return Monomial(g.exponent_vector(n - 1) + [degree - g.degree()])
+        return m if n < 2 or a[1] >= b[1] else mp
+    if a[n - 1] and b[n - 1]:
+        u, f, k = a, b, n - 1
+    else:
+        u, f = (a, b) if a[n - 1] else (b, a)
+        k = n - 2
+        while k and not f[k]:
+            k -= 1
+    w = list(map(min, u[:k], f[:k])) + u[k : n - 1]
+    return Monomial(w + [degree - sum(w)])
 
 
 def join_stable(m, mp, nvars, degree):
     """Least upper bound in the stable order on fixed-degree monomials.
 
-    The same case split as the meet: recurse when neither uses the last
-    variable x_n.  Nothing free of x_n lies below something with x_n, and
-    u*x_{n-1}^a is the least monomial free of x_n above u*x_n^a, so the upper
-    bounds free of x_n are those of the pair with x_n stripped and padded
-    back with x_{n-1}.  When both use x_n and the lcm L of the stripped parts
-    has degree below d, L*x_n^(d - deg L) is an upper bound with x_n, the
-    least of those by divisibility; the join (the order is a lattice) lies
-    below it, so uses x_n too, and is it.  Otherwise no upper bound uses x_n,
-    and the join is that of the padded pair on n - 1 variables.  On one
-    variable there is a single monomial.
+    The same case split as the meet: go down a variable when neither uses
+    the last variable x_n.  Nothing free of x_n lies below something with
+    x_n, and u*x_{n-1}^a is the least monomial free of x_n above u*x_n^a, so
+    the upper bounds free of x_n are those of the pair with x_n stripped and
+    padded back with x_{n-1}.  When both use x_n and the lcm L of the
+    stripped parts has degree below d, L*x_n^(d - deg L) is an upper bound
+    with x_n, the least of those by divisibility; the join (the order is a
+    lattice) lies below it, so uses x_n too, and is it.  Otherwise no upper
+    bound uses x_n, and the join is that of the padded pair on n - 1
+    variables.  On one variable there is a single monomial.
+
+    Each step either answers or lowers n by one, so the split runs as a loop
+    over exponent lists: padding with x_{n-1} adds the x_n exponent to entry
+    n - 1.
     """
     _check_stable_args(m, mp, nvars, degree)
-    return _join_stable(m, mp, nvars)
-
-
-def _join_stable(m, mp, n):
-    if m == mp or n <= 1:
-        return m
-    degree = m.degree()
-    em, ep = m.exponent(n), mp.exponent(n)
-    if em == 0 and ep == 0:
-        return _join_stable(m, mp, n - 1)
-    if em > 0 and ep > 0:
-        lcm = _strip_top(m, n).lcm(_strip_top(mp, n))
-        if lcm.degree() < degree:
-            return _pad_with_top(lcm, n, degree)
-    return _join_stable(
-        _pad_with_top(_strip_top(m, n), n - 1, degree),
-        _pad_with_top(_strip_top(mp, n), n - 1, degree),
-        n - 1,
-    )
+    n = nvars
+    a, b = m.exponent_vector(n), mp.exponent_vector(n)
+    while n > 1:
+        if a[n - 1] and b[n - 1]:
+            lcm = list(map(max, a[: n - 1], b[: n - 1]))
+            if sum(lcm) < degree:
+                return Monomial(lcm + [degree - sum(lcm)])
+        a[n - 2] += a[n - 1]
+        b[n - 2] += b[n - 1]
+        n -= 1
+    return Monomial(a[:n])
 
 
 def _meet_join_tables(h):

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import re
 from ast import literal_eval
+from itertools import combinations_with_replacement
+from operator import sub
 
 _TERM_RE = re.compile(r"x(\d+)(?:\^(\d+))?$")
 
@@ -25,8 +27,12 @@ class Monomial:
         for e in exps:
             if not isinstance(e, int) or isinstance(e, bool) or e < 0:
                 raise ValueError(f"exponents must be non-negative integers, got {e!r}")
-        while exps and exps[-1] == 0:
-            exps = exps[:-1]
+        if exps and not exps[-1]:
+            # one slice, however many trailing zeros
+            end = len(exps) - 1
+            while end and not exps[end - 1]:
+                end -= 1
+            exps = exps[:end]
         object.__setattr__(self, "exps", exps)
         object.__setattr__(self, "_hash", hash(exps))
 
@@ -194,23 +200,21 @@ def graded_weight(m):
 
 
 def monomials_of_degree(nvars, degree):
-    """All monomials of the given total degree in x1..x_nvars, graded-lex order."""
+    """All monomials of the given total degree in x1..x_nvars, graded-lex order.
+
+    Stars and bars: the running sums s_1 <= ... <= s_{nvars-1} of such an
+    exponent vector are any nvars - 1 values in 0..degree, repeats allowed,
+    and the exponents are their differences.  itertools lists those tuples
+    in lex order, which is the lex order of the exponent vectors.
+    """
     if nvars < 0 or degree < 0:
         raise ValueError("nvars and degree must be non-negative")
     if nvars == 0:
         return [ONE] if degree == 0 else []
-
-    out = []
-
-    def build(prefix, remaining, slots):
-        if slots == 1:
-            out.append(Monomial(prefix + (remaining,)))
-            return
-        for e in range(remaining + 1):
-            build(prefix + (e,), remaining - e, slots - 1)
-
-    build((), degree, nvars)
-    return out
+    return [
+        Monomial(map(sub, sums + (degree,), (0,) + sums))
+        for sums in combinations_with_replacement(range(degree + 1), nvars - 1)
+    ]
 
 
 def monomials_up_to_degree(nvars, max_degree):

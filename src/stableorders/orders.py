@@ -243,18 +243,6 @@ def _effective_nvars(poset, m, mp):
     return max(m.max_support(), mp.max_support(), 1)
 
 
-def _strip_top(m, n):
-    """m with the variable x_n (and anything above it) removed."""
-    return Monomial(m.exps[: n - 1])
-
-
-def _pad_with_top(w, nvars, degree):
-    """w raised to the given degree by powers of x_nvars."""
-    exps = w.exponent_vector(nvars)
-    exps[nvars - 1] += degree - w.degree()
-    return Monomial(exps)
-
-
 def _stable_leq(m, mp, n):
     """Comparability of two same-degree monomials in the stable order on n
     variables, by a case split on the last variable.
@@ -265,23 +253,23 @@ def _stable_leq(m, mp, n):
     of x_n lies below something with x_n, and a monomial u*x_n^a with a > 0
     sits below a free one exactly when u*x_{n-1}^a does, the least monomial
     free of x_n above it.  Free of x_n, it is the order on n - 1 variables.
+    On two variables the order is a chain, decided by the last exponent; on
+    one there is a single monomial of each degree.
+
+    Each step either answers or lowers n by one, so the split runs as a loop
+    over exponent lists: padding u with x_{n-1}^a adds a to entry n - 1.
     """
-    if m == mp:
-        return True
-    if n <= 1:
-        return False
-    if n == 2:
-        return m.exponent(2) > mp.exponent(2)
-    em, ep = m.exponent(n), mp.exponent(n)
-    if em and ep:
-        return _strip_top(m, n).divides(_strip_top(mp, n))
-    if not em and not ep:
-        return _stable_leq(m, mp, n - 1)
-    if not em:
-        # nothing free of the last variable sits below the divisible block
-        return False
-    w = _strip_top(m, n)
-    return _stable_leq(_pad_with_top(w, n - 1, m.degree()), mp, n - 1)
+    a, b = m.exponent_vector(n), mp.exponent_vector(n)
+    while n > 2:
+        top, other_top = a[n - 1], b[n - 1]
+        if top and other_top:
+            return all(map(le, a[: n - 1], b[: n - 1]))
+        if other_top:
+            # nothing free of the last variable sits below the divisible block
+            return False
+        a[n - 2] += top
+        n -= 1
+    return n < 2 or a[1] >= b[1]
 
 
 def _lex_greatest_divisor(mp, degree):

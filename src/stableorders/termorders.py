@@ -40,9 +40,9 @@ class TermOrder:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown term order kind {self.kind!r}")
         if self.kind == "weighted":
-            if self.weights is None:
+            object.__setattr__(self, "weights", tuple(self.weights or ()))
+            if not self.weights:
                 raise ValueError("a weighted order needs a weight vector")
-            object.__setattr__(self, "weights", tuple(self.weights))
             if not all(isinstance(w, int) and w > 0 for w in self.weights):
                 raise ValueError("weights must be positive integers")
         else:

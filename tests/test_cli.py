@@ -138,6 +138,23 @@ class TestMeetJoin:
         code, out, _ = run(capsys, "meet", "--poset", "A[n=3,d=2]", "x1*x3", "x2^2")
         assert (code, out) == (0, "x2*x3\n")
 
+    @pytest.mark.parametrize(
+        "command, expected",
+        [("compare", "x1 > x2"), ("meet", "x2"), ("join", "x1")],
+    )
+    def test_stable_on_many_variables(self, capsys, command, expected):
+        # the case split goes down one variable per step, past the old recursion limit
+        code, out, _ = run(capsys, command, "--poset", "B[n=1500,d=1]", "x1", "x2")
+        assert (code, out) == (0, expected + "\n")
+
+    def test_stable_meet_with_many_divisors(self, capsys):
+        # x1^7*...*x7^7 has 8^7 divisors, which the old meet listed one by one
+        code, out, _ = run(
+            capsys, "meet", "--poset", "B[n=8,d=56]",
+            "x1^55*x7", "x1^7*x2^7*x3^7*x4^7*x5^7*x6^7*x7^7*x8^7",
+        )
+        assert (code, out) == (0, "x1^7*x7^7*x8^42\n")
+
 
 class TestCount:
     def test_total(self, capsys):
@@ -173,6 +190,7 @@ class TestCount:
             ("A[n=3,d=45]", 2**46),  # past the old recursion limit
             ("A[n=2,d=1500]", 1502),
             ("A[n=3,d=30]", 2**31),  # the old memo ran out of memory here
+            ("A[n=1200,d=1]", 1201),  # the old ground set recursed per variable
         ],
     )
     def test_large_posets(self, capsys, poset_text, expected):
@@ -410,6 +428,14 @@ class TestTermOrders:
         )
         assert code == 2
         assert "weight" in err
+
+    def test_weighted_refuses_empty_weights(self, capsys):
+        code, out, err = run(
+            capsys, "termorder", "check", "--order", "weighted", "--weights", "[]",
+            "--n", "1", "--max-degree", "0",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: a weighted order needs a weight vector\n"
 
     def test_separate(self, capsys):
         code, out, _ = run(capsys, "termorder", "separate", "x1*x3", "x2^2", "--n", "3")

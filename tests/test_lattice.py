@@ -227,7 +227,7 @@ class TestMeetJoin:
             else:
                 assert h.index(join(poset, m, mp)) == expected_join
 
-    @pytest.mark.parametrize(("n", "d"), [(3, 8), (4, 5)])
+    @pytest.mark.parametrize(("n", "d"), [(3, 8), (4, 5), (5, 4), (6, 3), (4, 7)])
     def test_stable_meet_join_match_tables(self, n, d):
         h = build_hasse(PosetId.parse(f"B[n={n},d={d}]"))
         meets, joins = _meet_join_tables(h)
