@@ -26,12 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .monomials import (
-    Monomial,
-    borel_moves_up,
-    graded_lex_key,
-    stable_moves_up,
-)
+from .monomials import Monomial, graded_lex_key
 from .orders import Family, GroundSetError, PosetId, _generating_moves
 from .lattice import CapExceededError, _iter_bits
 
@@ -48,9 +43,8 @@ def is_filter(elements, poset):
     for m in members:
         if not poset.contains(m):
             raise GroundSetError(f"{m} is not in the ground set of {poset}")
-        for u in _generating_moves(poset, m):
-            if u not in members:
-                return False
+        if not members.issuperset(_generating_moves(poset, m)):
+            return False
     return True
 
 
@@ -61,21 +55,11 @@ def interior(elements, nvars):
     the monomial v*x_j/x_i also belongs to the set.
     """
     members = frozenset(elements)
-    out = set()
-    for v in members:
-        ok = True
-        for i in range(1, nvars + 1):
-            if v.exponent(i) == 0:
-                continue
-            for j in range(i + 1, nvars + 1):
-                if v.transfer(j, i) not in members:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.add(v)
-    return frozenset(out)
+    return frozenset(
+        v for v in members
+        if all(v.transfer(j, i) in members
+               for i in range(1, nvars + 1) if v.exponent(i) for j in range(i + 1, nvars + 1))
+    )
 
 
 def boundary(elements, nvars):
@@ -402,12 +386,15 @@ def ideal_contains(gens, m):
     return any(g.divides(m) for g in gens)
 
 
-def _move_closure(gens, moves_fn):
+def _move_closure(gens, family):
+    """Close under _generating_moves, generators old and new: the result's
+    ideal passes the generator test proved there, and every move is forced."""
+    poset = PosetId(family)
     basis = list(minimal_generators(gens))
     queue = list(basis)
     while queue:
         g = queue.pop()
-        for u in moves_fn(g):
+        for u in _generating_moves(poset, g):
             if not ideal_contains(basis, u):
                 basis.append(u)
                 queue.append(u)
@@ -416,22 +403,24 @@ def _move_closure(gens, moves_fn):
 
 def borel_closure(gens):
     """Smallest strongly-stable (Borel) ideal containing the given generators."""
-    return _move_closure(gens, borel_moves_up)
+    return _move_closure(gens, Family.BOREL)
 
 
 def stable_closure(gens):
     """Smallest stable ideal containing the given generators."""
-    return _move_closure(gens, stable_moves_up)
+    return _move_closure(gens, Family.STABLE)
 
 
 def is_borel_ideal(gens):
-    """Generator-local test: every exchange move of every generator stays in
-    the ideal.  (Checked against the degreewise definition in the test suite.)"""
-    return all(ideal_contains(gens, u) for g in gens for u in borel_moves_up(g))
+    """Generator-local test: every move of every generator stays in the
+    ideal.  (Checked against the degreewise definition in the test suite.)"""
+    poset = PosetId(Family.BOREL)
+    return all(ideal_contains(gens, u) for g in gens for u in _generating_moves(poset, g))
 
 
 def is_stable_ideal(gens):
-    return all(ideal_contains(gens, u) for g in gens for u in stable_moves_up(g))
+    poset = PosetId(Family.STABLE)
+    return all(ideal_contains(gens, u) for g in gens for u in _generating_moves(poset, g))
 
 
 __all__ = [

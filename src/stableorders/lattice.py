@@ -129,73 +129,27 @@ class HasseDiagram:
         }
 
 
-def _reduce_moves(vertices, moves):
-    """Covering pairs of the order that the move edges generate.
-
-    The edges u -> moves(u) form an acyclic graph (index weight, or the
-    degree, changes along each), so up-masks fill in topological order.  An
-    edge i -> j is a cover unless another target of i already reaches j.
-    """
-    index = {m: i for i, m in enumerate(vertices)}
-    targets = [sorted(index[u] for u in moves(m)) for m in vertices]
-    up = [0] * len(vertices)
-    covers = []
-    for i in TopologicalSorter(dict(enumerate(targets))).static_order():
-        mask = 1 << i
-        for j in targets[i]:
-            mask |= up[j]
-        up[i] = mask
-        for j in targets[i]:
-            if not any(k != j and up[k] >> j & 1 for k in targets[i]):
-                covers.append((i, j))
-    return covers
-
-
 def build_hasse(poset, cap=50_000, max_degree=None):
-    """Build the Hasse diagram of a finite ground set.
-
-    Fixed-degree strongly-stable diagrams use adjacent-index exchange covers
-    and the divisibility staircase multiply-by-one-variable covers.  Stable
-    diagrams, and the truncation of an unbounded-degree poset to degrees
-    <= max_degree, reduce the generating-move edges (_generating_moves)
-    against their own up-masks.
-    """
+    """Build the Hasse diagram of a finite ground set, or of the truncation
+    of a degree-unbounded poset to degrees <= max_degree: every vertex's
+    upper covers are the ones _generating_moves lists."""
     if poset.nvars is None:
         raise ValueError(f"{poset} has unboundedly many variables; no finite diagram")
-    n = poset.nvars
     if poset.degree is None:
         if max_degree is None:
             raise ValueError(f"{poset} is degree-unbounded; pass max_degree to truncate")
-        vertices = tuple(monomials_up_to_degree(n, max_degree))
+        vertices = tuple(monomials_up_to_degree(poset.nvars, max_degree))
     else:
         vertices = tuple(ground_monomials(poset))
     if len(vertices) > cap:
         raise CapExceededError(f"{len(vertices)} vertices exceed the cap of {cap}")
-    if poset.degree is None or poset.family is Family.STABLE:
-        covers = _reduce_moves(vertices, lambda m: _generating_moves(poset, m, max_degree))
-        return HasseDiagram(poset, vertices, tuple(sorted(covers)))
-
     index = {m: i for i, m in enumerate(vertices)}
-    covers = []
-    if poset.family is Family.BOREL:
-        for i, m in enumerate(vertices):
-            for k in range(1, n):
-                if m.exponent(k + 1) > 0:
-                    covers.append((i, index[m.transfer(k, k + 1)]))
-    elif poset.family is Family.DUAL_BOREL:
-        for i, m in enumerate(vertices):
-            renamed = dual_rename(m, n)
-            for k in range(1, n):
-                if renamed.exponent(k + 1) > 0:
-                    upper = dual_rename(renamed.transfer(k, k + 1), n)
-                    covers.append((i, index[upper]))
-    else:  # divisibility staircase
-        for i, m in enumerate(vertices):
-            if m.degree() < poset.degree:
-                for k in range(1, n + 1):
-                    covers.append((i, index[m.times_var(k)]))
-
-    return HasseDiagram(poset, vertices, tuple(sorted(set(covers))))
+    covers = sorted(
+        (i, index[u])
+        for i, m in enumerate(vertices)
+        for u in _generating_moves(poset, m, max_degree)
+    )
+    return HasseDiagram(poset, vertices, tuple(covers))
 
 
 def meet(poset, m, mp):

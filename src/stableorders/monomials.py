@@ -126,18 +126,28 @@ class Monomial:
 
     def times_var(self, i):
         """Multiply by the single variable x_i."""
-        n = max(len(self.exps), i)
-        return Monomial(self.exponent(k) + (1 if k == i else 0) for k in range(1, n + 1))
+        if i < 1:
+            raise ValueError("variable indices start at 1")
+        exps = list(self.exps) + [0] * (i - len(self.exps))
+        exps[i - 1] += 1
+        return Monomial(exps)
 
     def div_var(self, i):
         """Divide by the single variable x_i (which must occur)."""
         if self.exponent(i) == 0:
             raise ValueError(f"x{i} does not divide {self}")
-        return Monomial(self.exponent(k) - (1 if k == i else 0) for k in range(1, len(self.exps) + 1))
+        exps = list(self.exps)
+        exps[i - 1] -= 1
+        return Monomial(exps)
 
     def transfer(self, i, j):
         """Replace one copy of x_j by x_i, i.e. multiply by x_i/x_j."""
-        return self.times_var(i).div_var(j)
+        if i < 1 or not self.exponent(j) and i != j:
+            raise ValueError(f"cannot replace x{j} by x{i} in {self}")
+        exps = list(self.exps) + [0] * (i - len(self.exps))
+        exps[i - 1] += 1
+        exps[j - 1] -= 1
+        return Monomial(exps)
 
     def gcd(self, other):
         n = min(len(self.exps), len(other.exps))

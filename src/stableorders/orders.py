@@ -317,29 +317,54 @@ def leq(poset, m, mp):
 
 
 def _generating_moves(poset, m, max_degree=None):
-    """The upward moves of m that generate the order on a finite ground set:
-    the family's exchange moves, plus multiplication by one variable while the
-    degree stays within the bound (the staircase degree of family D, or
-    max_degree for the truncation of a degree-unbounded poset)."""
+    """The upper covers of m: the family's covering moves, plus (below the
+    degree bound: D's staircase degree, or max_degree for a truncated glued
+    poset) multiplication by the least variable: x_n in A and B, x_1 in C,
+    every x_i in D.  A: x_{k+1} -> x_k.  C: x_k -> x_{k+1}.  B, with v the
+    last variable of m: every x_v -> x_i if e_v >= 2, else x_v -> x_{v-1}.
+
+    They generate the order: x_j -> x_i is a chain of adjacent moves; in B
+    with e_v = 1 it is x_v -> x_{v-1}, then the stable move x_{v-1} -> x_i;
+    multiplication by x_i is by the least variable, then a move to x_i.
+    They are covers: phi = (n+1)*degree - index weight (A, B), index weight
+    (C) or degree (D) rises by |j - i| along a move x_j -> x_i, and by
+    n + 1 - i (A, B), i (C) or 1 (D) along multiplication by x_i.  Adjacent
+    moves and multiplication by the least variable raise it by exactly 1,
+    so nothing fits between.  In B with e_v >= 2, anything between m and
+    u = m*x_i/x_v has their degree, so lies on x_1..x_v and, by the facts of
+    _stable_leq, uses x_v with a stripped part between those of m and u,
+    which differ by one variable.  A cover is one generating step and each
+    dropped step is two, so these are all the covers.
+
+    They test an ideal I on any generating set (filters): if the moves of
+    each generator g lie in I, a move of m = g*h takes x_j from h or is the
+    same move of g (in B, v is then g's last variable) times h, except, in
+    B with e_v(g) = 1, x_v -> x_i (i < v - 1): a move of g*x_{v-1}/x_v, in
+    I with last variable v - 1, so by induction on v it lies in I too.
+    """
     family = poset.family
     n = poset.nvars
+    exps = m.exps
+    v = len(exps)
     if family is Family.BOREL:
-        moves = borel_moves_up(m)
-    elif family is Family.STABLE:
-        moves = stable_moves_up(m)
+        moves = [m.transfer(k, k + 1) for k in range(1, v) if exps[k]]
     elif family is Family.DUAL_BOREL:
-        moves = frozenset(dual_rename(u, n) for u in borel_moves_up(dual_rename(m, n)))
+        moves = [m.transfer(k + 1, k) for k in range(1, min(v + 1, n)) if exps[k - 1]]
+    elif family is Family.STABLE and v > 1:
+        moves = [m.transfer(i, v) for i in range(1 if exps[-1] > 1 else v - 1, v)]
     else:
-        moves = frozenset()
+        moves = []
     if poset.degree is None:
         bound = max_degree
     elif family is Family.DIVISIBILITY:
         bound = poset.degree
     else:
         return moves
-    if m.degree() >= bound:
+    if bound is None or m.degree() >= bound:
         return moves
-    return moves | {m.times_var(i) for i in range(1, n + 1)}
+    if family is Family.DIVISIBILITY:
+        return moves + [m.times_var(i) for i in range(1, n + 1)]
+    return moves + [m.times_var(1 if family is Family.DUAL_BOREL else n)]
 
 
 def relation(poset, m, mp):

@@ -110,6 +110,14 @@ class TestHasse:
         assert code == 2
         assert "max_degree" in err or "truncate" in err
 
+    def test_long_stable_chain(self, capsys):
+        # one cover per vertex: only x_v -> x_{v-1} covers when e_v = 1
+        code, out, _ = run(capsys, "hasse", "--poset", "B[n=1200,d=1]")
+        assert code == 0
+        assert out.splitlines()[:4] == [
+            "poset: B[n=1200,d=1]", "vertices: 1200", "covers: 1199", "x1199 covers x1200",
+        ]
+
 
 class TestMeetJoin:
     def test_stable_meet(self, capsys):
@@ -500,6 +508,11 @@ class TestIdeals:
         )
         assert code == 0
         assert json.loads(out) == {"elements": [[2], [1, 1], [0, 2]]}
+
+    def test_close_long_chain(self, capsys):
+        code, out, _ = run(capsys, "ideal", "close", "--order", "A", "--gens", "x1200")
+        assert code == 0
+        assert out == "{" + ", ".join(f"x{i}" for i in range(1, 1201)) + "}\n"
 
     def test_needs_generators(self, capsys):
         code, _, err = run(capsys, "ideal", "check", "--order", "A", "--gens", "")

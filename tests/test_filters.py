@@ -31,7 +31,7 @@ from stableorders.filters import (
     weighted_walk_count,
 )
 from stableorders.lattice import CapExceededError, build_hasse
-from stableorders.monomials import ONE, Monomial
+from stableorders.monomials import ONE, Monomial, borel_moves_up, stable_moves_up
 from stableorders.orders import GroundSetError, PosetId, ground_monomials, leq
 
 M = Monomial.parse
@@ -39,6 +39,29 @@ M = Monomial.parse
 
 def parse_set(*texts):
     return frozenset(M(t) for t in texts)
+
+
+def full_move_closure(gens, moves_up):
+    """Minimal generators of the smallest ideal containing gens that holds
+    every move (moves_up, all of them, not only covers) of its generators."""
+    basis = set(gens)
+    queue = list(basis)
+    while queue:
+        for u in moves_up(queue.pop()):
+            if not any(g.divides(u) for g in basis):
+                basis.add(u)
+                queue.append(u)
+    return minimal_generators(basis)
+
+
+def full_move_test(gens, moves_up):
+    return all(any(h.divides(u) for h in gens) for g in gens for u in moves_up(g))
+
+
+generator_sets = st.lists(
+    st.lists(st.integers(min_value=0, max_value=3), max_size=4).map(Monomial),
+    min_size=1, max_size=4,
+)
 
 
 def local_filters(poset):
@@ -367,6 +390,20 @@ class TestIdeals:
                 closed = close(gens)
                 assert close(closed) == closed
                 assert all(ideal_contains(closed, g) for g in gens)
+
+
+    @fixed_seed(7)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(gens=generator_sets)
+    def test_cover_moves_match_full_moves(self, gens):
+        for close, is_closed, moves_up in (
+            (borel_closure, is_borel_ideal, borel_moves_up),
+            (stable_closure, is_stable_ideal, stable_moves_up),
+        ):
+            closed = close(gens)
+            assert closed == full_move_closure(gens, moves_up)
+            assert is_closed(gens) == full_move_test(gens, moves_up)
+            assert is_closed(closed) and full_move_test(closed, moves_up)
 
 
 def test_star_import():

@@ -104,7 +104,11 @@ class TestBuildHasse:
     @pytest.mark.parametrize(
         ("poset_text", "max_degree"),
         [("B[n=3,d=4]", None), ("B[n=4,d=3]", None), ("B[n=3,d=6]", None),
-         ("A[n=3]", 4), ("B[n=2]", 6), ("B[n=3]", 4), ("C[n=3]", 4), ("D[n=3]", 3)],
+         ("A[n=3]", 4), ("B[n=2]", 6), ("B[n=3]", 4), ("C[n=3]", 4), ("D[n=3]", 3),
+         # one case per closed form of the covers (orders._generating_moves)
+         ("A[n=4,d=3]", None), ("C[n=4,d=3]", None), ("D[n=3,d=3]", None),
+         ("B[n=6,d=2]", None), ("B[n=4,d=5]", None), ("B[n=8,d=1]", None),
+         ("A[n=4]", 3), ("B[n=4]", 3), ("C[n=4]", 3)],
     )
     def test_covers_match_oracle_reduction(self, poset_text, max_degree):
         poset = PosetId.parse(poset_text)

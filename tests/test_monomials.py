@@ -114,9 +114,13 @@ class TestArithmetic:
         assert Monomial((1, 0, 1)).div_var(3) == Monomial((1,))
         with pytest.raises(ValueError):
             Monomial((1,)).div_var(2)
+        with pytest.raises(ValueError):
+            Monomial((1,)).times_var(0)
 
     def test_transfer(self):
         assert Monomial((0, 1, 1)).transfer(1, 3) == Monomial((1, 1))
+        with pytest.raises(ValueError):
+            Monomial((1,)).transfer(0, 1)
 
     def test_gcd_lcm(self):
         a, b = Monomial((2, 0, 1)), Monomial((1, 3))
