@@ -316,18 +316,23 @@ def count_fountains(total):
 
 
 def fountain_gf_coefficients(nterms):
-    """Coefficients 0..nterms of the fountain generating function, computed
-    as the truncated continued fraction 1/(1 - z/(1 - z^2/(1 - z^3/...)))."""
+    """Coefficients 0..nterms of the fountain generating function: the
+    continued fraction 1/(1 - z/(1 - z^2/(1 - z^3/...))) cut at the least
+    depth J with J(J+1)/2 > nterms, which moves none of them.  With f_j =
+    1/(1 - z^j f_{j+1}), two f_{j+1} that agree below degree k give f_j
+    that agree below k + j, as 1/(1-a) - 1/(1-b) = (a-b)/((1-a)(1-b)).  The
+    cut sets f_{J+1} = 1, true below degree 1, so f_1 is true below degree
+    1 + J(J+1)/2 > nterms + 1."""
     if nterms < 0:
         raise ValueError("nterms must be non-negative")
     size = nterms + 1
     f = [1] + [0] * nterms
-    for j in range(nterms + 1, 0, -1):
-        shifted = [0] * size
-        for k in range(size - j):
-            shifted[k + j] = f[k]
-        g = [0] * size
-        g[0] = 1
+    depth = 1
+    while depth * (depth + 1) // 2 <= nterms:
+        depth += 1
+    for j in range(depth, 0, -1):
+        shifted = ([0] * j + f)[:size]
+        g = [1] + [0] * nterms
         for k in range(1, size):
             g[k] = sum(shifted[i] * g[k - i] for i in range(1, k + 1))
         f = g

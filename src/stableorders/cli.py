@@ -206,9 +206,17 @@ def _cmd_compare(args):
     return 0
 
 
+def _capped(flag, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a cap refusal naming the flag that raises the cap."""
+    try:
+        return fn(*args, **kwargs)
+    except CapExceededError as exc:
+        raise CapExceededError(f"{exc}; raise it with {flag}") from None
+
+
 def _cmd_hasse(args):
     poset = PosetId.parse(args.poset)
-    h = build_hasse(poset, cap=args.cap, max_degree=args.max_degree)
+    h = _capped("--cap", build_hasse, poset, cap=args.cap, max_degree=args.max_degree)
     # each format is built only when asked for: large diagrams make them costly
     if args.format == "dot":
         print(h.to_dot())
@@ -247,7 +255,7 @@ def _cmd_bound(args):
 
 def _cmd_count(args):
     poset = PosetId.parse(args.poset)
-    h = build_hasse(poset, cap=args.cap, max_degree=args.max_degree)
+    h = _capped("--cap", build_hasse, poset, cap=args.cap, max_degree=args.max_degree)
     if args.by_cardinality:
         counts = list(filter_counts_by_size(h))
         _emit(
@@ -266,23 +274,23 @@ def _cmd_count(args):
 
 def _cmd_enumerate(args):
     poset = PosetId.parse(args.poset)
-    h = build_hasse(poset, cap=args.hasse_cap, max_degree=args.max_degree)
+    h = _capped("--hasse-cap", build_hasse, poset, cap=args.hasse_cap, max_degree=args.max_degree)
     filters = enumerate_filters(h, args.cardinality, cap=args.cap)
     # each vertex is rendered once, and a filter lists its vertices by
-    # descending graded-lex rank, the order of _sorted_elements
-    ranked = sorted(h.vertices, key=graded_lex_key)
-    rank = {m: r for r, m in enumerate(ranked)}
+    # descending graded-lex rank, the order of _sorted_elements; build_hasse
+    # lists the vertices in graded-lex order, so a vertex's rank is its index
+    rank = {m: r for r, m in enumerate(h.vertices)}
 
     def ranks(f):
         return sorted([rank[m] for m in f], reverse=True)
 
     # each format is built only when asked for: large listings make them costly
     if args.format == "json":
-        exps = [list(m.exps) for m in ranked]
+        exps = [list(m.exps) for m in h.vertices]
         records = [{"elements": [exps[r] for r in ranks(f)]} for f in filters]
         _emit(args, {"poset": str(poset), "filters": records})
     else:
-        text = [str(m) for m in ranked]
+        text = [str(m) for m in h.vertices]
         _emit(args, None, *("{" + ", ".join([text[r] for r in ranks(f)]) + "}" for f in filters))
     return 0
 
@@ -349,10 +357,7 @@ def _cmd_bijection_squarefree(args):
 def _cmd_termorder_check(args):
     weights = _parse_parts(args.weights) if args.weights else None
     order = TermOrder(args.order, weights=weights, degree_first=args.degree_first)
-    try:
-        ok, witness = refines_borel(order, args.n, args.max_degree, cap=args.cap)
-    except CapExceededError as exc:
-        raise CapExceededError(f"{exc}; raise it with --cap") from None
+    ok, witness = _capped("--cap", refines_borel, order, args.n, args.max_degree, cap=args.cap)
     payload = {"order": args.order, "refines": ok}
     lines = [f"refines: {'yes' if ok else 'no'}"]
     if not ok:

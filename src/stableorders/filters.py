@@ -1,15 +1,14 @@
 """Filters (up-closed sets) of the monomial orders: tests, counts, enumeration.
 
 Counting sweeps the Hasse diagram, deciding vertex after vertex whether it
-is in the filter.  A vertex may join only if its decided upper covers are
-in, and may stay out only if none of its decided lower covers is in.  The
-sweep's state is the in/out pattern of the frontier (decided vertices with
-an undecided cover neighbour), each state carrying its filter counts by
-size.  Vertices go in lex order of their exponent vectors (index-reversed
-for the dual family), along which every family's layers leave a narrow
-frontier; a memory budget on the live states bounds the work.  Counting
-the filters of an arbitrary poset is #P-complete, so that layering is where
-the speed comes from.
+is in the filter, in lex order of the exponent vectors (index-reversed for
+the dual family): a linear extension, so a vertex may always join, and may
+stay out only if none of its lower covers is in.  The sweep's state is the
+in/out pattern of the frontier (decided vertices with an undecided cover
+neighbour), each state carrying its filter counts by size.  Along that
+order every family's layers leave a narrow frontier; a memory budget on
+the live states bounds the work.  Counting the filters of an arbitrary
+poset is #P-complete, so that layering is where the speed comes from.
 
 Enumeration walks the pivot tree on bitmask subposets: filters avoiding a
 pivot are filters of the poset minus the pivot's down-set, and filters
@@ -28,7 +27,7 @@ from math import comb
 
 from .monomials import Monomial, graded_lex_key
 from .orders import Family, GroundSetError, PosetId, _generating_moves
-from .lattice import CapExceededError, _iter_bits
+from .lattice import CapExceededError, _iter_bits, _linear_order
 
 
 def is_filter(elements, poset):
@@ -102,50 +101,33 @@ SWEEP_BUDGET_BYTES = 1 << 27
 _ENTRY_BYTES = 120
 
 
-def _sweep_order(h):
-    """Vertex indices in the sweep order: lex on exponent vectors, on the
-    index-reversed vectors for the dual family."""
-    n = h.poset.nvars
-    step = -1 if h.poset.family is Family.DUAL_BOREL else 1
-    return sorted(range(len(h)), key=lambda i: h.vertices[i].exponent_vector(n)[::step])
-
-
 def _frontier_sweep(h, width):
-    """One sweep over the diagram in _sweep_order.
+    """One sweep over the diagram in _linear_order, where a vertex's upper
+    covers come after it, so it may always join.
 
     Each live state (the frontier's in/out bits, one slot per frontier
     vertex) maps to its filter counts by size packed into one integer,
     `width` bits per size; width 0 packs nothing and counts every size
-    together.  Returns the final packed counts and the largest number of
-    partial assignments alive at any step, which bounds every packed field.
-    Raises CapExceededError when the states kept after a step would need
-    more than SWEEP_BUDGET_BYTES.
+    together.  Returns the final packed counts.  Raises CapExceededError
+    when the states kept after a step would need more than
+    SWEEP_BUDGET_BYTES.
     """
-    order = _sweep_order(h)
+    order = _linear_order(h)
     position = [0] * len(h)
     for t, v in enumerate(order):
         position[v] = t
-    last = position[:]  # step of each vertex's last cover neighbour (or its own)
-    earlier_up = [[] for _ in order]
-    earlier_down = [[] for _ in order]
+    last = position[:]  # step of each vertex's last upper cover (or its own)
+    lowers = [[] for _ in order]
     for lo, hi in h.covers:
-        if position[lo] < position[hi]:
-            earlier_down[hi].append(lo)
-            last[lo] = max(last[lo], position[hi])
-        else:
-            earlier_up[lo].append(hi)
-            last[hi] = max(last[hi], position[lo])
+        lowers[hi].append(lo)
+        last[lo] = max(last[lo], position[hi])
     slot = [0] * len(h)
     free, next_slot = [], 0
     states = {0: 1}
-    peak = 1
     for t, v in enumerate(order):
-        need_in = need_out = leaving = 0
-        for u in earlier_up[v]:
-            need_in |= 1 << slot[u]
-        for u in earlier_down[v]:
+        need_out = leaving = 0
+        for u in lowers[v]:
             need_out |= 1 << slot[u]
-        for u in earlier_up[v] + earlier_down[v]:
             if last[u] == t:
                 leaving |= 1 << slot[u]
                 free.append(slot[u])
@@ -163,9 +145,8 @@ def _frontier_sweep(h, width):
             if not state & need_out:
                 key = state & keep
                 grown[key] = get(key, 0) + counts
-            if state & need_in == need_in:
-                key = state & keep | bit
-                grown[key] = get(key, 0) + (counts << width)
+            key = state & keep | bit
+            grown[key] = get(key, 0) + (counts << width)
         # after t + 1 decisions a count has at most t + 2 bits per size field
         state_bytes = _ENTRY_BYTES + (next_slot + max(width, 1) * (t + 2)) // 8
         if len(grown) * state_bytes > SWEEP_BUDGET_BYTES:
@@ -175,18 +156,15 @@ def _frontier_sweep(h, width):
                 f"{SWEEP_BUDGET_BYTES >> 20} MiB"
             )
         states = grown
-        if not width:
-            peak = max(peak, sum(states.values()))
-    return states[0], peak
+    return states[0]
 
 
 def filter_counts_by_size(h):
     """Filter counts of the diagram by size: entry k is the number of filters
-    with k elements, for k = 0 .. len(h).  Two frontier sweeps: the first,
-    without sizes, fixes the field width of the second."""
-    _, peak = _frontier_sweep(h, 0)
-    width = peak.bit_length()
-    packed, _ = _frontier_sweep(h, width)
+    with k elements, for k = 0 .. len(h).  Two frontier sweeps: the first
+    counts all filters, and no count by size needs more bits than that."""
+    width = _frontier_sweep(h, 0).bit_length()
+    packed = _frontier_sweep(h, width)
     field = (1 << width) - 1
     return tuple(packed >> (width * k) & field for k in range(len(h) + 1))
 
@@ -252,7 +230,7 @@ def count_filters(h, cardinality=None):
     once.
     """
     if cardinality is None:
-        return _frontier_sweep(h, 0)[0]
+        return _frontier_sweep(h, 0)
     if 0 <= cardinality <= len(h):
         return filter_counts_by_size(h)[cardinality]
     return 0
@@ -386,19 +364,43 @@ def ideal_contains(gens, m):
     return any(g.divides(m) for g in gens)
 
 
+def _has_segment_in(members, m):
+    """Whether the exponent tuple of an initial segment of m (its first k
+    variables in index order, k = 0 .. deg m) is in `members`.  By
+    Eliahou-Kervaire each m in a stable ideal is g*w with g a minimal
+    generator and max(g) <= min(w), so g is such a segment: the test is
+    exact when `members` lies in a stable ideal and holds its minimal
+    generators, and never accepts m outside the ideal `members` generate."""
+    exps = m.exps
+    return () in members or any(
+        exps[:j] + (a,) in members for j, e in enumerate(exps) for a in range(1, e + 1))
+
+
 def _move_closure(gens, family):
-    """Close under _generating_moves, generators old and new: the result's
-    ideal passes the generator test proved there, and every move is forced."""
+    """Close under _generating_moves (which keep the degree) in rising
+    degree.  When degree d begins, the members of lower degree are closed,
+    so generate a stable ideal, and _has_segment_in is exact: a monomial
+    joins only if outside the ideal so far, so members are the minimal
+    generators.  Each is forced, and the result passes the generator test
+    proved in _generating_moves."""
     poset = PosetId(family)
-    basis = list(minimal_generators(gens))
-    queue = list(basis)
-    while queue:
-        g = queue.pop()
-        for u in _generating_moves(poset, g):
-            if not ideal_contains(basis, u):
-                basis.append(u)
-                queue.append(u)
-    return minimal_generators(basis)
+    members, closed = set(), []
+    for g in sorted(set(gens), key=graded_lex_key):
+        queue = [g]
+        while queue:
+            m = queue.pop()
+            if not _has_segment_in(members, m):
+                members.add(m.exps)
+                closed.append(m)
+                queue.extend(_generating_moves(poset, m))
+    return tuple(sorted(closed, key=graded_lex_key))
+
+
+def _is_closed(gens, family):
+    """The generator test by _has_segment_in on set(gens): exact when the
+    ideal is closed (so stable), and rejecting a move outside it if not."""
+    poset, members = PosetId(family), {g.exps for g in gens}
+    return all(_has_segment_in(members, u) for g in gens for u in _generating_moves(poset, g))
 
 
 def borel_closure(gens):
@@ -414,13 +416,11 @@ def stable_closure(gens):
 def is_borel_ideal(gens):
     """Generator-local test: every move of every generator stays in the
     ideal.  (Checked against the degreewise definition in the test suite.)"""
-    poset = PosetId(Family.BOREL)
-    return all(ideal_contains(gens, u) for g in gens for u in _generating_moves(poset, g))
+    return _is_closed(gens, Family.BOREL)
 
 
 def is_stable_ideal(gens):
-    poset = PosetId(Family.STABLE)
-    return all(ideal_contains(gens, u) for g in gens for u in _generating_moves(poset, g))
+    return _is_closed(gens, Family.STABLE)
 
 
 __all__ = [

@@ -9,7 +9,8 @@ same case split on the last variable as its comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from graphlib import TopologicalSorter
+from functools import reduce
+from operator import or_
 
 from .monomials import Monomial, monomials_up_to_degree
 from .orders import (
@@ -71,26 +72,13 @@ class HasseDiagram:
     def up_masks(self):
         """up_masks()[i] has bit j set iff vertex i <= vertex j."""
         if self._up is None:
-            uppers = [[] for _ in self.vertices]
-            for lo, hi in self.covers:
-                uppers[lo].append(hi)
-            graph = {i: uppers[i] for i in range(len(self.vertices))}
-            up = [0] * len(self.vertices)
-            for i in TopologicalSorter(graph).static_order():
-                mask = 1 << i
-                for j in uppers[i]:
-                    mask |= up[j]
-                up[i] = mask
-            self._up = up
+            self._up = _fill(self, True, lambda i, ups: reduce(or_, ups, 1 << i))
         return self._up
 
     def down_masks(self):
+        """down_masks()[j] has bit i set iff vertex i <= vertex j."""
         if self._down is None:
-            down = [0] * len(self.vertices)
-            for i, mask in enumerate(self.up_masks()):
-                for j in _iter_bits(mask):
-                    down[j] |= 1 << i
-            self._down = down
+            self._down = _fill(self, False, lambda i, lows: reduce(or_, lows, 1 << i))
         return self._down
 
     def leq_indices(self, i, j):
@@ -150,6 +138,33 @@ def build_hasse(poset, cap=50_000, max_degree=None):
         for u in _generating_moves(poset, m, max_degree)
     )
     return HasseDiagram(poset, vertices, tuple(covers))
+
+
+def _linear_order(h):
+    """Vertex indices in lex order of their exponent vectors, index-reversed
+    for the dual family C: a linear extension, as every cover rises in it.
+    By _generating_moves, an upper cover in A, B or D moves a unit from x_j
+    to x_i with i < j, or multiplies by x_i: either way the exponent vector
+    first changes at position i, where it grows.  In C the covers move x_k
+    -> x_{k+1} or multiply by x_1, which index reversal turns into a move to
+    a smaller index or multiplication by x_n."""
+    n = h.poset.nvars
+    step = -1 if h.poset.family is Family.DUAL_BOREL else 1
+    return sorted(range(len(h)), key=lambda i: h.vertices[i].exponent_vector(n)[::step])
+
+
+def _fill(h, upward, value):
+    """Entry i is value(i, the entries of i's upper covers) when upward, of
+    its lower covers otherwise.  The fill runs down _linear_order going up
+    and along it going down, so every cover neighbour's entry is ready."""
+    neighbours = [[] for _ in h.vertices]
+    for lo, hi in h.covers:
+        neighbours[lo if upward else hi].append(hi if upward else lo)
+    order = _linear_order(h)
+    out = [0] * len(h)
+    for i in reversed(order) if upward else order:
+        out[i] = value(i, [out[j] for j in neighbours[i]])
+    return out
 
 
 def meet(poset, m, mp):
@@ -343,15 +358,7 @@ def find_n5(h):
 
 
 def _longest_path_ranks(h):
-    lowers = [[] for _ in h.vertices]
-    for lo, hi in h.covers:
-        lowers[hi].append(lo)
-    ranks = [0] * len(h.vertices)
-    graph = {i: lowers[i] for i in range(len(h.vertices))}
-    for i in TopologicalSorter(graph).static_order():
-        if lowers[i]:
-            ranks[i] = 1 + max(ranks[j] for j in lowers[i])
-    return ranks
+    return _fill(h, False, lambda i, lows: 1 + max(lows, default=-1))
 
 
 def rank_sizes(h):

@@ -272,6 +272,20 @@ class TestFountains:
         assert tall.coins() == 6
         assert tall in set(iter_fountains(6))
 
+    def test_truncated_fraction_matches_full_depth(self):
+        # the fraction cut at depth 61 is exact up to z^60 (any cut at depth
+        # J > nterms is): f_j = 1/(1 - z^j f_{j+1}) on power series
+        nterms = 60
+        f = [1] + [0] * nterms
+        for j in range(nterms + 1, 0, -1):
+            shifted = [0] * j + f
+            g = [1] + [0] * nterms
+            for k in range(1, nterms + 1):
+                g[k] = sum(shifted[i] * g[k - i] for i in range(1, k + 1))
+            f = g
+        for n in range(nterms + 1):
+            assert fountain_gf_coefficients(n) == f[: n + 1]
+
     def test_generating_function(self):
         assert fountain_gf_coefficients(12) == GF_PREFIX
         assert fountain_gf_coefficients(0) == [1]

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -98,7 +99,10 @@ class TestHasse:
     def test_cap(self, capsys):
         code, _, err = run(capsys, "hasse", "--poset", "A[n=3,d=2]", "--cap", "2")
         assert code == 2
-        assert "cap" in err
+        assert err == "error: 6 vertices exceed the cap of 2; raise it with --cap\n"
+        code, _, err = run(capsys, "count", "--poset", "A[n=3,d=2]", "--cap", "2")
+        assert code == 2
+        assert err == "error: 6 vertices exceed the cap of 2; raise it with --cap\n"
 
     def test_truncation(self, capsys):
         code, out, _ = run(capsys, "hasse", "--poset", "D[n=2]", "--max-degree", "1")
@@ -251,6 +255,12 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--poset", "A[n=3,d=3]", "--cap", "3")
         assert code == 2
         assert "cap" in err
+        # the diagram's cap has its own flag: --cap bounds the filters
+        code, _, err = run(
+            capsys, "enumerate", "--poset", "A[n=3,d=3]", "--cap", "100", "--hasse-cap", "9"
+        )
+        assert code == 2
+        assert err == "error: 10 vertices exceed the cap of 9; raise it with --hasse-cap\n"
 
     def test_cardinality_on_a_large_poset(self, capsys):
         # 1081 elements: pruning by size must not recurse through the poset
@@ -513,6 +523,12 @@ class TestIdeals:
         code, out, _ = run(capsys, "ideal", "close", "--order", "A", "--gens", "x1200")
         assert code == 0
         assert out == "{" + ", ".join(f"x{i}" for i in range(1, 1201)) + "}\n"
+
+    def test_close_large_closure(self, capsys):
+        # the closure's 1,365 generators are all the degree-4 monomials in 12 variables
+        code, out, _ = run(capsys, "ideal", "close", "--order", "A", "--gens", "x12^4")
+        assert code == 0
+        assert out.count(", ") + 1 == comb(15, 4) == 1365
 
     def test_needs_generators(self, capsys):
         code, _, err = run(capsys, "ideal", "check", "--order", "A", "--gens", "")

@@ -12,6 +12,7 @@ from stableorders.lattice import (
     HasseDiagram,
     NotGradedError,
     NotLatticeError,
+    _linear_order,
     _meet_join_tables,
     build_hasse,
     check_distributive,
@@ -128,10 +129,29 @@ class TestBuildHasse:
         assert sorted(h.covers) == [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5)]
 
     def test_diagram_leq_matches_order(self):
-        poset = PosetId.parse("B[n=3,d=3]")
-        h = build_hasse(poset)
-        for m, mp in product(h.vertices, repeat=2):
-            assert h.leq(m, mp) == leq(poset, m, mp)
+        cases = [("B[n=3,d=3]", None), ("A[n=3,d=3]", None), ("C[n=3,d=3]", None),
+                 ("D[n=3,d=2]", None), ("A[n=3]", 3), ("B[n=3]", 3), ("C[n=3]", 3)]
+        for poset_text, max_degree in cases:
+            poset = PosetId.parse(poset_text)
+            h = build_hasse(poset, max_degree=max_degree)
+            up, down = h.up_masks(), h.down_masks()
+            for (i, m), (j, mp) in product(enumerate(h.vertices), repeat=2):
+                assert h.leq(m, mp) == leq(poset, m, mp)
+                assert down[j] >> i & 1 == up[i] >> j & 1
+
+    @pytest.mark.parametrize("family", "ABCD")
+    def test_every_cover_rises_in_linear_order(self, family):
+        # glued C[n=3] and C[n=4] to degree 4 are in the grid: their covers
+        # run both ways in index order, so that order would not do
+        for n, d in product(range(1, 5), range(5)):
+            fixed = build_hasse(PosetId.parse(f"{family}[n={n},d={d}]"))
+            glued = build_hasse(PosetId.parse(f"{family}[n={n}]"), max_degree=d)
+            for h in (fixed, glued):
+                position = [0] * len(h)
+                for t, v in enumerate(_linear_order(h)):
+                    position[v] = t
+                assert sorted(position) == list(range(len(h)))
+                assert all(position[lo] < position[hi] for lo, hi in h.covers)
 
     def test_minimal_and_maximal(self):
         h = build_hasse(PosetId.parse("A[n=3,d=2]"))
