@@ -113,8 +113,15 @@ def cases():
         ("enumerate", "--poset", "C[n=3,d=2]"),
         ("enumerate", "--poset", "D[n=2]", "--max-degree", "2"),
         ("enumerate", "--poset", "B[n=3]", "--max-degree", "2", "--cardinality", "3"),
+        ("enumerate", "--poset", "B[n=3]", "--max-degree", "3"),
     ):
         out += _both(*argv)
+    # JSON listings: the vertex 1 and the empty filter, glued and one-size
+    out += [
+        ["enumerate", "--poset", "D[n=2,d=0]", "--format", "json"],
+        ["enumerate", "--poset", "D[n=3]", "--max-degree", "2", "--format", "json"],
+        ["enumerate", "--poset", "C[n=4,d=3]", "--cardinality", "6", "--format", "json"],
+    ]
     out += [
         ["enumerate", "--poset", "A[n=3,d=3]", "--cap", "3"],
         ["enumerate", "--poset", "A[n=3,d=3]", "--cardinality", "4", "--cap", "1"],
