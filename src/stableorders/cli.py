@@ -16,7 +16,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, compress
 
 from .monomials import Monomial, graded_lex_key, monomials_up_to_degree
 from .orders import (
@@ -45,6 +45,7 @@ from .lattice import (
     rank_sizes,
 )
 from .filters import (
+    _filter_masks,
     borel_closure,
     boundary,
     catalan,
@@ -272,26 +273,43 @@ def _cmd_count(args):
     return 0
 
 
+# A filter's bitmask spelt from its highest bit down, one byte 0 or 1 per
+# vertex: the selectors that pick its members out of a reversed table.
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+# json.dumps(indent=2) starts each exponent list of "elements" here
+_JSON_INDENT = "\n" + " " * 8
+
+
 def _cmd_enumerate(args):
     poset = PosetId.parse(args.poset)
     h = _capped("--hasse-cap", build_hasse, poset, cap=args.hasse_cap, max_degree=args.max_degree)
-    filters = enumerate_filters(h, args.cardinality, cap=args.cap)
-    # each vertex is rendered once, and a filter lists its vertices by
-    # descending graded-lex rank, the order of _sorted_elements; build_hasse
-    # lists the vertices in graded-lex order, so a vertex's rank is its index
-    rank = {m: r for r, m in enumerate(h.vertices)}
+    masks = _capped("--cap", _filter_masks, h, args.cardinality, cap=args.cap)
+    # A filter lists its vertices by descending graded-lex rank, the order
+    # of _sorted_elements.  build_hasse lists the vertices in graded-lex
+    # order, so a mask's bits read from the highest down give that order.
+    width = f"0{len(h)}b"
 
-    def ranks(f):
-        return sorted([rank[m] for m in f], reverse=True)
+    def members(table, mask):
+        return compress(table, format(mask, width).encode().translate(_BIT_BYTES))
 
-    # each format is built only when asked for: large listings make them costly
+    # each vertex is rendered once, and each format only when asked for
     if args.format == "json":
-        exps = [list(m.exps) for m in h.vertices]
-        records = [{"elements": [exps[r] for r in ranks(f)]} for f in filters]
-        _emit(args, {"poset": str(poset), "filters": records})
+        # the layout of json.dumps(payload, indent=2), record by record,
+        # around each exponent list laid out by json.dumps at its depth
+        table = [json.dumps(list(m.exps), indent=2).replace("\n", _JSON_INDENT)
+                 for m in reversed(h.vertices)]
+        sep, write = "," + _JSON_INDENT, sys.stdout.write
+        write(f'{{\n  "poset": {json.dumps(str(poset))},\n  "filters": ')
+        opening = "[\n"
+        for mask in masks:
+            elements = f"[{_JSON_INDENT}{sep.join(members(table, mask))}\n      ]" if mask else "[]"
+            write(f'{opening}    {{\n      "elements": {elements}\n    }}')
+            opening = ",\n"
+        write("[]\n}\n" if opening == "[\n" else "\n  ]\n}\n")
     else:
-        text = [str(m) for m in h.vertices]
-        _emit(args, None, *("{" + ", ".join([text[r] for r in ranks(f)]) + "}" for f in filters))
+        table = [str(m) for m in reversed(h.vertices)]
+        sys.stdout.writelines(f"{{{', '.join(members(table, mask))}}}\n" for mask in masks)
     return 0
 
 

@@ -169,17 +169,30 @@ def filter_counts_by_size(h):
     return tuple(packed >> (width * k) & field for k in range(len(h) + 1))
 
 
-def _pivot(up, mask):
-    """The lowest-indexed element of the mask with the largest up-set in it."""
+def _pivot(up, down, mask):
+    """The lowest-indexed element of the mask with the largest up-set in it.
+
+    That element is minimal in the mask, as an element above another has a
+    strictly smaller up-set, so only the minimal elements are weighed.  Each
+    is found by walking down from the lowest-indexed element of the mask not
+    above one found already, always to the highest-indexed element below:
+    no step when the vertex indices rise along the order, one when they
+    fall.  Every element visited is then dropped with the up-set of the
+    minimal element it led to, so the search touches each element once.
+    """
     pivot, best = -1, -1
     probe = mask
     while probe:
-        low = probe & -probe
-        i = low.bit_length() - 1
-        size = (up[i] & mask).bit_count()
-        if size > best:
+        i = (probe & -probe).bit_length() - 1
+        below = (down[i] & mask) ^ (1 << i)
+        while below:
+            i = below.bit_length() - 1
+            below = (down[i] & mask) ^ (1 << i)
+        principal = up[i] & mask
+        size = principal.bit_count()
+        if size > best or size == best and i < pivot:
             pivot, best = i, size
-        probe ^= low
+        probe &= ~principal
     return pivot
 
 
@@ -195,7 +208,7 @@ def _filter_poly(h, mask, memo, rng=None):
     up = h.up_masks()
     down = h.down_masks()
     if rng is None:
-        pivot = _pivot(up, mask)
+        pivot = _pivot(up, down, mask)
     else:
         candidates = [i for i in range(len(h)) if mask >> i & 1]
         pivot = rng.choice(candidates)
@@ -236,8 +249,9 @@ def count_filters(h, cardinality=None):
     return 0
 
 
-def enumerate_filters(h, cardinality=None, cap=1_000_000):
-    """Yield every filter (as a frozenset of monomials), largest poset first.
+def _filter_masks(h, cardinality=None, cap=1_000_000):
+    """Count the filters and check the cap now, then return an iterator over
+    every filter as the bitmask of its vertex indices.
 
     The walk splits on a pivot: a branch (mask, chosen) stands for the
     filters `chosen | F` with F a filter of the subposet induced on `mask`.
@@ -260,23 +274,36 @@ def enumerate_filters(h, cardinality=None, cap=1_000_000):
     def viable(mask, chosen):
         return cardinality is None or 0 <= cardinality - chosen.bit_count() <= mask.bit_count()
 
-    # depth first on an explicit stack: the filters avoiding the pivot come
-    # before those containing it
-    full = (1 << len(h)) - 1
-    stack = [(full, 0)] if viable(full, 0) else []
-    while stack:
-        mask, chosen = stack.pop()
-        if mask == 0:
-            yield frozenset(h.vertices[i] for i in _iter_bits(chosen))
-            continue
-        pivot = _pivot(up, mask)
-        principal = up[pivot] & mask
-        for branch, picked in (
-            (mask & ~principal, chosen | principal),
-            (mask & ~(down[pivot] & mask), chosen),
-        ):
-            if viable(branch, picked):
-                stack.append((branch, picked))
+    def walk():
+        # depth first on an explicit stack: the filters avoiding the pivot
+        # come before those containing it
+        full = (1 << len(h)) - 1
+        stack = [(full, 0)] if viable(full, 0) else []
+        while stack:
+            mask, chosen = stack.pop()
+            if mask == 0:
+                yield chosen
+                continue
+            pivot = _pivot(up, down, mask)
+            principal = up[pivot] & mask
+            for branch, picked in (
+                (mask & ~principal, chosen | principal),
+                (mask & ~(down[pivot] & mask), chosen),
+            ):
+                if viable(branch, picked):
+                    stack.append((branch, picked))
+
+    return walk()
+
+
+def enumerate_filters(h, cardinality=None, cap=1_000_000):
+    """Yield every filter as a frozenset of monomials, in the order of
+    _filter_masks: at each pivot, the filters avoiding it come before
+    those containing it.  Raises CapExceededError as _filter_masks does,
+    when the first filter is asked for."""
+    vertices = h.vertices
+    for chosen in _filter_masks(h, cardinality, cap):
+        yield frozenset(vertices[i] for i in _iter_bits(chosen))
 
 
 def catalan(n):

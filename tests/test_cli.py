@@ -250,11 +250,21 @@ class TestEnumerate:
         assert (code, len(lines)) == (0, 1502)
         assert lines[:2] == ["{}", "{x1^1500}"]
         assert lines[-1].count(", ") == 1500
+        code, out, _ = run(capsys, "enumerate", "--poset", "A[n=2,d=1500]", "--format", "json")
+        records = json.loads(out)["filters"]
+        assert (code, len(records)) == (0, 1502)
+        assert records[:2] == [{"elements": []}, {"elements": [[1500]]}]
+        assert records[-1]["elements"] == [[1500 - k, k] if k else [1500] for k in range(1501)]
+        # the chain's filters are its top k elements, from k = 0 up
+        assert [len(r["elements"]) for r in records] == list(range(1502))
 
     def test_cap(self, capsys):
         code, _, err = run(capsys, "enumerate", "--poset", "A[n=3,d=3]", "--cap", "3")
-        assert code == 2
-        assert "cap" in err
+        assert (code, err) == (2, "error: 16 filters exceed the cap of 3; raise it with --cap\n")
+        code, _, err = run(
+            capsys, "enumerate", "--poset", "A[n=3,d=3]", "--cardinality", "4", "--cap", "1"
+        )
+        assert (code, err) == (2, "error: 2 filters exceed the cap of 1; raise it with --cap\n")
         # the diagram's cap has its own flag: --cap bounds the filters
         code, _, err = run(
             capsys, "enumerate", "--poset", "A[n=3,d=3]", "--cap", "100", "--hasse-cap", "9"

@@ -1,6 +1,7 @@
 """Tests for filters: recognition, counting, enumeration, and ideals."""
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 from itertools import combinations
@@ -9,7 +10,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis import seed as fixed_seed
 
+from stableorders import cli
+from stableorders.cli import _elements_json_dict, _format_filter
 from stableorders.filters import (
+    _filter_masks,
     borel_closure,
     boundary,
     catalan,
@@ -64,9 +68,11 @@ generator_sets = st.lists(
 )
 
 
-def local_filters(poset):
-    """All upward-closed subsets by scanning every subset against leq."""
-    ground = ground_monomials(poset)
+def local_filters(poset, ground=None):
+    """All upward-closed subsets of the ground set (by default the poset's
+    own) by scanning every subset against leq."""
+    if ground is None:
+        ground = ground_monomials(poset)
     out = []
     for bits in range(1 << len(ground)):
         members = frozenset(g for i, g in enumerate(ground) if bits >> i & 1)
@@ -170,23 +176,43 @@ class TestLayers:
             assert is_filter_by_layers(members, nvars, degree) == is_filter(members, poset)
 
 
+# the glued posets of the subset scan, with the degree they are truncated to
+TRUNCATED = {"A[n=2]": 3, "B[n=3]": 2, "C[n=2]": 3, "D[n=2]": 3}
+
+
 class TestCounting:
     @pytest.mark.parametrize(
         "poset_text",
-        ["A[n=3,d=2]", "B[n=3,d=2]", "D[n=2,d=2]", "A[n=2,d=4]", "C[n=3,d=2]"],
+        ["A[n=3,d=2]", "B[n=3,d=2]", "D[n=2,d=2]", "A[n=2,d=4]", "C[n=3,d=2]",
+         "D[n=3,d=2]", "D[n=2,d=0]", *TRUNCATED],
     )
-    def test_count_and_enumeration_match_subset_scan(self, poset_text):
-        poset = PosetId.parse(poset_text)
-        h = build_hasse(poset)
-        expected = local_filters(poset)
+    def test_count_and_enumeration_match_subset_scan(self, poset_text, capsys):
+        poset, max_degree = PosetId.parse(poset_text), TRUNCATED.get(poset_text)
+        h = build_hasse(poset, max_degree=max_degree)
+        expected = local_filters(poset, h.vertices)
         got = list(enumerate_filters(h))
         assert len(got) == len(set(got)) == count_filters(h) == len(expected)
         assert set(got) == set(expected)
         histogram = Counter(len(f) for f in expected)
         for v in range(len(h) + 1):
             assert count_filters(h, v) == histogram.get(v, 0)
-        for v in range(-1, len(h) + 2):
-            assert list(enumerate_filters(h, v)) == [f for f in got if len(f) == v]
+        truncation = [] if max_degree is None else ["--max-degree", str(max_degree)]
+        for v in [None, *range(-1, len(h) + 2)]:
+            filters = list(enumerate_filters(h, v))
+            if v is not None:
+                assert filters == [f for f in got if len(f) == v]
+            # the mask walk behind the CLI decodes to the same filters in order
+            masks = list(_filter_masks(h, v))
+            assert [frozenset(h.vertices[i] for i in range(len(h)) if m >> i & 1)
+                    for m in masks] == filters
+            # and the CLI renders them as the frozensets through the sorted path
+            sized = [] if v is None else ["--cardinality", str(v)]
+            argv = ["enumerate", "--poset", poset_text, *truncation, *sized]
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().out == "".join(_format_filter(f) + "\n" for f in filters)
+            assert cli.main([*argv, "--format", "json"]) == 0
+            payload = {"poset": str(poset), "filters": [_elements_json_dict(f) for f in filters]}
+            assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
 
     def test_known_totals(self):
         assert count_filters(build_hasse(PosetId.parse("A[n=3,d=2]"))) == 8
