@@ -45,6 +45,7 @@ from .lattice import (
     rank_sizes,
 )
 from .filters import (
+    SweepBudgetError,
     _filter_masks,
     borel_closure,
     boundary,
@@ -211,6 +212,8 @@ def _capped(flag, fn, *args, **kwargs):
     """fn(*args, **kwargs), with a cap refusal naming the flag that raises the cap."""
     try:
         return fn(*args, **kwargs)
+    except SweepBudgetError:
+        raise  # no flag raises the sweep's budget
     except CapExceededError as exc:
         raise CapExceededError(f"{exc}; raise it with {flag}") from None
 

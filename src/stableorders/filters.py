@@ -101,6 +101,11 @@ SWEEP_BUDGET_BYTES = 1 << 27
 _ENTRY_BYTES = 120
 
 
+class SweepBudgetError(CapExceededError):
+    """The frontier sweep would keep more than SWEEP_BUDGET_BYTES of states;
+    unlike the other caps, no flag raises this budget."""
+
+
 def _frontier_sweep(h, width):
     """One sweep over the diagram in _linear_order, where a vertex's upper
     covers come after it, so it may always join.
@@ -108,7 +113,7 @@ def _frontier_sweep(h, width):
     Each live state (the frontier's in/out bits, one slot per frontier
     vertex) maps to its filter counts by size packed into one integer,
     `width` bits per size; width 0 packs nothing and counts every size
-    together.  Returns the final packed counts.  Raises CapExceededError
+    together.  Returns the final packed counts.  Raises SweepBudgetError
     when the states kept after a step would need more than
     SWEEP_BUDGET_BYTES.
     """
@@ -150,7 +155,7 @@ def _frontier_sweep(h, width):
         # after t + 1 decisions a count has at most t + 2 bits per size field
         state_bytes = _ENTRY_BYTES + (next_slot + max(width, 1) * (t + 2)) // 8
         if len(grown) * state_bytes > SWEEP_BUDGET_BYTES:
-            raise CapExceededError(
+            raise SweepBudgetError(
                 f"filter counting needs {len(grown)} live states of up to {state_bytes} "
                 f"bytes at step {t + 1} of {len(h)}, over the budget of "
                 f"{SWEEP_BUDGET_BYTES >> 20} MiB"
@@ -238,7 +243,7 @@ def count_filters(h, cardinality=None):
     """Number of filters of the diagram's poset, optionally of one cardinality.
 
     The empty poset has exactly one filter (the empty one).  Raises
-    CapExceededError when the frontier sweep overruns SWEEP_BUDGET_BYTES.
+    SweepBudgetError when the frontier sweep overruns SWEEP_BUDGET_BYTES.
     For several cardinalities of one diagram, filter_counts_by_size sweeps
     once.
     """
@@ -264,7 +269,7 @@ def _filter_masks(h, cardinality=None, cap=1_000_000):
     (N + 1) * cap pivot steps on N vertices.
 
     Raises CapExceededError when more than `cap` filters would be produced,
-    or when counting them overruns the frontier sweep's memory budget.
+    and SweepBudgetError when counting them overruns SWEEP_BUDGET_BYTES.
     """
     total = count_filters(h, cardinality)
     if total > cap:
@@ -471,4 +476,5 @@ __all__ = [
     "is_borel_ideal",
     "is_stable_ideal",
     "CapExceededError",
+    "SweepBudgetError",
 ]

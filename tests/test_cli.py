@@ -215,6 +215,10 @@ class TestCount:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "live states" in err and "budget" in err
+        # enumerate counts under the same budget, which --cap does not raise
+        code, out, err = run(capsys, "enumerate", "--poset", "A[n=4,d=4]")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: filter counting needs") and err.endswith(" MiB\n")
 
 
 class TestEnumerate:
