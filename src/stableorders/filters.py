@@ -29,6 +29,9 @@ from .monomials import Monomial, graded_lex_key
 from .orders import Family, GroundSetError, PosetId, _generating_moves
 from .lattice import CapExceededError, _iter_bits, _linear_order
 
+#: Default bound on the filters one enumeration lists.
+FILTER_CAP = 1_000_000
+
 
 def is_filter(elements, poset):
     """Whether the set is upward closed in the finite poset.
@@ -254,7 +257,7 @@ def count_filters(h, cardinality=None):
     return 0
 
 
-def _filter_masks(h, cardinality=None, cap=1_000_000):
+def _filter_masks(h, cardinality=None, cap=FILTER_CAP):
     """Count the filters and check the cap now, then return an iterator over
     every filter as the bitmask of its vertex indices.
 
@@ -301,7 +304,7 @@ def _filter_masks(h, cardinality=None, cap=1_000_000):
     return walk()
 
 
-def enumerate_filters(h, cardinality=None, cap=1_000_000):
+def enumerate_filters(h, cardinality=None, cap=FILTER_CAP):
     """Yield every filter as a frozenset of monomials, in the order of
     _filter_masks: at each pivot, the filters avoiding it come before
     those containing it.  Raises CapExceededError as _filter_masks does,
@@ -353,14 +356,6 @@ def weighted_walk_count(d, a, b, w):
     )
 
 
-def _walk_weight_total(e, w):
-    """Filters of the two-variable divisibility staircase of degree e, counted
-    by weight w (equivalently: weighted walks across the full region)."""
-    if w < 0:
-        return 0
-    return weighted_walk_count(e, 0, e + 2, w)
-
-
 def stable_filter_counts(d):
     """(total, by-cardinality) filter counts of the degree-d stable order in
     three variables, via the layer recursion GG(d,v) = GG(d-1,v) + CC(d-1,v-d-1)."""
@@ -371,8 +366,11 @@ def stable_filter_counts(d):
     gg = [1, 1, 1, 1]
     for e in range(2, d + 1):
         size = (e + 1) * (e + 2) // 2
+        # CC(e-1, w): the filters of weight w of the two-variable staircase
+        # of degree e-1, that is its weighted walks across the full region
         gg = [
-            (gg[v] if v < len(gg) else 0) + _walk_weight_total(e - 1, v - (e + 1))
+            (gg[v] if v < len(gg) else 0)
+            + (weighted_walk_count(e - 1, 0, e + 1, v - e - 1) if v > e else 0)
             for v in range(size + 1)
         ]
     return sum(gg), tuple(gg)

@@ -12,16 +12,20 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
 
-from .monomials import Monomial, monomials_up_to_degree
+from .monomials import Monomial, monomials_up_to_degree, stars_and_bars
 from .orders import (
     Family,
     GroundSetError,
     PosetId,
     _generating_moves,
+    _require_member,
     _running_sums,
     dual_rename,
     ground_monomials,
 )
+
+#: Default bound on the vertices of a Hasse diagram.
+VERTEX_CAP = 50_000
 
 
 class CapExceededError(ValueError):
@@ -117,20 +121,34 @@ class HasseDiagram:
         }
 
 
-def build_hasse(poset, cap=50_000, max_degree=None):
+def build_hasse(poset, cap=VERTEX_CAP, max_degree=None):
     """Build the Hasse diagram of a finite ground set, or of the truncation
     of a degree-unbounded poset to degrees <= max_degree: every vertex's
-    upper covers are the ones _generating_moves lists."""
-    if poset.nvars is None:
+    upper covers are the ones _generating_moves lists.  Raises
+    CapExceededError, before listing any vertex, when there are more than
+    `cap` of them."""
+    n = poset.nvars
+    if n is None:
         raise ValueError(f"{poset} has unboundedly many variables; no finite diagram")
     if poset.degree is None:
         if max_degree is None:
             raise ValueError(f"{poset} is degree-unbounded; pass max_degree to truncate")
-        vertices = tuple(monomials_up_to_degree(poset.nvars, max_degree))
+        bars, stars = n, max_degree
+    elif poset.family is Family.DIVISIBILITY:
+        bars, stars = n, poset.degree
+    else:
+        bars, stars = n - 1, poset.degree
+    # exact up to 2**32 whatever the cap, far past any diagram that could be
+    # listed, so a refusal names the count a listing would have found
+    size = stars_and_bars(bars, stars, max(cap, 2**32))
+    if size is None:
+        raise CapExceededError(f"at least 2**{min(bars, stars)} vertices exceed the cap of {cap}")
+    if size > cap:
+        raise CapExceededError(f"{size} vertices exceed the cap of {cap}")
+    if poset.degree is None:
+        vertices = tuple(monomials_up_to_degree(n, max_degree))
     else:
         vertices = tuple(ground_monomials(poset))
-    if len(vertices) > cap:
-        raise CapExceededError(f"{len(vertices)} vertices exceed the cap of {cap}")
     index = {m: i for i, m in enumerate(vertices)}
     covers = sorted(
         (i, index[u])
@@ -178,9 +196,8 @@ def join(poset, m, mp):
 
 
 def _bound(poset, m, mp, want_join):
-    for x in (m, mp):
-        if not poset.contains(x):
-            raise GroundSetError(f"{x} is not in the ground set of {poset}")
+    _require_member(poset, m)
+    _require_member(poset, mp)
     family = poset.family
     if family is Family.DIVISIBILITY:
         if not want_join:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from ast import literal_eval
 from itertools import combinations_with_replacement
+from math import comb
 from operator import sub
 
 _TERM_RE = re.compile(r"x(\d+)(?:\^(\d+))?$")
@@ -225,6 +226,21 @@ def monomials_of_degree(nvars, degree):
         Monomial(map(sub, sums + (degree,), (0,) + sums))
         for sums in combinations_with_replacement(range(degree + 1), nvars - 1)
     ]
+
+
+def stars_and_bars(bars, stars, bound):
+    """comb(bars + stars, bars), counted without listing: the number of
+    monomials of degree `stars` in bars + 1 variables, and of degree at most
+    `stars` in `bars` variables; 0 when stars < 0.
+
+    None when k = min(bars, stars) exceeds bound's bit length: then the
+    count is at least comb(2k, k), the product of (k + i) / i >= 2 over
+    i = 1..k, so at least 2**k > bound, and it is not computed
+    (comb(2 * 10**6, 10**6) alone would take about a minute).
+    """
+    if min(bars, stars) > bound.bit_length():
+        return None
+    return comb(bars + stars, bars) if stars >= 0 else 0
 
 
 def monomials_up_to_degree(nvars, max_degree):

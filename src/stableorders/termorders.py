@@ -9,11 +9,11 @@ fixed-degree strongly-stable orders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from functools import cmp_to_key
 from operator import le
 
 from .lattice import CapExceededError
-from .monomials import Monomial, monomials_up_to_degree
+from .monomials import monomials_up_to_degree, stars_and_bars
 from .orders import Family, PosetId, _running_sums, relation
 
 LESS = -1
@@ -57,18 +57,13 @@ class TermOrder:
         a = m.exponent_vector(nvars)
         b = mp.exponent_vector(nvars)
         if self.kind == "lex":
-            return _lex(a, b)
+            return _cmp(a, b)
         if self.kind == "deglex":
-            return _cmp(m.degree(), mp.degree()) or _lex(a, b)
+            return _cmp(m.degree(), mp.degree()) or _cmp(a, b)
         if self.kind == "degrevlex":
-            by_degree = _cmp(m.degree(), mp.degree())
-            if by_degree:
-                return by_degree
-            for i in range(nvars - 1, -1, -1):
-                if a[i] != b[i]:
-                    # the monomial with the smaller trailing exponent wins
-                    return GREATER if a[i] < b[i] else LESS
-            return EQUAL
+            # after degree, the monomial with the smaller last differing
+            # exponent is the greater one
+            return _cmp(m.degree(), mp.degree()) or _cmp(b[::-1], a[::-1])
         if len(self.weights) < nvars:
             raise ValueError(
                 f"weight vector of length {len(self.weights)} cannot compare "
@@ -80,31 +75,17 @@ class TermOrder:
                 return by_degree
         wa = sum(w * e for w, e in zip(self.weights, a))
         wb = sum(w * e for w, e in zip(self.weights, b))
-        return _cmp(wa, wb) or _lex(a, b)
+        return _cmp(wa, wb) or _cmp(a, b)
 
     def sort_key(self, m):
         """A key function usable with sorted(); ascending in this order."""
-        return _SortAdapter(self, m)
-
-
-@dataclass(frozen=True)
-class _SortAdapter:
-    order: TermOrder
-    monomial: Monomial
-
-    def __lt__(self, other):
-        return self.order.compare(self.monomial, other.monomial) == LESS
+        return cmp_to_key(self.compare)(m)
 
 
 def _cmp(x, y):
+    """LESS, EQUAL or GREATER for x against y; exponent lists of equal
+    length compare lexicographically."""
     return (x > y) - (x < y)
-
-
-def _lex(a, b):
-    for x, y in zip(a, b):
-        if x != y:
-            return GREATER if x > y else LESS
-    return EQUAL
 
 
 def is_strictly_decreasing(weights):
@@ -128,14 +109,11 @@ def refines_borel(order, nvars, max_degree, cap=REFINES_PAIR_CAP):
     more than `cap` ordered pairs.
     """
     PosetId(Family.BOREL, nvars)  # refuses nvars < 1
-    k = min(nvars, max_degree)
-    # there are comb(nvars + max_degree, k) >= 2**k monomials: past the
-    # cap's bit length their pairs exceed it, and are not counted exactly
-    if k > cap.bit_length():
+    size = stars_and_bars(nvars, max_degree, cap)
+    if size is None:
         raise CapExceededError(
-            f"at least 2**{k} monomials have more pairs than the cap of {cap}"
+            f"at least 2**{min(nvars, max_degree)} monomials have more pairs than the cap of {cap}"
         )
-    size = comb(nvars + max_degree, k) if k >= 0 else 0
     if size * (size - 1) > cap:
         raise CapExceededError(
             f"{size * (size - 1)} pairs of monomials exceed the cap of {cap}"
@@ -207,7 +185,6 @@ def separating_witnesses(m, mp, nvars=None, budget=10_000):
             below = weights
         if above is not None and below is not None:
             return above, below
-    raise ValueError("weight vector enumeration ended unexpectedly")
 
 
 def random_weight_vector(nvars, rng, max_gap=5):

@@ -104,6 +104,17 @@ class TestHasse:
         assert code == 2
         assert err == "error: 6 vertices exceed the cap of 2; raise it with --cap\n"
 
+    @pytest.mark.parametrize(
+        "poset, count",
+        [("A[n=30,d=10]", "635745396"), ("A[n=1000000,d=1000000]", "at least 2**999999")],
+    )
+    def test_cap_refuses_before_listing(self, capsys, poset, count):
+        # listing the 635,745,396 vertices first would exhaust memory
+        for command, flag in (("hasse", "--cap"), ("count", "--cap"), ("enumerate", "--hasse-cap")):
+            code, out, err = run(capsys, command, "--poset", poset)
+            assert (code, out) == (2, "")
+            assert err == f"error: {count} vertices exceed the cap of 50000; raise it with {flag}\n"
+
     def test_truncation(self, capsys):
         code, out, _ = run(capsys, "hasse", "--poset", "D[n=2]", "--max-degree", "1")
         assert code == 0

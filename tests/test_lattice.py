@@ -170,6 +170,40 @@ class TestBuildHasse:
         with pytest.raises(CapExceededError):
             build_hasse(PosetId.parse("A[n=3,d=9]"), cap=10)
 
+    @pytest.mark.parametrize(
+        "text, max_degree",
+        [("A[n=3,d=4]", None), ("B[n=4,d=3]", None), ("C[n=1,d=5]", None),
+         ("D[n=3,d=2]", None), ("D[n=2,d=0]", None), ("A[n=3]", 3), ("B[n=2]", 0),
+         ("D[n=4]", 2), ("C[n=3]", -1)],
+    )
+    def test_cap_names_the_vertex_count(self, text, max_degree):
+        poset = PosetId.parse(text)
+        size = len(build_hasse(poset, max_degree=max_degree))
+        assert len(build_hasse(poset, cap=size, max_degree=max_degree)) == size
+        with pytest.raises(CapExceededError) as excinfo:
+            build_hasse(poset, cap=size - 1, max_degree=max_degree)
+        assert str(excinfo.value) == f"{size} vertices exceed the cap of {size - 1}"
+
+    def test_cap_refuses_before_listing(self, monkeypatch):
+        import stableorders.lattice as lattice
+
+        def no_listing(*args):
+            raise AssertionError("the ground set was listed")
+
+        monkeypatch.setattr(lattice, "ground_monomials", no_listing)
+        monkeypatch.setattr(lattice, "monomials_up_to_degree", no_listing)
+        cases = [
+            ("A[n=30,d=10]", None, 50_000, "635745396 vertices"),  # comb(39, 10)
+            ("D[n=30,d=10]", None, 50_000, "847660528 vertices"),  # comb(40, 10)
+            ("B[n=4]", 100, 50_000, "4598126 vertices"),  # comb(104, 4)
+            ("A[n=6,d=6]", None, 10, "462 vertices"),  # exact under a small cap too
+            ("A[n=1000000,d=1000000]", None, 50_000, "at least 2**999999 vertices"),
+        ]
+        for text, max_degree, cap, count in cases:
+            with pytest.raises(CapExceededError) as excinfo:
+                build_hasse(PosetId.parse(text), cap=cap, max_degree=max_degree)
+            assert str(excinfo.value) == f"{count} exceed the cap of {cap}"
+
     def test_unbounded_needs_truncation(self):
         with pytest.raises(ValueError):
             build_hasse(PosetId.parse("A[*,d=2]"))
