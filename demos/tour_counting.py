@@ -56,7 +56,7 @@ def main():
     for n, d in [(3, 3), (4, 2)]:
         rs = rank_sizes(hasse(f"A[n={n},d={d}]"))
         print(f"  A[n={n},d={d}]: {rs}")
-        print(f"  gaussian({n - 1},{d}): {list(gaussian(n - 1, d).coefficients)}")
+        print(f"  gaussian({n - 1},{d}): {list(gaussian(n - 1, d))}")
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ from .monomials import (
 from .orders import (
     Family,
     GroundSetError,
-    PartialSumSequence,
     PosetId,
     antitone_dual_sequence,
     dual_rename,
@@ -34,7 +33,6 @@ from .orders import (
 )
 from .lattice import (
     CapExceededError,
-    GaussianPolynomial,
     HasseDiagram,
     NotGradedError,
     NotLatticeError,
@@ -57,7 +55,6 @@ from .filters import (
     enumerate_filters,
     filter_count_three_vars,
     filter_counts_by_size,
-    filter_layers,
     interior,
     is_borel_ideal,
     is_filter,

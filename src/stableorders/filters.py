@@ -69,25 +69,19 @@ def boundary(elements, nvars):
     return frozenset(elements) - interior(elements, nvars)
 
 
-def filter_layers(elements, nvars, degree):
-    """Slice a set of degree-`degree` monomials by the exponent of the last
-    variable, stripping that variable off; layer i collects m with x_nvars^i."""
+def is_filter_by_layers(elements, nvars, degree):
+    """Layerwise filter test: slice the degree-`degree` monomials by the
+    exponent i of the last variable, stripping it off (layer i).  Every slice
+    must be a filter one variable down, and pushing the next slice up by x1
+    must land in the previous slice's interior.  Agrees with is_filter on the
+    strongly-stable order."""
+    if nvars < 3:
+        raise ValueError("the layerwise test needs at least three variables")
     layers = [set() for _ in range(degree + 1)]
     for m in elements:
         if m.max_support() > nvars or m.degree() != degree:
             raise GroundSetError(f"{m} is not a degree-{degree} monomial in {nvars} variables")
-        i = m.exponent(nvars)
-        layers[i].add(Monomial(m.exps[: nvars - 1]))
-    return [frozenset(layer) for layer in layers]
-
-
-def is_filter_by_layers(elements, nvars, degree):
-    """Layerwise filter test: every slice must be a filter one variable down,
-    and pushing the next slice up by x1 must land in the previous slice's
-    interior.  Agrees with is_filter on the strongly-stable order."""
-    if nvars < 3:
-        raise ValueError("the layerwise test needs at least three variables")
-    layers = filter_layers(elements, nvars, degree)
+        layers[m.exponent(nvars)].add(Monomial(m.exps[: nvars - 1]))
     for i, layer in enumerate(layers):
         if not is_filter(layer, PosetId(Family.BOREL, nvars - 1, degree - i)):
             return False
@@ -457,7 +451,6 @@ __all__ = [
     "is_filter",
     "interior",
     "boundary",
-    "filter_layers",
     "is_filter_by_layers",
     "count_filters",
     "filter_counts_by_size",

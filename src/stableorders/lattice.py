@@ -20,7 +20,9 @@ from .orders import (
     _generating_moves,
     _require_member,
     _running_sums,
+    _window,
     dual_rename,
+    monomial_from_partial_sums,
     ground_monomials,
 )
 
@@ -210,24 +212,26 @@ def _bound(poset, m, mp, want_join):
         return _borel_bound(m, mp, want_join)
     if family is Family.DUAL_BOREL:
         # index reversal is an order isomorphism onto the strongly-stable family,
-        # so meets map to meets and joins to joins
-        n = poset.nvars
+        # so meets map to meets and joins to joins; in the operands' window,
+        # as the variables above it are reversed to the front, where they
+        # stay 0 in both running sums and so in the bound's
+        n = _window(m, mp)
         mapped = _borel_bound(dual_rename(m, n), dual_rename(mp, n), want_join)
         return dual_rename(mapped, n)
     # stable family: lattice structure holds degreewise only
     if poset.degree is None:
         raise ValueError("meet/join in the stable family needs a fixed degree")
-    n = poset.nvars or max(m.max_support(), mp.max_support(), 1)
+    n = poset.nvars or _window(m, mp)
     if want_join:
         return join_stable(m, mp, n, poset.degree)
     return meet_stable(m, mp, n, poset.degree)
 
 
 def _borel_bound(m, mp, want_join):
-    n = max(m.max_support(), mp.max_support())
+    n = _window(m, mp)
     pick = max if want_join else min
-    sums = list(map(pick, _running_sums(m.exps, n), _running_sums(mp.exps, n)))
-    return Monomial(b - a for a, b in zip([0] + sums, sums))
+    return monomial_from_partial_sums(
+        tuple(map(pick, _running_sums(m.exps, n), _running_sums(mp.exps, n))))
 
 
 def _check_stable_args(m, mp, nvars, degree):
@@ -265,9 +269,11 @@ def meet_stable(m, mp, nvars, degree):
     bound and is the meet: the formula constructs the maximum.
 
     Each step either answers or lowers n by one, so the split runs as a loop.
+    It starts from the operands' window: above both supports it only steps
+    down.
     """
     _check_stable_args(m, mp, nvars, degree)
-    n = nvars
+    n = _window(m, mp)
     a, b = m.exponent_vector(n), mp.exponent_vector(n)
     while n > 2 and not a[n - 1] and not b[n - 1]:
         n -= 1
@@ -301,10 +307,11 @@ def join_stable(m, mp, nvars, degree):
 
     Each step either answers or lowers n by one, so the split runs as a loop
     over exponent lists: padding with x_{n-1} adds the x_n exponent to entry
-    n - 1.
+    n - 1.  It starts from the operands' window: above both supports it only
+    steps down.
     """
     _check_stable_args(m, mp, nvars, degree)
-    n = nvars
+    n = _window(m, mp)
     a, b = m.exponent_vector(n), mp.exponent_vector(n)
     while n > 1:
         if a[n - 1] and b[n - 1]:
@@ -422,24 +429,10 @@ def height_width(h):
     return height, n - matched
 
 
-@dataclass(frozen=True)
-class GaussianPolynomial:
-    """A Gaussian binomial coefficient as an explicit coefficient vector."""
-
-    a: int
-    b: int
-    coefficients: tuple[int, ...]
-
-    def __getitem__(self, k):
-        return self.coefficients[k]
-
-    def __len__(self):
-        return len(self.coefficients)
-
-
 def gaussian(a, b):
     """Gaussian binomial [a+b choose a] by the Pascal-type recurrence
-    P(a,b) = P(a-1,b) + q^a * P(a,b-1); counts partitions in an a-by-b box."""
+    P(a,b) = P(a-1,b) + q^a * P(a,b-1); counts partitions in an a-by-b box.
+    Returns the coefficient tuple, constant term first."""
     if a < 0 or b < 0:
         raise ValueError("gaussian(a, b) needs a, b >= 0")
     previous_row = [[1]] * (b + 1)  # row i = 0
@@ -456,4 +449,4 @@ def gaussian(a, b):
                 coeffs[k + i] += v
             row.append(coeffs)
         previous_row = row
-    return GaussianPolynomial(a, b, tuple(previous_row[b]))
+    return tuple(previous_row[b])

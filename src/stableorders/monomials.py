@@ -115,30 +115,12 @@ class Monomial:
             return False
         return all(a <= b for a, b in zip(self.exps, other.exps))
 
-    def __mul__(self, other):
-        n = max(len(self.exps), len(other.exps))
-        return Monomial(self.exponent(i) + other.exponent(i) for i in range(1, n + 1))
-
-    def exact_quotient(self, other):
-        """self / other, defined only when other divides self."""
-        if not other.divides(self):
-            raise ValueError(f"{other} does not divide {self}")
-        return Monomial(self.exponent(i) - other.exponent(i) for i in range(1, len(self.exps) + 1))
-
     def times_var(self, i):
         """Multiply by the single variable x_i."""
         if i < 1:
             raise ValueError("variable indices start at 1")
         exps = list(self.exps) + [0] * (i - len(self.exps))
         exps[i - 1] += 1
-        return Monomial(exps)
-
-    def div_var(self, i):
-        """Divide by the single variable x_i (which must occur)."""
-        if self.exponent(i) == 0:
-            raise ValueError(f"x{i} does not divide {self}")
-        exps = list(self.exps)
-        exps[i - 1] -= 1
         return Monomial(exps)
 
     def transfer(self, i, j):
@@ -202,12 +184,6 @@ def index_weight(m):
     antisymmetry of the generated orders and termination of searches.
     """
     return sum(i * e for i, e in enumerate(m.exps, start=1))
-
-
-def graded_weight(m):
-    """(-degree, index weight): strictly lex-decreases along moves and
-    multiplication by a variable alike."""
-    return (-m.degree(), index_weight(m))
 
 
 def monomials_of_degree(nvars, degree):

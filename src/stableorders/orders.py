@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from operator import le
+from operator import le, sub
 
 from .monomials import (
     Monomial,
@@ -147,60 +147,6 @@ def ground_monomials(poset):
     return monomials_of_degree(poset.nvars, poset.degree)
 
 
-@dataclass(frozen=True)
-class PartialSumSequence:
-    """A weakly increasing prefix followed by an eventually constant tail.
-
-    The canonical form drops prefix entries equal to the tail.  Sequences of
-    this shape are exactly the running partial sums of exponent vectors, with
-    the tail recording the total degree.
-    """
-
-    prefix: tuple[int, ...]
-    tail: int
-
-    def __post_init__(self):
-        prefix = tuple(self.prefix)
-        if not isinstance(self.tail, int) or self.tail < 0:
-            raise ValueError("tail must be a non-negative integer")
-        last = 0
-        for v in prefix:
-            if not isinstance(v, int) or v < last:
-                raise ValueError(f"prefix must be weakly increasing non-negative ints, got {prefix!r}")
-            last = v
-        if prefix and prefix[-1] > self.tail:
-            raise ValueError("prefix entries may not exceed the tail")
-        while prefix and prefix[-1] == self.tail:
-            prefix = prefix[:-1]
-        object.__setattr__(self, "prefix", prefix)
-
-    def value_at(self, i):
-        """The i-th value (1-based); equals the tail beyond the prefix."""
-        if i < 1:
-            raise ValueError("positions start at 1")
-        return self.prefix[i - 1] if i <= len(self.prefix) else self.tail
-
-    def values(self, length):
-        return tuple(self.value_at(i) for i in range(1, length + 1))
-
-    def dominates(self, other):
-        """Componentwise >= at every position, tails included."""
-        if self.tail < other.tail:
-            return False
-        span = max(len(self.prefix), len(other.prefix))
-        return all(self.value_at(i) >= other.value_at(i) for i in range(1, span + 1))
-
-    def __str__(self):
-        inner = ",".join(str(v) for v in self.prefix)
-        return f"[{inner}|{self.tail}]"
-
-
-def partial_sums(m):
-    """Running partial sums of the exponent vector, tail = total degree."""
-    sums = tuple(accumulate(m.exps))
-    return PartialSumSequence(sums, m.degree())
-
-
 def _running_sums(exps, n):
     """The running partial sums of an exponent vector of at most n entries,
     padded to n entries with its last value.  The last entry is the degree,
@@ -210,11 +156,21 @@ def _running_sums(exps, n):
     return sums + (sums[-1] if sums else 0,) * (n - len(sums))
 
 
-def monomial_from_partial_sums(seq):
-    """Inverse of partial_sums: difference the sequence back to exponents."""
-    values = list(seq.prefix) + [seq.tail]
-    exps = [values[0]] + [values[k] - values[k - 1] for k in range(1, len(values))]
-    return Monomial(exps)
+def _window(m, mp):
+    """The operands' window: the larger support of the two, at least 1."""
+    return max(len(m.exps), len(mp.exps), 1)
+
+
+def partial_sums(m):
+    """The tuple of running partial sums of m's exponents over its support
+    (over x1 for the unit); the last entry is the total degree."""
+    return _running_sums(m.exps, max(len(m.exps), 1))
+
+
+def monomial_from_partial_sums(sums):
+    """Inverse of partial_sums: difference the tuple back to exponents.
+    Padding with the last value adds only trailing zeros."""
+    return Monomial(map(sub, sums, (0,) + tuple(sums)))
 
 
 def dual_rename(m, nvars):
@@ -226,21 +182,16 @@ def dual_rename(m, nvars):
 
 def antitone_dual_sequence(m, window):
     """The order-reversing bijection from monomials in `window` variables onto
-    partial-sum sequences of degree-`window` monomials.
+    partial sums of degree-`window` monomials.
 
-    The image sequence starts with exponent(1) zeros, exponent(2) ones, and so
-    on, and is constant `window` from position degree+1 onward.
+    Returns the tuple of exponent(1) zeros, exponent(2) ones, and so on,
+    followed by one entry `window` (the tuple has degree + 1 entries);
+    padded with its last value, it is constant `window` from position
+    degree + 1 onward.
     """
     if m.max_support() > window:
         raise ValueError(f"{m} does not fit in {window} variables")
-    prefix = tuple(k for k in range(window) for _ in range(m.exponent(k + 1)))
-    return PartialSumSequence(prefix, window)
-
-
-def _effective_nvars(poset, m, mp):
-    if poset.nvars is not None:
-        return poset.nvars
-    return max(m.max_support(), mp.max_support(), 1)
+    return tuple(k for k in range(window) for _ in range(m.exponent(k + 1))) + (window,)
 
 
 def _stable_leq(m, mp, n):
@@ -288,6 +239,13 @@ def leq(poset, m, mp):
     splits on the last variable (_stable_leq).  Raises GroundSetError off the
     ground set.
 
+    Every comparison works in the operands' window, n = the larger support of
+    the two (at least 1), whatever the poset's nvars: variables above both
+    supports change no answer, as in A their running sums equal the degree,
+    which the window's last entry already compares, in C the reversal puts
+    them first, where both running sums are 0, and B's last-variable split
+    steps over them.
+
     In the glued stable order (unbounded degree) m <= mp exactly when
     deg m <= deg mp and m <= w* in the fixed-degree order, where w* is the
     lex-greatest divisor of mp of degree deg m.  A multiplication followed by
@@ -303,9 +261,9 @@ def leq(poset, m, mp):
     family = poset.family
     if family is Family.DIVISIBILITY:
         return m.divides(mp)
-    n = _effective_nvars(poset, m, mp)
     if family is Family.BOREL:
-        return all(map(le, _running_sums(m.exps, n), _running_sums(mp.exps, n)))
+        return _borel_leq(m, mp)
+    n = _window(m, mp)
     if family is Family.DUAL_BOREL:
         # the renamed monomials' partial sums: those of the reversed exponents
         return all(map(le, _running_sums(m.exponent_vector(n)[::-1], n),
@@ -314,6 +272,12 @@ def leq(poset, m, mp):
         return _stable_leq(m, mp, n)
     degree = m.degree()
     return degree <= mp.degree() and _stable_leq(m, _lex_greatest_divisor(mp, degree), n)
+
+
+def _borel_leq(m, mp):
+    """Partial-sum domination of m by mp, in their window."""
+    n = _window(m, mp)
+    return all(map(le, _running_sums(m.exps, n), _running_sums(mp.exps, n)))
 
 
 def _generating_moves(poset, m, max_degree=None):
@@ -399,7 +363,7 @@ def reachability_oracle(poset, m, mp):
     target_degree = mp.degree()
     if m.degree() > target_degree:
         return False
-    nvars = _effective_nvars(poset, m, mp)
+    nvars = poset.nvars or max(m.max_support(), mp.max_support(), 1)
     allow_multiplication = poset.degree is None or family is Family.DIVISIBILITY
 
     def neighbors(u):
@@ -431,7 +395,6 @@ __all__ = [
     "GroundSetError",
     "Family",
     "PosetId",
-    "PartialSumSequence",
     "partial_sums",
     "monomial_from_partial_sums",
     "dual_rename",

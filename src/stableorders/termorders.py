@@ -14,7 +14,7 @@ from operator import le
 
 from .lattice import CapExceededError
 from .monomials import monomials_up_to_degree, stars_and_bars
-from .orders import Family, PosetId, _running_sums, relation
+from .orders import Family, PosetId, _borel_leq, _running_sums, relation
 
 LESS = -1
 EQUAL = 0
@@ -137,8 +137,7 @@ def ordinal_sum_leq(m, mp):
     degree first, strongly-stable comparison within a degree."""
     if m.degree() != mp.degree():
         return m.degree() < mp.degree()
-    n = max(m.max_support(), mp.max_support())
-    return all(map(le, _running_sums(m.exps, n), _running_sums(mp.exps, n)))
+    return _borel_leq(m, mp)
 
 
 def weight_vectors_by_total(nvars):

@@ -4,8 +4,10 @@ from __future__ import annotations
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 from math import comb
 from pathlib import Path
 
@@ -177,6 +179,37 @@ class TestMeetJoin:
             "x1^55*x7", "x1^7*x2^7*x3^7*x4^7*x5^7*x6^7*x7^7*x8^7",
         )
         assert (code, out) == (0, "x1^7*x7^7*x8^42\n")
+
+
+class TestWindow:
+    @pytest.mark.parametrize(
+        "poset, command, expected",
+        [
+            ("A[n=200000000]", "compare", "x1 > x2"),
+            ("A[n=200000000]", "meet", "x2"),
+            ("C[n=200000000]", "compare", "x1 < x2"),
+            ("C[n=200000000]", "meet", "x1"),
+            ("B[n=200000000,d=1]", "compare", "x1 > x2"),
+            ("B[n=200000000,d=1]", "meet", "x2"),
+        ],
+    )
+    def test_huge_nvars(self, poset, command, expected):
+        # answered in the operands' window, never padded to nvars: a whole
+        # process under a 1.5 GB address-space limit
+        src = Path(__file__).resolve().parents[1] / "src"
+        limit = 1_500_000_000
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "stableorders.cli", command, "--poset", poset, "x1", "x2"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            timeout=60,
+        )
+        elapsed = time.perf_counter() - start
+        assert (done.returncode, done.stdout, done.stderr) == (0, expected + "\n", "")
+        assert elapsed < 1.0
 
 
 class TestCount:

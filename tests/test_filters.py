@@ -21,7 +21,6 @@ from stableorders.filters import (
     enumerate_filters,
     filter_count_three_vars,
     filter_counts_by_size,
-    filter_layers,
     ideal_contains,
     interior,
     is_borel_ideal,
@@ -143,18 +142,11 @@ class TestInterior:
 
 
 class TestLayers:
-    def test_slicing(self):
-        members = parse_set("x2*x3", "x2^2", "x1*x3", "x1*x2", "x1^2")
-        layers = filter_layers(members, 3, 2)
-        assert layers == [
-            parse_set("x2^2", "x1*x2", "x1^2"),
-            parse_set("x2", "x1"),
-            frozenset(),
-        ]
-
     def test_rejects_mixed_degrees(self):
         with pytest.raises(GroundSetError):
-            filter_layers(parse_set("x1", "x1*x2"), 2, 2)
+            is_filter_by_layers(parse_set("x1", "x1*x2"), 3, 2)
+        with pytest.raises(GroundSetError):
+            is_filter_by_layers(parse_set("x4^2"), 3, 2)
 
     def test_needs_three_variables(self):
         with pytest.raises(ValueError):

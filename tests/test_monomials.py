@@ -12,7 +12,6 @@ from stableorders.monomials import (
     Monomial,
     borel_moves_up,
     graded_lex_key,
-    graded_weight,
     index_weight,
     monomials_of_degree,
     monomials_up_to_degree,
@@ -22,6 +21,12 @@ from stableorders.monomials import (
 exponent_vectors = st.lists(st.integers(min_value=0, max_value=5), max_size=5)
 monomials = exponent_vectors.map(Monomial)
 nonunit_monomials = monomials.filter(lambda m: m.degree() > 0)
+
+
+def times(m, t):
+    """The product of two monomials."""
+    n = max(m.max_support(), t.max_support())
+    return Monomial(m.exponent(i) + t.exponent(i) for i in range(1, n + 1))
 
 
 class TestConstruction:
@@ -98,22 +103,13 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             Monomial((1, 2, 3)).exponent_vector(2)
 
-    def test_mul(self):
-        assert Monomial((1, 2)) * Monomial((0, 1, 4)) == Monomial((1, 3, 4))
-
-    def test_divides_and_quotient(self):
+    def test_divides(self):
         m, d = Monomial((2, 1, 1)), Monomial((1, 0, 1))
         assert d.divides(m)
         assert not m.divides(d)
-        assert m.exact_quotient(d) == Monomial((1, 1))
-        with pytest.raises(ValueError):
-            d.exact_quotient(m)
 
-    def test_times_div_var(self):
+    def test_times_var(self):
         assert Monomial((1,)).times_var(3) == Monomial((1, 0, 1))
-        assert Monomial((1, 0, 1)).div_var(3) == Monomial((1,))
-        with pytest.raises(ValueError):
-            Monomial((1,)).div_var(2)
         with pytest.raises(ValueError):
             Monomial((1,)).times_var(0)
 
@@ -129,14 +125,14 @@ class TestArithmetic:
 
     @given(monomials, monomials)
     def test_degree_is_additive(self, a, b):
-        assert (a * b).degree() == a.degree() + b.degree()
+        assert times(a, b).degree() == a.degree() + b.degree()
 
     @given(monomials, monomials)
     def test_gcd_divides_lcm_is_multiple(self, a, b):
         g, l = a.gcd(b), a.lcm(b)
         assert g.divides(a) and g.divides(b)
         assert a.divides(l) and b.divides(l)
-        assert g * l == a * b
+        assert times(g, l) == times(a, b)
 
 
 class TestMoves:
@@ -169,10 +165,8 @@ class TestMoves:
             assert index_weight(mp) < index_weight(m)
             assert mp != m
 
-    def test_index_and_graded_weight_values(self):
-        m = Monomial((2, 0, 1))
-        assert index_weight(m) == 1 + 1 + 3
-        assert graded_weight(m) == (-3, 5)
+    def test_index_weight_values(self):
+        assert index_weight(Monomial((2, 0, 1))) == 1 + 1 + 3
 
 
 class TestEnumeration:

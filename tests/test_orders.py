@@ -19,7 +19,6 @@ from stableorders.monomials import (
 from stableorders.orders import (
     Family,
     GroundSetError,
-    PartialSumSequence,
     PosetId,
     antitone_dual_sequence,
     dual_rename,
@@ -35,6 +34,20 @@ M = Monomial.parse
 
 exponent_vectors = st.lists(st.integers(min_value=0, max_value=4), max_size=4)
 monomials = exponent_vectors.map(Monomial)
+
+
+def times(m, t):
+    """The product of two monomials."""
+    n = max(m.max_support(), t.max_support())
+    return Monomial(m.exponent(i) + t.exponent(i) for i in range(1, n + 1))
+
+
+def dominates(sums, other):
+    """Componentwise >= of two partial-sum tuples, each padded with its last
+    value to the longer length."""
+    n = max(len(sums), len(other))
+    pad = lambda s: s + s[-1:] * (n - len(s))
+    return all(a >= b for a, b in zip(pad(sums), pad(other)))
 
 
 def local_reachable(m, mp, moves_fn):
@@ -121,34 +134,31 @@ class TestPosetId:
 
 class TestPartialSums:
     def test_values(self):
-        seq = partial_sums(M("x1^2*x3"))
-        assert (seq.prefix, seq.tail) == ((2, 2), 3)
-        assert str(seq) == "[2,2|3]"
-        assert seq.values(5) == (2, 2, 3, 3, 3)
+        assert partial_sums(M("x1^2*x3")) == (2, 2, 3)
 
     def test_unit_and_pure_power(self):
-        assert str(partial_sums(ONE)) == "[|0]"
-        assert str(partial_sums(M("x2^2"))) == "[0|2]"
-        assert str(partial_sums(M("x1^3"))) == "[|3]"
+        assert partial_sums(ONE) == (0,)
+        assert partial_sums(M("x2^2")) == (0, 2)
+        assert partial_sums(M("x1^3")) == (3,)
 
     def test_canonical_form_drops_tail_entries(self):
-        assert PartialSumSequence((1, 3, 3), 3) == PartialSumSequence((1,), 3)
+        # padding with the last value adds only trailing zero exponents
+        assert monomial_from_partial_sums((1, 3, 3)) == M("x1*x2^2")
+        assert partial_sums(monomial_from_partial_sums((1, 3, 3))) == (1, 3)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            PartialSumSequence((2, 1), 3)
+            monomial_from_partial_sums((2, 1))
         with pytest.raises(ValueError):
-            PartialSumSequence((4,), 3)
-        with pytest.raises(ValueError):
-            PartialSumSequence((), -1)
-        with pytest.raises(ValueError):
-            PartialSumSequence((2,), 3).value_at(0)
+            monomial_from_partial_sums((-1,))
 
     def test_dominates(self):
         big, small = partial_sums(M("x1^2*x3")), partial_sums(M("x1*x2*x3"))
-        assert big.dominates(small)
-        assert not small.dominates(big)
-        assert big.dominates(big)
+        assert dominates(big, small)
+        assert not dominates(small, big)
+        assert dominates(big, big)
+        assert dominates(partial_sums(M("x1^3")), partial_sums(M("x2*x3")))
+        assert not dominates(partial_sums(M("x2*x3")), partial_sums(M("x1^3")))
 
     @given(monomials)
     def test_round_trip(self, m):
@@ -175,8 +185,8 @@ class TestDualRename:
 
 class TestAntitoneDualSequence:
     def test_example(self):
-        assert str(antitone_dual_sequence(M("x1*x2^2"), 3)) == "[0,1,1|3]"
-        assert str(antitone_dual_sequence(ONE, 2)) == "[|2]"
+        assert antitone_dual_sequence(M("x1*x2^2"), 3) == (0, 1, 1, 3)
+        assert antitone_dual_sequence(ONE, 2) == (2,)
         with pytest.raises(ValueError):
             antitone_dual_sequence(M("x4"), 3)
 
@@ -197,8 +207,8 @@ class TestAntitoneDualSequence:
         glued = PosetId(Family.BOREL, window)
         pool = monomials_up_to_degree(window, 3)
         for m, mp in product(pool, repeat=2):
-            flipped = antitone_dual_sequence(m, window).dominates(
-                antitone_dual_sequence(mp, window)
+            flipped = dominates(
+                antitone_dual_sequence(m, window), antitone_dual_sequence(mp, window)
             )
             assert flipped == leq(glued, m, mp)
 
@@ -285,7 +295,7 @@ class TestComparability:
     def test_borel_order_is_multiplicative(self, m, mp, t):
         glued = PosetId.parse("A[*,*]")
         if leq(glued, m, mp):
-            assert leq(glued, m * t, mp * t)
+            assert leq(glued, times(m, t), times(mp, t))
 
     @given(monomials, monomials)
     def test_borel_antisymmetry(self, m, mp):
