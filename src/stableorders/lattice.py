@@ -22,8 +22,8 @@ from .orders import (
     _running_sums,
     _window,
     dual_rename,
-    monomial_from_partial_sums,
     ground_monomials,
+    monomial_from_partial_sums,
 )
 
 #: Default bound on the vertices of a Hasse diagram.
@@ -213,8 +213,7 @@ def _bound(poset, m, mp, want_join):
     if family is Family.DUAL_BOREL:
         # index reversal is an order isomorphism onto the strongly-stable family,
         # so meets map to meets and joins to joins; in the operands' window,
-        # as the variables above it are reversed to the front, where they
-        # stay 0 in both running sums and so in the bound's
+        # as reversal puts the variables above it first, 0 in every sum
         n = _window(m, mp)
         mapped = _borel_bound(dual_rename(m, n), dual_rename(mp, n), want_join)
         return dual_rename(mapped, n)
@@ -268,9 +267,8 @@ def meet_stable(m, mp, nvars, degree):
     passes divides it, so w*x_n^(d - deg w*) lies above every common lower
     bound and is the meet: the formula constructs the maximum.
 
-    Each step either answers or lowers n by one, so the split runs as a loop.
-    It starts from the operands' window: above both supports it only steps
-    down.
+    Each step either answers or lowers n by one, so the split runs as a loop,
+    from the operands' window: above both supports it only steps down.
     """
     _check_stable_args(m, mp, nvars, degree)
     n = _window(m, mp)
@@ -307,8 +305,7 @@ def join_stable(m, mp, nvars, degree):
 
     Each step either answers or lowers n by one, so the split runs as a loop
     over exponent lists: padding with x_{n-1} adds the x_n exponent to entry
-    n - 1.  It starts from the operands' window: above both supports it only
-    steps down.
+    n - 1.  It starts from the operands' window, above which it only steps down.
     """
     _check_stable_args(m, mp, nvars, degree)
     n = _window(m, mp)

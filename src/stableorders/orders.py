@@ -184,10 +184,9 @@ def antitone_dual_sequence(m, window):
     """The order-reversing bijection from monomials in `window` variables onto
     partial sums of degree-`window` monomials.
 
-    Returns the tuple of exponent(1) zeros, exponent(2) ones, and so on,
-    followed by one entry `window` (the tuple has degree + 1 entries);
-    padded with its last value, it is constant `window` from position
-    degree + 1 onward.
+    Returns the tuple of exponent(1) zeros, exponent(2) ones, and so on, then
+    one entry `window`: padded with its last value, it is constant `window`
+    from position degree + 1 onward.
     """
     if m.max_support() > window:
         raise ValueError(f"{m} does not fit in {window} variables")
