@@ -94,13 +94,19 @@ def filter_to_distinct_partition(elements, degree):
     return tuple(parts)
 
 
-def distinct_partition_to_filter(parts, degree):
-    """Rebuild the filter whose x3-layers are top segments of the given sizes."""
+def _check_distinct_parts(parts, degree):
+    """A partition into distinct parts, none above degree + 1."""
     parts = _check_partition(parts)
     if any(a == b for a, b in zip(parts, parts[1:])):
         raise ValueError(f"parts must be strictly decreasing: {parts!r}")
     if parts and parts[0] > degree + 1:
         raise ValueError(f"parts may not exceed {degree + 1}")
+    return parts
+
+
+def distinct_partition_to_filter(parts, degree):
+    """Rebuild the filter whose x3-layers are top segments of the given sizes."""
+    parts = _check_distinct_parts(parts, degree)
     elements = set()
     for i, size in enumerate(parts):
         for beta in range(size):
@@ -111,11 +117,7 @@ def distinct_partition_to_filter(parts, degree):
 def distinct_partition_to_squarefree(parts, degree):
     """Encode a partition with distinct parts <= degree+1 as a squarefree
     monomial: a part w contributes the variable x_{degree+2-w}."""
-    parts = _check_partition(parts)
-    if any(a == b for a, b in zip(parts, parts[1:])):
-        raise ValueError(f"parts must be strictly decreasing: {parts!r}")
-    if parts and parts[0] > degree + 1:
-        raise ValueError(f"parts may not exceed {degree + 1}")
+    parts = _check_distinct_parts(parts, degree)
     out = Monomial(())
     for w in parts:
         out = out.times_var(degree + 2 - w)
@@ -158,10 +160,6 @@ class LatticeWalk:
                 raise ValueError(f"steps must be 'D' or 'R', got {s!r}")
         if downs != self.region or rights != self.region:
             raise ValueError(f"a region-{self.region} walk needs {self.region} of each step")
-
-    @classmethod
-    def from_string(cls, region, text):
-        return cls(region, tuple(text))
 
     def __str__(self):
         return "".join(self.steps)

@@ -284,7 +284,7 @@ def _degree_of(args, family, nvars, what):
         or poset.degree is None
     ):
         raise ValueError(
-            f"the {what} bijection needs --poset {family.code}[n={nvars},d=<degree>]"
+            f"the {what} bijection needs --poset {family.value}[n={nvars},d=<degree>]"
         )
     return poset.degree
 
@@ -303,7 +303,7 @@ def _cmd_bijection_walk(args):
     if args.inverse is not None:
         if args.region is None:
             raise ValueError("--inverse needs --region")
-        _emit_filter(args, walk_to_filter(LatticeWalk.from_string(args.region, args.inverse)))
+        _emit_filter(args, walk_to_filter(LatticeWalk(args.region, tuple(args.inverse))))
     else:
         degree = _degree_of(args, Family.DIVISIBILITY, 2, "walk")
         walk = filter_to_walk(_filter_payload(args.filter), degree)

@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import comb
 
 from .monomials import Monomial, graded_lex_key
-from .orders import Family, GroundSetError, PosetId, _generating_moves
+from .orders import Family, GroundSetError, PosetId, _generating_moves, _require_member
 from .lattice import CapExceededError, _iter_bits, _linear_order
 
 #: Default bound on the filters one enumeration lists.
@@ -43,8 +43,7 @@ def is_filter(elements, poset):
         raise ValueError(f"{poset} has an infinite ground set")
     members = frozenset(elements)
     for m in members:
-        if not poset.contains(m):
-            raise GroundSetError(f"{m} is not in the ground set of {poset}")
+        _require_member(poset, m)
         if not members.issuperset(_generating_moves(poset, m)):
             return False
     return True
@@ -445,27 +444,3 @@ def is_borel_ideal(gens):
 
 def is_stable_ideal(gens):
     return _is_closed(gens, Family.STABLE)
-
-
-__all__ = [
-    "is_filter",
-    "interior",
-    "boundary",
-    "is_filter_by_layers",
-    "count_filters",
-    "filter_counts_by_size",
-    "pivot_filter_counts",
-    "enumerate_filters",
-    "catalan",
-    "filter_count_three_vars",
-    "weighted_walk_count",
-    "stable_filter_counts",
-    "minimal_generators",
-    "ideal_contains",
-    "borel_closure",
-    "stable_closure",
-    "is_borel_ideal",
-    "is_stable_ideal",
-    "CapExceededError",
-    "SweepBudgetError",
-]

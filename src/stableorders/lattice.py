@@ -93,14 +93,6 @@ class HasseDiagram:
     def leq(self, m, mp):
         return self.leq_indices(self.index(m), self.index(mp))
 
-    def minimal_vertices(self):
-        has_lower = {hi for _, hi in self.covers}
-        return [self.vertices[i] for i in range(len(self.vertices)) if i not in has_lower]
-
-    def maximal_vertices(self):
-        has_upper = {lo for lo, _ in self.covers}
-        return [self.vertices[i] for i in range(len(self.vertices)) if i not in has_upper]
-
     def to_dot(self):
         """DOT text with one node per vertex and one edge per cover (upper -> lower)."""
         lines = ["digraph hasse {"]
@@ -220,10 +212,7 @@ def _bound(poset, m, mp, want_join):
     # stable family: lattice structure holds degreewise only
     if poset.degree is None:
         raise ValueError("meet/join in the stable family needs a fixed degree")
-    n = poset.nvars or _window(m, mp)
-    if want_join:
-        return join_stable(m, mp, n, poset.degree)
-    return meet_stable(m, mp, n, poset.degree)
+    return (_stable_join if want_join else _stable_meet)(m, mp)
 
 
 def _borel_bound(m, mp, want_join):
@@ -233,13 +222,7 @@ def _borel_bound(m, mp, want_join):
         tuple(map(pick, _running_sums(m.exps, n), _running_sums(mp.exps, n))))
 
 
-def _check_stable_args(m, mp, nvars, degree):
-    for x in (m, mp):
-        if x.max_support() > nvars or x.degree() != degree:
-            raise GroundSetError(f"{x} is not a degree-{degree} monomial in {nvars} variables")
-
-
-def meet_stable(m, mp, nvars, degree):
+def _stable_meet(m, mp):
     """Greatest lower bound in the stable order on fixed-degree monomials.
 
     Case split on the last variable x_n, by the two facts of
@@ -270,7 +253,6 @@ def meet_stable(m, mp, nvars, degree):
     Each step either answers or lowers n by one, so the split runs as a loop,
     from the operands' window: above both supports it only steps down.
     """
-    _check_stable_args(m, mp, nvars, degree)
     n = _window(m, mp)
     a, b = m.exponent_vector(n), mp.exponent_vector(n)
     while n > 2 and not a[n - 1] and not b[n - 1]:
@@ -286,10 +268,10 @@ def meet_stable(m, mp, nvars, degree):
         while k and not f[k]:
             k -= 1
     w = list(map(min, u[:k], f[:k])) + u[k : n - 1]
-    return Monomial(w + [degree - sum(w)])
+    return Monomial(w + [m.degree() - sum(w)])
 
 
-def join_stable(m, mp, nvars, degree):
+def _stable_join(m, mp):
     """Least upper bound in the stable order on fixed-degree monomials.
 
     The same case split as the meet: go down a variable when neither uses
@@ -307,8 +289,8 @@ def join_stable(m, mp, nvars, degree):
     over exponent lists: padding with x_{n-1} adds the x_n exponent to entry
     n - 1.  It starts from the operands' window, above which it only steps down.
     """
-    _check_stable_args(m, mp, nvars, degree)
     n = _window(m, mp)
+    degree = m.degree()
     a, b = m.exponent_vector(n), mp.exponent_vector(n)
     while n > 1:
         if a[n - 1] and b[n - 1]:

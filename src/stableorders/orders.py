@@ -22,7 +22,6 @@ from operator import le, sub
 
 from .monomials import (
     Monomial,
-    graded_lex_key,
     borel_moves_up,
     stable_moves_up,
     monomials_of_degree,
@@ -41,17 +40,6 @@ class Family(Enum):
     BOREL = "A"
     STABLE = "B"
     DUAL_BOREL = "C"
-
-    @property
-    def code(self):
-        return self.value
-
-    @classmethod
-    def from_code(cls, code):
-        for fam in cls:
-            if fam.value == code:
-                return fam
-        raise ValueError(f"unknown family code {code!r}; expected one of A, B, C, D")
 
 
 _POSET_RE = re.compile(r"^([ABCD])(?:\[(.*)\])?$")
@@ -87,7 +75,7 @@ class PosetId:
         match = _POSET_RE.match(text.strip())
         if match is None:
             raise ValueError(f"malformed poset id {text!r}")
-        family = Family.from_code(match.group(1))
+        family = Family(match.group(1))
         fields: dict[str, int] = {}
         body = match.group(2)
         if body is not None and body.strip():
@@ -110,7 +98,7 @@ class PosetId:
         return cls(family, fields.get("n"), fields.get("d"))
 
     def __str__(self):
-        code = self.family.code
+        code = self.family.value
         if self.nvars is None and self.degree is None:
             return code
         if self.degree is None:
@@ -388,20 +376,3 @@ def reachability_oracle(poset, m, mp):
                     nxt.append(w)
         frontier = nxt
     return False
-
-
-__all__ = [
-    "GroundSetError",
-    "Family",
-    "PosetId",
-    "partial_sums",
-    "monomial_from_partial_sums",
-    "dual_rename",
-    "antitone_dual_sequence",
-    "leq",
-    "relation",
-    "reachability_oracle",
-    "ground_monomials",
-    "graded_lex_key",
-    "Monomial",
-]

@@ -9,7 +9,6 @@ fixed-degree strongly-stable orders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 from operator import le
 
 from .lattice import CapExceededError
@@ -77,10 +76,6 @@ class TermOrder:
         wb = sum(w * e for w, e in zip(self.weights, b))
         return _cmp(wa, wb) or _cmp(a, b)
 
-    def sort_key(self, m):
-        """A key function usable with sorted(); ascending in this order."""
-        return cmp_to_key(self.compare)(m)
-
 
 def _cmp(x, y):
     """LESS, EQUAL or GREATER for x against y; exponent lists of equal
@@ -142,22 +137,46 @@ def ordinal_sum_leq(m, mp):
 
 def weight_vectors_by_total(nvars):
     """Yield all strictly decreasing positive integer weight vectors, by
-    increasing total, then by ascending leading weight."""
+    increasing total, then in lex order.
 
-    def strict_desc(total, count, upper):
-        if count == 0:
-            if total == 0:
-                yield ()
-            return
-        smallest_tail = count * (count - 1) // 2
-        for first in range(count, min(upper - 1, total - smallest_tail) + 1):
-            for tail in strict_desc(total - first, count - 1, first):
-                yield (first,) + tail
-
+    A loop, not a recursion over the entries.  Say entry k is f and the c =
+    nvars - k entries from it on sum to r.  The c - 1 entries after f are
+    distinct positive integers below f, whose sum can be anything from
+    c(c-1)/2 to (c-1)f - c(c-1)/2, so the prefix up to f is completed by
+    some vector exactly when f is below entry k - 1 and
+    ceil((r + c(c-1)/2) / c) <= f <= r - c(c-1)/2.
+    Those f form an interval, so the next vector in lex order raises by one
+    the last entry that can still rise and completes it by _least_tail.
+    """
+    if nvars < 1:
+        raise ValueError("nvars must be at least 1")
     total = nvars * (nvars + 1) // 2
     while True:
-        yield from strict_desc(total, nvars, total + 1)
+        v = _least_tail(total, nvars)
+        while True:
+            yield tuple(v)
+            rest = v[-1]
+            for k in range(nvars - 2, -1, -1):
+                rest += v[k]
+                c = nvars - k
+                upper = v[k - 1] if k else total + 1
+                if v[k] < min(upper - 1, rest - c * (c - 1) // 2):
+                    v[k + 1 :] = _least_tail(rest - v[k] - 1, c - 1)
+                    v[k] += 1
+                    break
+            else:
+                break
         total += 1
+
+
+def _least_tail(rest, count):
+    """The lex-least strictly decreasing `count` positive integers summing
+    to rest, each the least value that leaves a completable tail."""
+    out = []
+    for c in range(count, 0, -1):
+        out.append(-(-(rest + c * (c - 1) // 2) // c))
+        rest -= out[-1]
+    return out
 
 
 def separating_witnesses(m, mp, nvars=None, budget=10_000):
@@ -195,17 +214,3 @@ def random_weight_vector(nvars, rng, max_gap=5):
         running += g
         weights.append(running)
     return tuple(reversed(weights))
-
-
-__all__ = [
-    "LESS",
-    "EQUAL",
-    "GREATER",
-    "TermOrder",
-    "is_strictly_decreasing",
-    "refines_borel",
-    "ordinal_sum_leq",
-    "weight_vectors_by_total",
-    "separating_witnesses",
-    "random_weight_vector",
-]

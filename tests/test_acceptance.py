@@ -41,7 +41,7 @@ from stableorders.lattice import (
     find_n5,
     gaussian,
     height_width,
-    meet_stable,
+    meet,
     rank_sizes,
 )
 from stableorders.monomials import monomials_of_degree, monomials_up_to_degree
@@ -136,7 +136,7 @@ def test_criterion_04_lattice_structure():
                         if not any(z != u and h.leq(z, u) for u in lower)
                     ]
                     assert len(maxima) == 1
-                    assert meet_stable(m, mp, n, d) == maxima[0]
+                    assert meet(h.poset, m, mp) == maxima[0]
     for code in ["B[n=3,d=2]", "B[n=3,d=3]", "B[n=4,d=2]"]:
         h = hasse(code)
         pentagon = find_n5(h)

@@ -168,7 +168,7 @@ class TestSquarefree:
 
 class TestWalks:
     def test_construction(self):
-        walk = LatticeWalk.from_string(2, "DRDR")
+        walk = LatticeWalk(2, tuple("DRDR"))
         assert str(walk) == "DRDR"
         assert list(walk.points()) == [(0, 2), (0, 1), (1, 1), (1, 0), (2, 0)]
 
@@ -193,9 +193,9 @@ class TestWalks:
 
     def test_weight_extremes(self):
         region = 5
-        staircase = LatticeWalk.from_string(region, "DR" * region)
+        staircase = LatticeWalk(region, tuple("DR" * region))
         assert walk_weight(staircase) == 0
-        hook = LatticeWalk.from_string(region, "D" * region + "R" * region)
+        hook = LatticeWalk(region, tuple("D" * region + "R" * region))
         assert walk_weight(hook) == region * (region - 1) // 2
 
     def test_frozen_example(self):
@@ -212,13 +212,13 @@ class TestWalks:
         everything = frozenset(ground_monomials(PosetId.parse("D[n=2,d=3]")))
         assert str(filter_to_walk(everything, d)) == "D" * (d + 2) + "R" * (d + 2)
         assert str(filter_to_walk(frozenset(), d)) == "DR" * (d + 2)
-        assert walk_to_filter(LatticeWalk.from_string(d + 2, "DR" * (d + 2))) == frozenset()
+        assert walk_to_filter(LatticeWalk(d + 2, tuple("DR" * (d + 2)))) == frozenset()
 
     def test_filter_validation(self):
         with pytest.raises(ValueError):
             filter_to_walk(frozenset({M("x1")}), 3)  # not upward closed
         with pytest.raises(ValueError):
-            walk_to_filter(LatticeWalk.from_string(1, "DR"))
+            walk_to_filter(LatticeWalk(1, tuple("DR")))
 
     @pytest.mark.parametrize("d", [0, 1, 2, 3, 4])
     def test_round_trip_both_ways(self, d):

@@ -518,6 +518,18 @@ class TestTermOrders:
         assert code == 0
         assert out.splitlines() == ["above: [3,2,1]", "below: [4,3,1]"]
 
+    def test_separate_on_many_variables(self, capsys):
+        # the weight vectors are walked without recursion: one frame per
+        # variable would pass the recursion limit
+        code, out, err = run(capsys, "termorder", "separate", "x1*x3", "x2^2", "--n", "2000")
+        assert (code, err) == (0, "")
+        above = [2000, 1999, *range(1998, 0, -1)]
+        below = [2001, 2000, *range(1998, 0, -1)]
+        assert out.splitlines() == [
+            f"above: [{','.join(map(str, above))}]",
+            f"below: [{','.join(map(str, below))}]",
+        ]
+
     def test_separate_comparable(self, capsys):
         code, _, err = run(capsys, "termorder", "separate", "x2^2", "x1*x2")
         assert code == 2

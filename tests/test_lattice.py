@@ -21,9 +21,7 @@ from stableorders.lattice import (
     gaussian,
     height_width,
     join,
-    join_stable,
     meet,
-    meet_stable,
     rank_sizes,
 )
 from stableorders.monomials import Monomial
@@ -158,11 +156,12 @@ class TestBuildHasse:
 
     def test_minimal_and_maximal(self):
         h = build_hasse(PosetId.parse("A[n=3,d=2]"))
-        assert h.minimal_vertices() == [M("x3^2")]
-        assert h.maximal_vertices() == [M("x1^2")]
+        assert all(h.leq(M("x3^2"), v) and h.leq(v, M("x1^2")) for v in h.vertices)
         d = build_hasse(PosetId.parse("D[n=2,d=1]"))
-        assert d.minimal_vertices() == [Monomial(())]
-        assert set(d.maximal_vertices()) == {M("x1"), M("x2")}
+        assert all(d.leq(Monomial(()), v) for v in d.vertices)
+        # two maximal vertices: each is below only itself
+        for top in (M("x1"), M("x2")):
+            assert [v for v in d.vertices if d.leq(top, v)] == [top]
 
     def test_index_rejects_strangers(self):
         h = build_hasse(PosetId.parse("A[n=2,d=2]"))
@@ -245,8 +244,8 @@ class TestMeetJoin:
         assert join(b, M("x1*x3"), M("x2^2")) == M("x1*x2")
         # regression: when one side is comparable to the other, the meet is
         # the smaller side, not merely some monomial divisible by x3
-        assert meet_stable(M("x1^2"), M("x2*x3"), 3, 2) == M("x2*x3")
-        assert join_stable(M("x1^2"), M("x2*x3"), 3, 2) == M("x1^2")
+        assert meet(b, M("x1^2"), M("x2*x3")) == M("x2*x3")
+        assert join(b, M("x1^2"), M("x2*x3")) == M("x1^2")
 
     def test_divisibility(self):
         d = PosetId.parse("D[n=2,d=2]")
@@ -264,7 +263,7 @@ class TestMeetJoin:
         with pytest.raises(GroundSetError):
             meet(PosetId.parse("A[n=3,d=2]"), M("x1"), M("x1*x2"))
         with pytest.raises(GroundSetError):
-            meet_stable(M("x1"), M("x2"), 3, 2)
+            meet(PosetId.parse("B[n=3,d=2]"), M("x1"), M("x2"))
 
     def test_stable_needs_fixed_degree(self):
         with pytest.raises(ValueError):
@@ -290,12 +289,13 @@ class TestMeetJoin:
 
     @pytest.mark.parametrize(("n", "d"), [(3, 8), (4, 5), (5, 4), (6, 3), (4, 7)])
     def test_stable_meet_join_match_tables(self, n, d):
-        h = build_hasse(PosetId.parse(f"B[n={n},d={d}]"))
+        poset = PosetId.parse(f"B[n={n},d={d}]")
+        h = build_hasse(poset)
         meets, joins = _meet_join_tables(h)
         for i, m in enumerate(h.vertices):
             for j, mp in enumerate(h.vertices):
-                assert meet_stable(m, mp, n, d) == h.vertices[meets[i][j]]
-                assert join_stable(m, mp, n, d) == h.vertices[joins[i][j]]
+                assert meet(poset, m, mp) == h.vertices[meets[i][j]]
+                assert join(poset, m, mp) == h.vertices[joins[i][j]]
 
     def test_meet_join_are_commutative_idempotent(self):
         poset = PosetId.parse("B[n=3,d=3]")
@@ -350,14 +350,12 @@ class TestLatticeLaws:
         assert ok
 
     def test_stable_is_not_distributive(self):
-        h = build_hasse(PosetId.parse("B[n=3,d=2]"))
-        ok, witness = check_distributive(h)
+        poset = PosetId.parse("B[n=3,d=2]")
+        ok, witness = check_distributive(build_hasse(poset))
         assert not ok
         a, b, c = witness
-        lhs = meet_stable(a, join_stable(b, c, 3, 2), 3, 2)
-        rhs = join_stable(
-            meet_stable(a, b, 3, 2), meet_stable(a, c, 3, 2), 3, 2
-        )
+        lhs = meet(poset, a, join(poset, b, c))
+        rhs = join(poset, meet(poset, a, b), meet(poset, a, c))
         assert lhs != rhs
 
     def test_pentagon_in_stable(self):

@@ -101,11 +101,11 @@ class TestPosetId:
         assert PosetId.parse(str(PosetId.parse(text))) == PosetId.parse(text)
 
     def test_family_codes(self):
-        assert [f.code for f in Family] == ["D", "A", "B", "C"]
+        assert [f.value for f in Family] == ["D", "A", "B", "C"]
         for f in Family:
-            assert Family.from_code(f.code) is f
+            assert Family(f.value) is f
         with pytest.raises(ValueError):
-            Family.from_code("X")
+            PosetId.parse("X[n=2]")
 
     def test_contains(self):
         fixed = PosetId.parse("A[n=3,d=2]")
@@ -279,7 +279,7 @@ class TestComparability:
         # more variables and higher degrees
         sizes = {"A": [(3, 3)], "B": [(2, 8), (3, 5), (4, 4)], "C": [(3, 3)]}[family]
         for nvars, max_degree in sizes:
-            poset = PosetId(Family.from_code(family), nvars)
+            poset = PosetId(Family(family), nvars)
             pool = monomials_up_to_degree(nvars, max_degree)
             for m, mp in product(pool, repeat=2):
                 assert leq(poset, m, mp) == reachability_oracle(poset, m, mp), (poset, m, mp)

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import random
-from functools import cmp_to_key
 from itertools import combinations, islice
 
 import pytest
@@ -112,16 +111,6 @@ class TestCompare:
         order = TermOrder("degrevlex")
         assert order.compare(m, mp) == order.compare(times(m, t), times(mp, t))
 
-    def test_sort_key_matches_compare(self):
-        pool = monomials_up_to_degree(3, 3)
-        rng = random.Random(3)
-        shuffled = pool[:]
-        rng.shuffle(shuffled)
-        for order in ALL_KINDS:
-            by_key = sorted(shuffled, key=order.sort_key)
-            by_cmp = sorted(shuffled, key=cmp_to_key(order.compare))
-            assert by_key == by_cmp
-
 
 class TestRefinement:
     @pytest.mark.parametrize("kind", ["lex", "deglex", "degrevlex"])
@@ -188,6 +177,24 @@ class TestWeightVectors:
     def test_all_strictly_decreasing(self):
         for weights in islice(weight_vectors_by_total(4), 50):
             assert is_strictly_decreasing(weights)
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4, 5])
+    def test_enumeration_matches_subset_scan(self, nvars):
+        # every vector of each total, in lex order: the subsets of 1..total
+        # with that sum, each read from its largest element down
+        low = nvars * (nvars + 1) // 2
+        expected = [
+            vector
+            for total in range(low, low + 12)
+            for vector in sorted(
+                c[::-1] for c in combinations(range(1, total + 1), nvars) if sum(c) == total
+            )
+        ]
+        assert list(islice(weight_vectors_by_total(nvars), len(expected))) == expected
+
+    def test_enumeration_needs_a_variable(self):
+        with pytest.raises(ValueError):
+            next(weight_vectors_by_total(0))
 
     def test_random_vectors(self):
         rng = random.Random(9)
