@@ -16,8 +16,8 @@ import sys
 from itertools import compress
 
 from . import verify
-from .monomials import Monomial, graded_lex_key
-from .orders import Family, PosetId, relation
+from .monomials import Monomial, OutsideVariablesError, graded_lex_key
+from .orders import Family, GroundSetError, PosetId, _require_member, relation
 from .lattice import VERTEX_CAP, CapExceededError, NotLatticeError, build_hasse, join, meet
 from .filters import (
     FILTER_CAP,
@@ -147,10 +147,31 @@ def _emit_filter(args, elements):
 # command handlers
 
 
+def _operands(args, poset):
+    """The monomials args.left and args.right of compare, meet and join.
+
+    On a poset with bounded n, an operand in a variable above x_n is refused
+    from the parse's sparse terms, before it builds an exponent tuple that
+    long (x300000000 would take gigabytes).  The refusal is the ground-set
+    error of relation, meet and join, and comes in their order: after both
+    operands parse, and after the left one's own ground-set check.
+    """
+    operands = []
+    for text in (args.left, args.right):
+        try:
+            operands.append(Monomial.parse(text, nvars=poset.nvars))
+        except OutsideVariablesError as exc:
+            operands.append(exc)
+    for m in operands:
+        if isinstance(m, OutsideVariablesError):
+            raise GroundSetError(f"{m} is not in the ground set of {poset}")
+        _require_member(poset, m)
+    return operands
+
+
 def _cmd_compare(args):
     poset = PosetId.parse(args.poset)
-    m = Monomial.parse(args.left)
-    mp = Monomial.parse(args.right)
+    m, mp = _operands(args, poset)
     rel = relation(poset, m, mp)
     payload = {"poset": str(poset), "left": str(m), "right": str(mp), "relation": rel}
     _emit(args, payload, f"{m} {_RELATION_SYMBOL[rel]} {mp}")
@@ -184,8 +205,7 @@ def _cmd_hasse(args):
 
 def _cmd_bound(args):
     poset = PosetId.parse(args.poset)
-    m = Monomial.parse(args.left)
-    mp = Monomial.parse(args.right)
+    m, mp = _operands(args, poset)
     op = join if args.operation == "join" else meet
     try:
         result = op(poset, m, mp)
@@ -417,51 +437,43 @@ def _finish_subcommand(parser, handler, *, dot=False, **defaults):
     parser.set_defaults(handler=handler, **defaults)
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="stableorders",
-        description="Partial orders on monomials: lattices, filters, bijections.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_POSET_HELP = "order id, e.g. A[n=3,d=4], B[n=3], D, C[n=3,d=2], A[*,*]"
 
-    poset_help = "order id, e.g. A[n=3,d=4], B[n=3], D, C[n=3,d=2], A[*,*]"
 
-    p = sub.add_parser("compare", help="compare two monomials in an order")
-    p.add_argument("--poset", required=True, help=poset_help)
-    p.add_argument("left")
-    p.add_argument("right")
-    _finish_subcommand(p, _cmd_compare)
-
-    p = sub.add_parser("hasse", help="build the Hasse diagram of a finite order")
-    p.add_argument("--poset", required=True, help=poset_help)
+def _add_hasse(p):
+    p.add_argument("--poset", required=True, help=_POSET_HELP)
     p.add_argument("--max-degree", type=int, default=None, help="truncate an unbounded order")
     p.add_argument("--cap", type=int, default=VERTEX_CAP, help="largest allowed vertex count")
     _finish_subcommand(p, _cmd_hasse, dot=True)
 
-    for op in ("meet", "join"):
-        p = sub.add_parser(op, help=f"{op} of two monomials")
-        p.add_argument("--poset", required=True, help=poset_help)
-        p.add_argument("left")
-        p.add_argument("right")
-        _finish_subcommand(p, _cmd_bound, operation=op)
 
-    p = sub.add_parser("count", help="count the filters of a finite order")
-    p.add_argument("--poset", required=True, help=poset_help)
+def _add_operands(handler, p, **defaults):
+    """compare, meet and join: a poset and two monomials."""
+    p.add_argument("--poset", required=True, help=_POSET_HELP)
+    p.add_argument("left")
+    p.add_argument("right")
+    _finish_subcommand(p, handler, **defaults)
+
+
+def _add_count(p):
+    p.add_argument("--poset", required=True, help=_POSET_HELP)
     p.add_argument("--cardinality", type=int, default=None, help="count filters of this size")
     p.add_argument("--by-cardinality", action="store_true", help="print the whole size profile")
     p.add_argument("--max-degree", type=int, default=None)
     p.add_argument("--cap", type=int, default=VERTEX_CAP)
     _finish_subcommand(p, _cmd_count)
 
-    p = sub.add_parser("enumerate", help="list the filters of a finite order")
-    p.add_argument("--poset", required=True, help=poset_help)
+
+def _add_enumerate(p):
+    p.add_argument("--poset", required=True, help=_POSET_HELP)
     p.add_argument("--cardinality", type=int, default=None)
     p.add_argument("--cap", type=int, default=FILTER_CAP, help="largest allowed filter count")
     p.add_argument("--hasse-cap", type=int, default=VERTEX_CAP)
     p.add_argument("--max-degree", type=int, default=None)
     _finish_subcommand(p, _cmd_enumerate)
 
-    p = sub.add_parser("bijection", help="run one of the combinatorial bijections")
+
+def _add_bijection(p):
     bsub = p.add_subparsers(dest="bijection", required=True)
 
     b = bsub.add_parser("young", help="monomial <-> Young diagram")
@@ -488,7 +500,8 @@ def _build_parser():
     b.add_argument("--inverse", metavar="MONOMIAL")
     _finish_subcommand(b, _cmd_bijection_squarefree)
 
-    p = sub.add_parser("termorder", help="test term orders against the exchange orders")
+
+def _add_termorder(p):
     tsub = p.add_subparsers(dest="action", required=True)
 
     t = tsub.add_parser("check", help="does a term order refine the strongly-stable order?")
@@ -509,7 +522,8 @@ def _build_parser():
     t.add_argument("--budget", type=int, default=10_000)
     _finish_subcommand(t, _cmd_termorder_separate)
 
-    p = sub.add_parser("ideal", help="monomial ideals closed under exchange moves")
+
+def _add_ideal(p):
     isub = p.add_subparsers(dest="action", required=True)
     for action in ("check", "close"):
         i = isub.add_parser(action)
@@ -517,29 +531,80 @@ def _build_parser():
         i.add_argument("--gens", required=True, help="comma separated generators")
         _finish_subcommand(i, _cmd_ideal)
 
-    p = sub.add_parser("gf", help="generating functions")
+
+def _add_gf(p):
     gsub = p.add_subparsers(dest="series", required=True)
     g = gsub.add_parser("fountains", help="coin fountain counts")
     g.add_argument("--terms", type=int, required=True)
     _finish_subcommand(g, _cmd_gf)
 
-    p = sub.add_parser("verify", help="re-check the package's claims")
+
+def _add_verify(p):
     p.add_argument("--suite", choices=("all", *verify.SUITES), default="all")
     p.add_argument("--seed", type=int, default=0)
     _finish_subcommand(p, _cmd_verify)
 
+
+# The one list of subcommands, in the order --help lists them: each name's
+# help line and the function that adds its arguments (and any nested
+# subcommands) to its parser.
+_SUBCOMMANDS = {
+    "compare": (
+        "compare two monomials in an order", functools.partial(_add_operands, _cmd_compare)
+    ),
+    "hasse": ("build the Hasse diagram of a finite order", _add_hasse),
+    "meet": (
+        "meet of two monomials", functools.partial(_add_operands, _cmd_bound, operation="meet")
+    ),
+    "join": (
+        "join of two monomials", functools.partial(_add_operands, _cmd_bound, operation="join")
+    ),
+    "count": ("count the filters of a finite order", _add_count),
+    "enumerate": ("list the filters of a finite order", _add_enumerate),
+    "bijection": ("run one of the combinatorial bijections", _add_bijection),
+    "termorder": ("test term orders against the exchange orders", _add_termorder),
+    "ideal": ("monomial ideals closed under exchange moves", _add_ideal),
+    "gf": ("generating functions", _add_gf),
+    "verify": ("re-check the package's claims", _add_verify),
+}
+
+
+def _build_parser(command=None):
+    """The argparse parser for the subcommand named command, or for all of
+    them when command is None.  Either parses that subcommand's command
+    lines alike, with the same output, usage lines and errors."""
+    parser = argparse.ArgumentParser(
+        prog="stableorders",
+        description="Partial orders on monomials: lattices, filters, bijections.",
+    )
+    # The top-level usage line, printed with errors such as unrecognized
+    # arguments, lists the subcommands from the metavar when one is given.
+    # The full parser leaves it unset: the metavar would also replace the
+    # name "command" in its missing and invalid command errors.
+    metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
+        if command is None or name == command:
+            add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
 @functools.cache
-def _parser():
-    """The parser of this process, built on the first call of main and
-    reused by every later one; _build_parser itself builds afresh."""
-    return _build_parser()
+def _parser(command=None):
+    """The parser of this process for one subcommand name (None: the full
+    parser), built on the first call of main that needs it and reused by
+    every later one; _build_parser itself builds afresh."""
+    return _build_parser(command)
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    """Run one command line (sys.argv[1:] when argv is None) and return its
+    exit code.  Only the subcommand its first word names is built; any other
+    first word, such as --help, an unknown name or none, gets the full
+    parser, which prints the full help or the usage error."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = _parser(command).parse_args(argv)
     try:
         code = args.handler(args)
         sys.stdout.flush()  # a reader that went away surfaces here, not at exit

@@ -18,6 +18,11 @@ from operator import sub
 _TERM_RE = re.compile(r"x(\d+)(?:\^(\d+))?$")
 
 
+class OutsideVariablesError(ValueError):
+    """A product parsed under a bound on the variables uses one above it.
+    Its message is the monomial as str() writes it."""
+
+
 class Monomial:
     """An exponent vector, canonicalized by stripping trailing zeros."""
 
@@ -61,8 +66,14 @@ class Monomial:
         return "*".join(parts)
 
     @classmethod
-    def parse(cls, text):
-        """Parse 'x1^2*x3', the unit '1', or an exponent-vector '[2,0,1]'."""
+    def parse(cls, text, nvars=None):
+        """Parse 'x1^2*x3', the unit '1', or an exponent-vector '[2,0,1]'.
+
+        With nvars, a product in a variable above x_nvars raises
+        OutsideVariablesError before its exponent tuple, as long as its
+        largest variable index, is built.  An exponent vector is as long
+        as its text, so it is not checked here.
+        """
         text = text.strip()
         if text == "1":
             return cls()
@@ -84,7 +95,11 @@ class Monomial:
                 raise ValueError(f"variable index must be >= 1 in {text!r}")
             power = int(match.group(2)) if match.group(2) else 1
             exps[index] = exps.get(index, 0) + power
-        width = max(exps)
+        width = max((i for i, e in exps.items() if e), default=0)
+        if nvars is not None and width > nvars:
+            terms = sorted((i, e) for i, e in exps.items() if e)
+            named = "*".join(f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in terms)
+            raise OutsideVariablesError(named)
         return cls(exps.get(i, 0) for i in range(1, width + 1))
 
     def exponent(self, i):

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from stableorders.cli import main
+from stableorders.cli import _build_parser, main
 
 WALK_FILTER_CSV = "x2^4,x2^5,x2^6,x1*x2^4,x1*x2^5,x1^2*x2^4,x1^3*x2^3,x1^6"
 WALK_STEPS = "DDDDRRRDRRDRDDRR"
@@ -23,6 +24,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def run_limited(*argv):
+    """The CLI as a whole process under a 1.5 GB address-space limit: the
+    finished process and its wall time in seconds."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    limit = 1_500_000_000
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "stableorders.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        timeout=60,
+    )
+    return done, time.perf_counter() - start
 
 
 class TestCompare:
@@ -65,6 +83,24 @@ class TestCompare:
         code, _, err = run(capsys, "compare", "--poset", "A[n=3,d=2]", "x1", "x1^2")
         assert code == 2
         assert "ground set" in err
+
+    @pytest.mark.parametrize(
+        "command, left, right, message",
+        [
+            ("compare", "x1^2", "x3", "x3 is not in the ground set of A[n=2,d=2]"),
+            ("meet", "x1^2", "x3^2", "x3^2 is not in the ground set of A[n=2,d=2]"),
+            # the left operand's ground-set check comes first
+            ("compare", "x1", "x3", "x1 is not in the ground set of A[n=2,d=2]"),
+            ("join", "x3", "x1", "x3 is not in the ground set of A[n=2,d=2]"),
+            # both operands parse before either is checked
+            ("compare", "x3", "x1^", "malformed monomial term 'x1^' in 'x1^'"),
+            # a zero exponent names no variable
+            ("compare", "x1*x9^0", "x1*x2", "x1 is not in the ground set of A[n=2,d=2]"),
+        ],
+    )
+    def test_variable_above_n(self, capsys, command, left, right, message):
+        code, out, err = run(capsys, command, "--poset", "A[n=2,d=2]", left, right)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_unclosed_exponent_vector(self, capsys):
         code, out, err = run(capsys, "compare", "--poset", "A[n=3,d=4]", "[1,2", "x1")
@@ -194,21 +230,25 @@ class TestWindow:
         ],
     )
     def test_huge_nvars(self, poset, command, expected):
-        # answered in the operands' window, never padded to nvars: a whole
-        # process under a 1.5 GB address-space limit
-        src = Path(__file__).resolve().parents[1] / "src"
-        limit = 1_500_000_000
-        start = time.perf_counter()
-        done = subprocess.run(
-            [sys.executable, "-m", "stableorders.cli", command, "--poset", poset, "x1", "x2"],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=str(src)),
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-            timeout=60,
-        )
-        elapsed = time.perf_counter() - start
+        # answered in the operands' window, never padded to nvars
+        done, elapsed = run_limited(command, "--poset", poset, "x1", "x2")
         assert (done.returncode, done.stdout, done.stderr) == (0, expected + "\n", "")
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize(
+        "command, left, right, named",
+        [
+            ("compare", "x1^2", "x300000000", "x300000000"),
+            ("meet", "x300000000*x1", "x1^2", "x1*x300000000"),
+            ("join", "x1^2", "x300000000^5*x2", "x2*x300000000^5"),
+        ],
+    )
+    def test_huge_variable_index(self, command, left, right, named):
+        # refused from the parse's sparse terms: an exponent tuple as long
+        # as the index would take gigabytes
+        done, elapsed = run_limited(command, "--poset", "A[n=2,d=2]", left, right)
+        message = f"error: {named} is not in the ground set of A[n=2,d=2]\n"
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", message)
         assert elapsed < 1.0
 
 
@@ -646,7 +686,8 @@ class TestVerify:
 
 
 class TestParserReuse:
-    # one process, one parser: no call may see what an earlier one parsed
+    # one process, one parser per command name: no call may see what an
+    # earlier one parsed
     SEQUENCE = [
         ["frobnicate"],
         ["meet", "--poset", "B[n=3,d=2]", "x1*x3", "x2^2"],
@@ -654,6 +695,8 @@ class TestParserReuse:
         ["compare", "--poset", "B[n=3,d=2]", "x2*x3", "x1*x3"],
         ["hasse", "--poset", "A[n=2,d=2]", "--format", "dot"],
         ["count", "--poset", "A[n=3,d=4]"],
+        ["meet", "--poset", "B[n=3,d=2]", "x1*x3", "x2^2"],
+        ["frobnicate"],
     ]
 
     def test_mixed_sequence_matches_golden(self, capsys, monkeypatch):
@@ -664,7 +707,9 @@ class TestParserReuse:
         expected = {tuple(r["argv"]): (r["code"], r["stdout"]) for r in records}
         builds = []
         build = cli._build_parser
-        monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build())
+        monkeypatch.setattr(
+            cli, "_build_parser", lambda command=None: builds.append(command) or build(command)
+        )
         cli._parser.cache_clear()
         for argv in self.SEQUENCE:
             try:
@@ -673,18 +718,25 @@ class TestParserReuse:
                 code = exc.code
             out, _ = capsys.readouterr()
             assert (code, out) == expected[tuple(argv)], argv
-        assert len(builds) == 1
+        # each name's parser is built once, on its first call; an unknown
+        # name gets the full parser
+        assert builds == [None, "meet", "join", "compare", "hasse", "count"]
         cli._parser.cache_clear()
 
-    def test_import_builds_no_parser(self):
+    @staticmethod
+    def parsers_constructed(call):
+        """How many ArgumentParsers a fresh interpreter constructs while it
+        imports stableorders.cli and then runs call."""
         src = Path(__file__).resolve().parents[1] / "src"
         probe = (
-            "import argparse\n"
+            "import argparse, contextlib, io\n"
             "built = []\n"
             "init = argparse.ArgumentParser.__init__\n"
             "argparse.ArgumentParser.__init__ = "
             "lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
             "import stableorders.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    {call}\n"
             "print(len(built))\n"
         )
         done = subprocess.run(
@@ -694,7 +746,109 @@ class TestParserReuse:
             env=dict(os.environ, PYTHONPATH=str(src)),
             timeout=60,
         )
-        assert (done.returncode, done.stdout) == (0, "0\n")
+        assert done.returncode == 0, done.stderr
+        return int(done.stdout)
+
+    def test_import_builds_no_parser(self):
+        assert self.parsers_constructed("pass") == 0
+
+    def test_one_call_builds_only_its_command(self):
+        # the top-level parser and the count subparser, not all 21
+        call = "stableorders.cli.main(['count', '--poset', 'A[n=3,d=4]'])"
+        assert self.parsers_constructed(call) == 2
+
+
+def _subcommands(parser, path=()):
+    """(path, parser) of every subcommand below parser, nested ones too."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield path + (name,), sub
+                yield from _subcommands(sub, path + (name,))
+
+
+def _has_subcommands(parser):
+    return any(isinstance(a, argparse._SubParsersAction) for a in parser._actions)
+
+
+# one valid command line after the path of each subcommand that takes no
+# further subcommand
+VALID = {
+    ("compare",): ["--poset", "A[n=2,d=2]", "x1^2", "x2^2"],
+    ("hasse",): ["--poset", "A[n=2,d=2]"],
+    ("meet",): ["--poset", "A[n=2,d=2]", "x1^2", "x2^2"],
+    ("join",): ["--poset", "A[n=2,d=2]", "x1^2", "x2^2"],
+    ("count",): ["--poset", "A[n=2,d=2]"],
+    ("enumerate",): ["--poset", "A[n=2,d=2]"],
+    ("bijection", "young"): ["x1^2"],
+    ("bijection", "partition"): ["--poset", "A[n=3,d=2]", "--inverse", "2"],
+    ("bijection", "walk"): ["--inverse", "DR", "--region", "1"],
+    ("bijection", "squarefree"): ["--degree", "3", "--parts", "2,1"],
+    ("termorder", "check"): ["--order", "lex", "--n", "3"],
+    ("termorder", "separate"): ["x1*x3", "x2^2"],
+    ("ideal", "check"): ["--order", "A", "--gens", "x1"],
+    ("ideal", "close"): ["--order", "A", "--gens", "x1"],
+    ("gf", "fountains"): ["--terms", "5"],
+    ("verify",): ["--suite", "poset-ids"],
+}
+
+
+def _parity_cases():
+    """Per subcommand: --help, no arguments, an unknown option, an extra
+    positional and, where it has one, a missing required option."""
+    for path, parser in _subcommands(_build_parser()):
+        path = list(path)
+        valid = VALID.get(tuple(path), []) if not _has_subcommands(parser) else []
+        yield path + ["--help"]
+        yield path
+        yield path + valid + ["--bogus"]
+        yield path + valid + ["extra"]
+        required = [a for a in parser._actions if a.option_strings and a.required]
+        if required:
+            i = valid.index(required[0].option_strings[0])
+            yield path + valid[:i] + valid[i + 2:]
+
+
+def _parse_outcome(parser, argv, capsys):
+    """The parsed arguments, or the exit code, then stdout and stderr."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    out, err = capsys.readouterr()
+    return result, out, err
+
+
+class TestPerCommandParser:
+    def test_every_leaf_has_a_valid_command_line(self):
+        leaves = {p for p, sub in _subcommands(_build_parser()) if not _has_subcommands(sub)}
+        assert leaves == set(VALID)
+
+    @pytest.mark.parametrize("argv", list(_parity_cases()), ids=" ".join)
+    def test_same_as_full_parser(self, argv, capsys):
+        full = _parse_outcome(_build_parser(), argv, capsys)
+        assert _parse_outcome(_build_parser(argv[0]), argv, capsys) == full
+
+    @pytest.mark.parametrize(
+        "argv, code, error",
+        [
+            (["--help"], 0, None),
+            ([], 2, "stableorders: error: the following arguments are required: command"),
+            (["frobnicate"], 2, "stableorders: error: argument command: invalid choice: "),
+        ],
+    )
+    def test_full_path(self, argv, code, error, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        outcome = (excinfo.value.code, *capsys.readouterr())
+        assert outcome == _parse_outcome(_build_parser(), argv, capsys)
+        assert outcome[0] == code
+        # the usage line lists every command, and an error names the
+        # missing or unknown word "command"
+        names = [path[0] for path, _ in _subcommands(_build_parser()) if len(path) == 1]
+        assert "{" + ",".join(names) + "}" in outcome[1] + outcome[2]
+        if error is not None:
+            assert outcome[2].splitlines()[-1].startswith(error)
 
 
 class TestUsage:

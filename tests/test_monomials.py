@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from stableorders.monomials import (
     ONE,
     Monomial,
+    OutsideVariablesError,
     borel_moves_up,
     graded_lex_key,
     index_weight,
@@ -82,6 +83,30 @@ class TestParsing:
     def test_parse_rejects(self, text):
         with pytest.raises(ValueError):
             Monomial.parse(text)
+
+    @pytest.mark.parametrize(
+        ("text", "nvars", "named"),
+        [
+            ("x3", 2, "x3"),
+            ("x2^3*x9*x1", 4, "x1*x2^3*x9"),
+            ("x5*x5", 4, "x5^2"),
+            ("x1*x300000000", 2, "x1*x300000000"),  # a dense tuple would take gigabytes
+        ],
+    )
+    def test_parse_refuses_variables_above_nvars(self, text, nvars, named):
+        with pytest.raises(OutsideVariablesError) as excinfo:
+            Monomial.parse(text, nvars=nvars)
+        assert str(excinfo.value) == named
+
+    @given(nonunit_monomials)
+    def test_parse_under_a_bound(self, m):
+        n = m.max_support()
+        assert Monomial.parse(str(m), nvars=n) == m
+        # a zero exponent names no variable
+        assert Monomial.parse(f"{m}*x{n + 1000000000}^0", nvars=n) == m
+        with pytest.raises(OutsideVariablesError) as excinfo:
+            Monomial.parse(str(m), nvars=n - 1)
+        assert str(excinfo.value) == str(m)
 
     @given(monomials)
     def test_str_round_trip(self, m):
