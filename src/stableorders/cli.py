@@ -162,11 +162,13 @@ def _operands(args, poset):
             operands.append(Monomial.parse(text, nvars=poset.nvars))
         except OutsideVariablesError as exc:
             operands.append(exc)
-    for m in operands:
-        if isinstance(m, OutsideVariablesError):
-            raise GroundSetError(f"{m} is not in the ground set of {poset}")
-        _require_member(poset, m)
-    return operands
+    left, right = operands
+    if isinstance(left, OutsideVariablesError):
+        raise GroundSetError(f"{left} is not in the ground set of {poset}")
+    if isinstance(right, OutsideVariablesError):
+        _require_member(poset, left)
+        raise GroundSetError(f"{right} is not in the ground set of {poset}")
+    return left, right
 
 
 def _cmd_compare(args):

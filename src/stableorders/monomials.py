@@ -94,11 +94,11 @@ class Monomial:
             if index < 1:
                 raise ValueError(f"variable index must be >= 1 in {text!r}")
             power = int(match.group(2)) if match.group(2) else 1
-            exps[index] = exps.get(index, 0) + power
-        width = max((i for i, e in exps.items() if e), default=0)
+            if power:  # x_i^0 names no variable
+                exps[index] = exps.get(index, 0) + power
+        width = max(exps, default=0)
         if nvars is not None and width > nvars:
-            terms = sorted((i, e) for i, e in exps.items() if e)
-            named = "*".join(f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in terms)
+            named = "*".join(f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in sorted(exps.items()))
             raise OutsideVariablesError(named)
         return cls(exps.get(i, 0) for i in range(1, width + 1))
 

@@ -798,7 +798,7 @@ def _parity_cases():
     positional and, where it has one, a missing required option."""
     for path, parser in _subcommands(_build_parser()):
         path = list(path)
-        valid = VALID.get(tuple(path), []) if not _has_subcommands(parser) else []
+        valid = VALID.get(tuple(path), [])
         yield path + ["--help"]
         yield path
         yield path + valid + ["--bogus"]
