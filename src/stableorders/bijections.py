@@ -37,8 +37,10 @@ def monomial_to_young(m):
 def young_to_monomial(rows):
     """Inverse of monomial_to_young: row multiplicities become exponents."""
     rows = _check_partition(rows)
-    width = rows[0] if rows else 0
-    return Monomial(sum(1 for r in rows if r == i) for i in range(1, width + 1))
+    exps = [0] * (rows[0] if rows else 0)
+    for r in rows:
+        exps[r - 1] += 1
+    return Monomial(exps)
 
 
 def young_contains(outer, inner):
@@ -73,25 +75,19 @@ def remove_first_column(rows):
 def filter_to_distinct_partition(elements, degree):
     """Layer sizes of a three-variable fixed-degree strongly-stable filter.
 
-    Slicing by the exponent of x3 gives top segments of shrinking chains, so
-    the nonzero sizes form a partition into distinct parts, largest first.
+    Slicing by the exponent i of x3 gives layer i: the filter's monomials
+    x1^(degree-i-b) x2^b x3^i, which x2 -> x1 closes into a top segment
+    b < s_i.  The nonzero sizes s_i form a strictly falling prefix: when
+    s_{i+1} > 0, moving layer i+1 by x3 -> x2 gives b = 1..s_{i+1} in layer
+    i, and by x3 -> x1 gives b = 0, so s_i > s_{i+1}.  They are a partition
+    into distinct parts, largest first.
     """
-    poset = PosetId(Family.BOREL, 3, degree)
-    if not is_filter(elements, poset):
+    if not is_filter(elements, PosetId(Family.BOREL, 3, degree)):
         raise ValueError("the given set is not a filter of the three-variable order")
     sizes = [0] * (degree + 1)
     for m in elements:
         sizes[m.exponent(3)] += 1
-    parts = []
-    for i, s in enumerate(sizes):
-        if s == 0:
-            if any(sizes[i:]):
-                raise ValueError("layer sizes of a filter cannot skip a level")
-            break
-        if parts and s >= parts[-1]:
-            raise ValueError("layer sizes of a filter must strictly decrease")
-        parts.append(s)
-    return tuple(parts)
+    return tuple(s for s in sizes if s)
 
 
 def _check_distinct_parts(parts, degree):
@@ -118,10 +114,10 @@ def distinct_partition_to_squarefree(parts, degree):
     """Encode a partition with distinct parts <= degree+1 as a squarefree
     monomial: a part w contributes the variable x_{degree+2-w}."""
     parts = _check_distinct_parts(parts, degree)
-    out = Monomial(())
+    exps = [0] * (degree + 2 - parts[-1] if parts else 0)
     for w in parts:
-        out = out.times_var(degree + 2 - w)
-    return out
+        exps[degree + 1 - w] = 1
+    return Monomial(exps)
 
 
 def squarefree_to_distinct_partition(m, degree):
@@ -194,15 +190,8 @@ def enumerate_walks(region):
 
 def walk_weight(walk):
     """Sum over down-steps of region - x - y at the step's upper end."""
-    total = 0
-    x, y = 0, walk.region
-    for s in walk.steps:
-        if s == "D":
-            total += walk.region - x - y
-            y -= 1
-        else:
-            x += 1
-    return total
+    starts = walk.points()
+    return sum(walk.region - x - y for (x, y), s in zip(starts, walk.steps) if s == "D")
 
 
 def filter_to_walk(elements, degree):
@@ -210,48 +199,33 @@ def filter_to_walk(elements, degree):
     two-variable staircase of the given degree.
 
     Column a of the walk descends to the least x2-exponent present in column
-    a of the filter, or hugs the staircase just above an empty column.
+    a of the filter, or hugs the staircase just above an empty column.  A
+    filter holds x1 times each member of column a that stays in the
+    staircase, so these heights never rise from one column to the next.
     """
-    poset = PosetId(Family.DIVISIBILITY, 2, degree)
-    if not is_filter(elements, poset):
+    if not is_filter(elements, PosetId(Family.DIVISIBILITY, 2, degree)):
         raise ValueError("the given set is not a filter of the two-variable staircase")
-    column_min: dict[int, int] = {}
+    region = degree + 2
+    heights = [region] + [region - 1 - a for a in range(region)]
     for m in elements:
         a, b = m.exponent(1), m.exponent(2)
-        if b < column_min.get(a, degree + 1):
-            column_min[a] = b
-    region = degree + 2
-    heights = [region]
-    for a in range(degree + 2):
-        if a in column_min:
-            heights.append(column_min[a])
-        else:
-            heights.append(max(0, degree + 1 - a))
-    steps = []
-    for a in range(degree + 2):
-        if heights[a] < heights[a + 1]:
-            raise ValueError("column minima of a filter cannot increase")
-        steps.extend("D" * (heights[a] - heights[a + 1]))
-        steps.append("R")
+        heights[a + 1] = min(heights[a + 1], b)
+    steps = "".join("D" * (high - low) + "R" for high, low in zip(heights, heights[1:]))
     return LatticeWalk(region, tuple(steps))
 
 
 def walk_to_filter(walk):
-    """Inverse of filter_to_walk: visited points inside the staircase of
-    degree region-2, closed upward under divisibility."""
+    """Inverse of filter_to_walk: in each column a of the staircase of degree
+    region-2, the cells from the walk's lowest point there up to the
+    staircase's edge."""
     if walk.region < 2:
         raise ValueError("the filter region needs walk.region >= 2")
     degree = walk.region - 2
-    seeds = [(x, y) for x, y in walk.points() if x + y <= degree]
-    seen = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        a, b = frontier.pop()
-        for nxt in ((a + 1, b), (a, b + 1)):
-            if nxt[0] + nxt[1] <= degree and nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return frozenset(Monomial(p) for p in seen)
+    return frozenset(
+        Monomial((a, b))
+        for a, low in dict(walk.points()).items()
+        for b in range(low, degree - a + 1)
+    )
 
 
 # ---------------------------------------------------------------------------

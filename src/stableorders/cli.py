@@ -9,6 +9,7 @@ verification fails, 2 on bad usage or malformed input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -53,17 +54,18 @@ _RELATION_SYMBOL = {"lt": "<", "gt": ">", "eq": "=", "incomparable": "||"}
 # small input/output helpers
 
 
-def _parse_elements(text):
-    """Comma separated monomials, e.g. 'x1^2,x1*x2' (empty string allowed)."""
+def _parse_elements(text, nvars=None):
+    """Comma separated monomials, e.g. 'x1^2,x1*x2' (empty string allowed),
+    parsed under nvars."""
     text = text.strip()
     if not text:
         return frozenset()
-    return frozenset(Monomial.parse(tok) for tok in text.split(","))
+    return frozenset(Monomial.parse(tok, nvars) for tok in text.split(","))
 
 
-def _elements_from_json(data):
+def _elements_from_json(data, nvars):
     """Decode a filter record: {"elements": [...]} or a bare list, entries
-    being exponent arrays or monomial strings."""
+    being exponent arrays or monomial strings (parsed under nvars)."""
     if isinstance(data, dict):
         if "elements" not in data:
             raise ValueError('a filter record needs an "elements" list')
@@ -73,7 +75,7 @@ def _elements_from_json(data):
     out = set()
     for entry in data:
         if isinstance(entry, str):
-            out.add(Monomial.parse(entry))
+            out.add(Monomial.parse(entry, nvars))
         elif isinstance(entry, list):
             out.add(Monomial(entry))
         else:
@@ -81,21 +83,27 @@ def _elements_from_json(data):
     return frozenset(out)
 
 
-def _filter_payload(text):
-    """Filter elements from inline JSON, '-' (standard input), a JSON file
-    path, or a comma separated monomial list."""
+def _filter_payload(text, poset):
+    """Elements of a filter of poset from inline JSON, '-' (standard input),
+    a JSON file path, or a comma separated monomial list.  A monomial string
+    in a variable above the poset's n is refused with the ground-set error
+    before its exponent tuple is built."""
     if text is None:
         raise ValueError("give the filter with --filter")
-    if text == "-":
-        return _elements_from_json(json.load(sys.stdin))
-    stripped = text.strip()
-    if stripped.startswith(("{", "[")):
-        return _elements_from_json(json.loads(stripped))
+    nvars = poset.nvars
     try:
-        with open(text) as fh:
-            return _elements_from_json(json.load(fh))
-    except OSError:
-        return _parse_elements(text)
+        if text == "-":
+            return _elements_from_json(json.load(sys.stdin), nvars)
+        stripped = text.strip()
+        if stripped.startswith(("{", "[")):
+            return _elements_from_json(json.loads(stripped), nvars)
+        try:
+            with open(text) as fh:
+                return _elements_from_json(json.load(fh), nvars)
+        except OSError:
+            return _parse_elements(text, nvars)
+    except OutsideVariablesError as exc:
+        raise GroundSetError(f"{exc} is not in the ground set of {poset}") from None
 
 
 def _elements_json_dict(elements):
@@ -148,7 +156,8 @@ def _emit_filter(args, elements):
 
 
 def _operands(args, poset):
-    """The monomials args.left and args.right of compare, meet and join.
+    """The monomials args.left and args.right of compare, meet, join and
+    termorder separate.
 
     On a poset with bounded n, an operand in a variable above x_n is refused
     from the parse's sparse terms, before it builds an exponent tuple that
@@ -297,7 +306,7 @@ def _cmd_bijection_young(args):
     return 0
 
 
-def _degree_of(args, family, nvars, what):
+def _poset_of(args, family, nvars, what):
     poset = PosetId.parse(args.poset) if args.poset else None
     if (
         poset is None
@@ -308,15 +317,16 @@ def _degree_of(args, family, nvars, what):
         raise ValueError(
             f"the {what} bijection needs --poset {family.value}[n={nvars},d=<degree>]"
         )
-    return poset.degree
+    return poset
 
 
 def _cmd_bijection_partition(args):
-    degree = _degree_of(args, Family.BOREL, 3, "partition")
+    poset = _poset_of(args, Family.BOREL, 3, "partition")
     if args.inverse is not None:
-        _emit_filter(args, distinct_partition_to_filter(_parse_parts(args.inverse), degree))
+        members = distinct_partition_to_filter(_parse_parts(args.inverse), poset.degree)
+        _emit_filter(args, members)
     else:
-        parts = filter_to_distinct_partition(_filter_payload(args.filter), degree)
+        parts = filter_to_distinct_partition(_filter_payload(args.filter, poset), poset.degree)
         _emit_partition(args, parts)
     return 0
 
@@ -327,8 +337,8 @@ def _cmd_bijection_walk(args):
             raise ValueError("--inverse needs --region")
         _emit_filter(args, walk_to_filter(LatticeWalk(args.region, tuple(args.inverse))))
     else:
-        degree = _degree_of(args, Family.DIVISIBILITY, 2, "walk")
-        walk = filter_to_walk(_filter_payload(args.filter), degree)
+        poset = _poset_of(args, Family.DIVISIBILITY, 2, "walk")
+        walk = filter_to_walk(_filter_payload(args.filter, poset), poset.degree)
         payload = {"region": walk.region, "steps": str(walk), "weight": walk_weight(walk)}
         _emit(args, payload, walk)
     return 0
@@ -363,8 +373,13 @@ def _cmd_termorder_check(args):
 
 
 def _cmd_termorder_separate(args):
-    m = Monomial.parse(args.left)
-    mp = Monomial.parse(args.right)
+    if args.n is not None and args.n < 1:
+        # a malformed operand is refused before such an --n, which PosetId
+        # refuses below; parsing under 0 variables builds no exponent tuple
+        for text in (args.left, args.right):
+            with contextlib.suppress(OutsideVariablesError):
+                Monomial.parse(text, nvars=0)
+    m, mp = _operands(args, PosetId(Family.BOREL, args.n))
     above, below = separating_witnesses(m, mp, nvars=args.n, budget=args.budget)
     lines = (f"above: {_format_parts(above)}", f"below: {_format_parts(below)}")
     _emit(args, {"above": list(above), "below": list(below)}, *lines)

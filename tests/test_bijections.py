@@ -5,7 +5,8 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import seed as fixed_seed
 from hypothesis import strategies as st
 
 from stableorders.bijections import (
@@ -365,3 +366,123 @@ class TestPlanarPartitions:
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
             planar_partition_filter_count(-1)
+
+
+# ---------------------------------------------------------------------------
+# the direct forms against the searches and scans they replaced
+
+
+def closure_walk_to_filter(walk):
+    """The walk's points inside the staircase, closed upward by search."""
+    degree = walk.region - 2
+    seen = {(x, y) for x, y in walk.points() if x + y <= degree}
+    frontier = list(seen)
+    while frontier:
+        a, b = frontier.pop()
+        for nxt in ((a + 1, b), (a, b + 1)):
+            if sum(nxt) <= degree and nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return frozenset(Monomial(p) for p in seen)
+
+
+def checked_filter_to_walk(elements, degree):
+    """Column minima, checked never to rise."""
+    column_min = {}
+    for m in elements:
+        a, b = m.exponent(1), m.exponent(2)
+        column_min[a] = min(column_min.get(a, b), b)
+    heights = [degree + 2] + [column_min.get(a, degree + 1 - a) for a in range(degree + 2)]
+    steps = []
+    for high, low in zip(heights, heights[1:]):
+        assert high >= low
+        steps += ["D"] * (high - low) + ["R"]
+    return LatticeWalk(degree + 2, tuple(steps))
+
+
+def checked_layer_sizes(elements, degree):
+    """x3-layer sizes, checked to be a strictly falling prefix."""
+    sizes = [sum(1 for m in elements if m.exponent(3) == i) for i in range(degree + 1)]
+    parts = tuple(s for s in sizes if s)
+    assert sizes[: len(parts)] == list(parts)
+    assert all(a > b for a, b in zip(parts, parts[1:]))
+    return parts
+
+
+def scanned_young_to_monomial(rows):
+    """One scan of the rows per column."""
+    width = rows[0] if rows else 0
+    return Monomial(sum(1 for r in rows if r == i) for i in range(1, width + 1))
+
+
+def chained_squarefree(parts, degree):
+    """One variable multiplied in per part."""
+    out = ONE
+    for w in parts:
+        out = out.times_var(degree + 2 - w)
+    return out
+
+
+@st.composite
+def walks(draw, max_region=14):
+    """Admissible walks of region 2..max_region (staircase degree up to 12)."""
+    region = draw(st.integers(min_value=2, max_value=max_region))
+    steps, downs, rights = [], 0, 0
+    while rights < region:
+        if downs < region and (rights == downs or draw(st.booleans())):
+            steps.append("D")
+            downs += 1
+        else:
+            steps.append("R")
+            rights += 1
+    return LatticeWalk(region, tuple(steps))
+
+
+@st.composite
+def distinct_partitions(draw, max_degree=10):
+    """A degree up to max_degree and a partition into distinct parts <= degree + 1."""
+    degree = draw(st.integers(min_value=0, max_value=max_degree))
+    parts = draw(st.sets(st.integers(min_value=1, max_value=degree + 1)))
+    return tuple(sorted(parts, reverse=True)), degree
+
+
+partitions = st.lists(st.integers(min_value=1, max_value=40), max_size=30).map(
+    lambda rows: tuple(sorted(rows, reverse=True))
+)
+
+
+class TestDirectForms:
+    @fixed_seed(20261018)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(walks())
+    def test_walk_to_filter_matches_closure(self, walk):
+        assert walk_to_filter(walk) == closure_walk_to_filter(walk)
+
+    @fixed_seed(20261019)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(walks())
+    def test_filter_to_walk_matches_checked_minima(self, walk):
+        members, degree = walk_to_filter(walk), walk.region - 2
+        assert filter_to_walk(members, degree) == checked_filter_to_walk(members, degree) == walk
+
+    @fixed_seed(20261020)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(distinct_partitions())
+    def test_layer_sizes_match_checked_scan(self, case):
+        parts, degree = case
+        members = distinct_partition_to_filter(parts, degree)
+        assert filter_to_distinct_partition(members, degree) == parts
+        assert checked_layer_sizes(members, degree) == parts
+
+    @fixed_seed(20261021)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(partitions)
+    def test_young_to_monomial_matches_scan(self, rows):
+        assert young_to_monomial(rows) == scanned_young_to_monomial(rows)
+
+    @fixed_seed(20261022)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(distinct_partitions())
+    def test_squarefree_matches_chain(self, case):
+        parts, degree = case
+        assert distinct_partition_to_squarefree(parts, degree) == chained_squarefree(parts, degree)

@@ -236,18 +236,47 @@ class TestWindow:
         assert elapsed < 1.0
 
     @pytest.mark.parametrize(
-        "command, left, right, named",
+        "argv, named, poset",
         [
-            ("compare", "x1^2", "x300000000", "x300000000"),
-            ("meet", "x300000000*x1", "x1^2", "x1*x300000000"),
-            ("join", "x1^2", "x300000000^5*x2", "x2*x300000000^5"),
+            pytest.param(
+                ("compare", "--poset", "A[n=2,d=2]", "x1^2", "x300000000"),
+                "x300000000", "A[n=2,d=2]", id="compare-x1^2-x300000000-x300000000",
+            ),
+            pytest.param(
+                ("meet", "--poset", "A[n=2,d=2]", "x300000000*x1", "x1^2"),
+                "x1*x300000000", "A[n=2,d=2]", id="meet-x300000000*x1-x1^2-x1*x300000000",
+            ),
+            pytest.param(
+                ("join", "--poset", "A[n=2,d=2]", "x1^2", "x300000000^5*x2"),
+                "x2*x300000000^5", "A[n=2,d=2]", id="join-x1^2-x300000000^5*x2-x2*x300000000^5",
+            ),
+            pytest.param(
+                ("bijection", "partition", "--poset", "A[n=3,d=2]", "--filter", "x300000000"),
+                "x300000000", "A[n=3,d=2]", id="bijection partition-x300000000",
+            ),
+            pytest.param(
+                ("bijection", "walk", "--poset", "D[n=2,d=3]", "--filter", "x300000000"),
+                "x300000000", "D[n=2,d=3]", id="bijection walk-x300000000",
+            ),
+            pytest.param(
+                ("termorder", "separate", "x1", "x300000000", "--n", "2"),
+                "x300000000", "A[n=2]", id="termorder separate-x1-x300000000",
+            ),
         ],
     )
-    def test_huge_variable_index(self, command, left, right, named):
+    def test_huge_variable_index(self, argv, named, poset):
         # refused from the parse's sparse terms: an exponent tuple as long
         # as the index would take gigabytes
-        done, elapsed = run_limited(command, "--poset", "A[n=2,d=2]", left, right)
-        message = f"error: {named} is not in the ground set of A[n=2,d=2]\n"
+        done, elapsed = run_limited(*argv)
+        message = f"error: {named} is not in the ground set of {poset}\n"
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", message)
+        assert elapsed < 1.0
+
+    def test_huge_variable_index_with_no_variables(self):
+        # --n 0 is refused after the operands parse, and that parse too
+        # builds no exponent tuple
+        done, elapsed = run_limited("termorder", "separate", "x1", "x300000000", "--n", "0")
+        message = "error: nvars must be at least 1\n"
         assert (done.returncode, done.stdout, done.stderr) == (2, "", message)
         assert elapsed < 1.0
 
@@ -569,6 +598,22 @@ class TestTermOrders:
             f"above: [{','.join(map(str, above))}]",
             f"below: [{','.join(map(str, below))}]",
         ]
+
+    @pytest.mark.parametrize(
+        "operands, message",
+        [
+            # a malformed operand is refused first, then an --n below 1,
+            # then the left operand outside x1..xn, then the right one
+            (("x3", "bad", "--n", "0"), "malformed monomial term 'bad' in 'bad'"),
+            (("x1", "x2", "--n", "0"), "nvars must be at least 1"),
+            (("x3", "bad", "--n", "2"), "malformed monomial term 'bad' in 'bad'"),
+            (("x3", "x5", "--n", "2"), "x3 is not in the ground set of A[n=2]"),
+            (("x1", "x3", "--n", "2"), "x3 is not in the ground set of A[n=2]"),
+        ],
+    )
+    def test_separate_refusal_order(self, capsys, operands, message):
+        code, out, err = run(capsys, "termorder", "separate", *operands)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_separate_comparable(self, capsys):
         code, _, err = run(capsys, "termorder", "separate", "x2^2", "x1*x2")
