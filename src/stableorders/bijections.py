@@ -11,6 +11,7 @@ into planar partitions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -36,11 +37,7 @@ def monomial_to_young(m):
 
 def young_to_monomial(rows):
     """Inverse of monomial_to_young: row multiplicities become exponents."""
-    rows = _check_partition(rows)
-    exps = [0] * (rows[0] if rows else 0)
-    for r in rows:
-        exps[r - 1] += 1
-    return Monomial(exps)
+    return Monomial.from_terms(Counter(_check_partition(rows)))
 
 
 def young_contains(outer, inner):
@@ -114,10 +111,7 @@ def distinct_partition_to_squarefree(parts, degree):
     """Encode a partition with distinct parts <= degree+1 as a squarefree
     monomial: a part w contributes the variable x_{degree+2-w}."""
     parts = _check_distinct_parts(parts, degree)
-    exps = [0] * (degree + 2 - parts[-1] if parts else 0)
-    for w in parts:
-        exps[degree + 1 - w] = 1
-    return Monomial(exps)
+    return Monomial.from_terms({degree + 2 - w: 1 for w in parts})
 
 
 def squarefree_to_distinct_partition(m, degree):

@@ -9,7 +9,6 @@ verification fails, 2 on bad usage or malformed input.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import os
@@ -17,8 +16,8 @@ import sys
 from itertools import compress
 
 from . import verify
-from .monomials import Monomial, OutsideVariablesError, graded_lex_key
-from .orders import Family, GroundSetError, PosetId, _require_member, relation
+from .monomials import Monomial, graded_lex_key
+from .orders import Family, PosetId, relation
 from .lattice import VERTEX_CAP, CapExceededError, NotLatticeError, build_hasse, join, meet
 from .filters import (
     FILTER_CAP,
@@ -54,18 +53,17 @@ _RELATION_SYMBOL = {"lt": "<", "gt": ">", "eq": "=", "incomparable": "||"}
 # small input/output helpers
 
 
-def _parse_elements(text, nvars=None):
-    """Comma separated monomials, e.g. 'x1^2,x1*x2' (empty string allowed),
-    parsed under nvars."""
+def _parse_elements(text):
+    """Comma separated monomials, e.g. 'x1^2,x1*x2' (empty string allowed)."""
     text = text.strip()
     if not text:
         return frozenset()
-    return frozenset(Monomial.parse(tok, nvars) for tok in text.split(","))
+    return frozenset(Monomial.parse(tok) for tok in text.split(","))
 
 
-def _elements_from_json(data, nvars):
+def _elements_from_json(data):
     """Decode a filter record: {"elements": [...]} or a bare list, entries
-    being exponent arrays or monomial strings (parsed under nvars)."""
+    being exponent arrays or monomial strings."""
     if isinstance(data, dict):
         if "elements" not in data:
             raise ValueError('a filter record needs an "elements" list')
@@ -75,7 +73,7 @@ def _elements_from_json(data, nvars):
     out = set()
     for entry in data:
         if isinstance(entry, str):
-            out.add(Monomial.parse(entry, nvars))
+            out.add(Monomial.parse(entry))
         elif isinstance(entry, list):
             out.add(Monomial(entry))
         else:
@@ -83,27 +81,21 @@ def _elements_from_json(data, nvars):
     return frozenset(out)
 
 
-def _filter_payload(text, poset):
-    """Elements of a filter of poset from inline JSON, '-' (standard input),
-    a JSON file path, or a comma separated monomial list.  A monomial string
-    in a variable above the poset's n is refused with the ground-set error
-    before its exponent tuple is built."""
+def _filter_payload(text):
+    """Elements of a filter from inline JSON, '-' (standard input), a JSON
+    file path, or a comma separated monomial list."""
     if text is None:
         raise ValueError("give the filter with --filter")
-    nvars = poset.nvars
+    if text == "-":
+        return _elements_from_json(json.load(sys.stdin))
+    stripped = text.strip()
+    if stripped.startswith(("{", "[")):
+        return _elements_from_json(json.loads(stripped))
     try:
-        if text == "-":
-            return _elements_from_json(json.load(sys.stdin), nvars)
-        stripped = text.strip()
-        if stripped.startswith(("{", "[")):
-            return _elements_from_json(json.loads(stripped), nvars)
-        try:
-            with open(text) as fh:
-                return _elements_from_json(json.load(fh), nvars)
-        except OSError:
-            return _parse_elements(text, nvars)
-    except OutsideVariablesError as exc:
-        raise GroundSetError(f"{exc} is not in the ground set of {poset}") from None
+        with open(text) as fh:
+            return _elements_from_json(json.load(fh))
+    except OSError:
+        return _parse_elements(text)
 
 
 def _elements_json_dict(elements):
@@ -155,34 +147,9 @@ def _emit_filter(args, elements):
 # command handlers
 
 
-def _operands(args, poset):
-    """The monomials args.left and args.right of compare, meet, join and
-    termorder separate.
-
-    On a poset with bounded n, an operand in a variable above x_n is refused
-    from the parse's sparse terms, before it builds an exponent tuple that
-    long (x300000000 would take gigabytes).  The refusal is the ground-set
-    error of relation, meet and join, and comes in their order: after both
-    operands parse, and after the left one's own ground-set check.
-    """
-    operands = []
-    for text in (args.left, args.right):
-        try:
-            operands.append(Monomial.parse(text, nvars=poset.nvars))
-        except OutsideVariablesError as exc:
-            operands.append(exc)
-    left, right = operands
-    if isinstance(left, OutsideVariablesError):
-        raise GroundSetError(f"{left} is not in the ground set of {poset}")
-    if isinstance(right, OutsideVariablesError):
-        _require_member(poset, left)
-        raise GroundSetError(f"{right} is not in the ground set of {poset}")
-    return left, right
-
-
 def _cmd_compare(args):
     poset = PosetId.parse(args.poset)
-    m, mp = _operands(args, poset)
+    m, mp = Monomial.parse(args.left), Monomial.parse(args.right)
     rel = relation(poset, m, mp)
     payload = {"poset": str(poset), "left": str(m), "right": str(mp), "relation": rel}
     _emit(args, payload, f"{m} {_RELATION_SYMBOL[rel]} {mp}")
@@ -216,7 +183,7 @@ def _cmd_hasse(args):
 
 def _cmd_bound(args):
     poset = PosetId.parse(args.poset)
-    m, mp = _operands(args, poset)
+    m, mp = Monomial.parse(args.left), Monomial.parse(args.right)
     op = join if args.operation == "join" else meet
     try:
         result = op(poset, m, mp)
@@ -326,7 +293,7 @@ def _cmd_bijection_partition(args):
         members = distinct_partition_to_filter(_parse_parts(args.inverse), poset.degree)
         _emit_filter(args, members)
     else:
-        parts = filter_to_distinct_partition(_filter_payload(args.filter, poset), poset.degree)
+        parts = filter_to_distinct_partition(_filter_payload(args.filter), poset.degree)
         _emit_partition(args, parts)
     return 0
 
@@ -338,7 +305,7 @@ def _cmd_bijection_walk(args):
         _emit_filter(args, walk_to_filter(LatticeWalk(args.region, tuple(args.inverse))))
     else:
         poset = _poset_of(args, Family.DIVISIBILITY, 2, "walk")
-        walk = filter_to_walk(_filter_payload(args.filter, poset), poset.degree)
+        walk = filter_to_walk(_filter_payload(args.filter), poset.degree)
         payload = {"region": walk.region, "steps": str(walk), "weight": walk_weight(walk)}
         _emit(args, payload, walk)
     return 0
@@ -373,13 +340,7 @@ def _cmd_termorder_check(args):
 
 
 def _cmd_termorder_separate(args):
-    if args.n is not None and args.n < 1:
-        # a malformed operand is refused before such an --n, which PosetId
-        # refuses below; parsing under 0 variables builds no exponent tuple
-        for text in (args.left, args.right):
-            with contextlib.suppress(OutsideVariablesError):
-                Monomial.parse(text, nvars=0)
-    m, mp = _operands(args, PosetId(Family.BOREL, args.n))
+    m, mp = Monomial.parse(args.left), Monomial.parse(args.right)
     above, below = separating_witnesses(m, mp, nvars=args.n, budget=args.budget)
     lines = (f"above: {_format_parts(above)}", f"below: {_format_parts(below)}")
     _emit(args, {"above": list(above), "below": list(below)}, *lines)

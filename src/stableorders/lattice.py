@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
 
-from .monomials import Monomial, monomials_up_to_degree, stars_and_bars
+from .monomials import Monomial, _require_width, monomials_up_to_degree, stars_and_bars
 from .orders import (
     Family,
     GroundSetError,
@@ -120,7 +120,8 @@ def build_hasse(poset, cap=VERTEX_CAP, max_degree=None):
     of a degree-unbounded poset to degrees <= max_degree: every vertex's
     upper covers are the ones _generating_moves lists.  Raises
     CapExceededError, before listing any vertex, when there are more than
-    `cap` of them."""
+    `cap` of them, and ValueError when a vertex, one exponent slot per
+    variable, would be wider than MAX_VARIABLES."""
     n = poset.nvars
     if n is None:
         raise ValueError(f"{poset} has unboundedly many variables; no finite diagram")
@@ -139,6 +140,7 @@ def build_hasse(poset, cap=VERTEX_CAP, max_degree=None):
         raise CapExceededError(f"at least 2**{min(bars, stars)} vertices exceed the cap of {cap}")
     if size > cap:
         raise CapExceededError(f"{size} vertices exceed the cap of {cap}")
+    _require_width(n)
     if poset.degree is None:
         vertices = tuple(monomials_up_to_degree(n, max_degree))
     else:
@@ -250,13 +252,11 @@ def _stable_meet(m, mp):
     passes divides it, so w*x_n^(d - deg w*) lies above every common lower
     bound and is the meet: the formula constructs the maximum.
 
-    Each step either answers or lowers n by one, so the split runs as a loop,
-    from the operands' window: above both supports it only steps down.
+    The first case is why the split may start from the operands' window,
+    where it never arises: one operand uses the window's last variable.
     """
     n = _window(m, mp)
     a, b = m.exponent_vector(n), mp.exponent_vector(n)
-    while n > 2 and not a[n - 1] and not b[n - 1]:
-        n -= 1
     if n <= 2:
         # a chain: the larger last exponent sits lower
         return m if n < 2 or a[1] >= b[1] else mp

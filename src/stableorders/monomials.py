@@ -1,10 +1,16 @@
 """Monomials in finitely many variables x1, x2, ... and their exchange moves.
 
 A monomial is stored as a tuple of non-negative integer exponents with
-trailing zeros stripped, so x1^2*x3 is (2, 0, 1) and the unit is ().
-Everything downstream (orders, lattices, filters) is built on the two
-"exchange move" generators defined here: replacing one copy of a variable
-x_j by a variable x_i with smaller index.
+trailing zeros stripped, so x1^2*x3 is (2, 0, 1) and the unit is ().  An
+exchange move replaces one copy of a variable x_j by a variable x_i with
+smaller index.  borel_moves_up and stable_moves_up list every move of the
+strongly-stable and stable orders for the brute-force reachability oracle;
+the covers that orders, diagrams and filters use come from
+orders._generating_moves.
+
+A tuple as long as its largest variable index is built from sparse terms
+(a parsed product, a partition's rows or parts, a number of variables) only
+up to MAX_VARIABLES variables: x300000000 alone would take gigabytes.
 """
 
 from __future__ import annotations
@@ -17,10 +23,15 @@ from operator import sub
 
 _TERM_RE = re.compile(r"x(\d+)(?:\^(\d+))?$")
 
+#: The most variables a dense exponent tuple built from sparse terms may
+#: span: x1000000 takes 8 MB and a few hundredths of a second.
+MAX_VARIABLES = 1_000_000
 
-class OutsideVariablesError(ValueError):
-    """A product parsed under a bound on the variables uses one above it.
-    Its message is the monomial as str() writes it."""
+
+def _require_width(nvars):
+    """Refuse nvars above MAX_VARIABLES, before a tuple that wide is built."""
+    if nvars > MAX_VARIABLES:
+        raise ValueError(f"x{nvars} lies above x{MAX_VARIABLES}, the last variable allowed")
 
 
 class Monomial:
@@ -66,13 +77,24 @@ class Monomial:
         return "*".join(parts)
 
     @classmethod
-    def parse(cls, text, nvars=None):
+    def from_terms(cls, terms):
+        """The monomial with exponent terms[i] on x_i, from a dict of
+        variable indices (>= 1) to exponents: the one way sparse terms
+        become an exponent tuple, refused above MAX_VARIABLES variables."""
+        width = max(terms, default=0)
+        _require_width(width)
+        exps = [0] * width
+        for i, e in terms.items():
+            exps[i - 1] = e
+        return cls(exps)
+
+    @classmethod
+    def parse(cls, text):
         """Parse 'x1^2*x3', the unit '1', or an exponent-vector '[2,0,1]'.
 
-        With nvars, a product in a variable above x_nvars raises
-        OutsideVariablesError before its exponent tuple, as long as its
-        largest variable index, is built.  An exponent vector is as long
-        as its text, so it is not checked here.
+        A product goes through from_terms, so a variable above
+        MAX_VARIABLES is refused from its sparse terms.  An exponent vector
+        is as long as its text, so it is not checked.
         """
         text = text.strip()
         if text == "1":
@@ -96,11 +118,7 @@ class Monomial:
             power = int(match.group(2)) if match.group(2) else 1
             if power:  # x_i^0 names no variable
                 exps[index] = exps.get(index, 0) + power
-        width = max(exps, default=0)
-        if nvars is not None and width > nvars:
-            named = "*".join(f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in sorted(exps.items()))
-            raise OutsideVariablesError(named)
-        return cls(exps.get(i, 0) for i in range(1, width + 1))
+        return cls.from_terms(exps)
 
     def exponent(self, i):
         """Exponent of x_i (1-based); zero beyond the stored support."""
@@ -108,10 +126,8 @@ class Monomial:
             raise ValueError("variable indices start at 1")
         return self.exps[i - 1] if i <= len(self.exps) else 0
 
-    def exponent_vector(self, nvars=None):
-        """Exponents as a list, zero-padded to nvars when given."""
-        if nvars is None:
-            return list(self.exps)
+    def exponent_vector(self, nvars):
+        """Exponents as a list, zero-padded to nvars."""
         if nvars < len(self.exps):
             raise ValueError(f"{self} does not fit in {nvars} variables")
         return list(self.exps) + [0] * (nvars - len(self.exps))

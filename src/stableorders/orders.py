@@ -252,9 +252,7 @@ def leq(poset, m, mp):
         return _borel_leq(m, mp)
     n = _window(m, mp)
     if family is Family.DUAL_BOREL:
-        # the renamed monomials' partial sums: those of the reversed exponents
-        return all(map(le, _running_sums(m.exponent_vector(n)[::-1], n),
-                       _running_sums(mp.exponent_vector(n)[::-1], n)))
+        return _borel_leq(dual_rename(m, n), dual_rename(mp, n))
     if poset.degree is not None:
         return _stable_leq(m, mp, n)
     degree = m.degree()

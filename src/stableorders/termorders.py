@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from operator import le
 
 from .lattice import CapExceededError
-from .monomials import monomials_up_to_degree, stars_and_bars
+from .monomials import _require_width, monomials_up_to_degree, stars_and_bars
 from .orders import Family, PosetId, _borel_leq, _running_sums, relation
 
 LESS = -1
@@ -101,7 +101,8 @@ def refines_borel(order, nvars, max_degree, cap=REFINES_PAIR_CAP):
     order.  Returns (True, (top, bottom)) with the first strict pair on
     success, or (False, (bottom, top)) naming the first violated relation.
     Raises CapExceededError, before building the ground set, when it has
-    more than `cap` ordered pairs.
+    more than `cap` ordered pairs, and ValueError when nvars is above
+    MAX_VARIABLES, before a running-sum tuple that long is built.
     """
     PosetId(Family.BOREL, nvars)  # refuses nvars < 1
     size = stars_and_bars(nvars, max_degree, cap)
@@ -113,6 +114,7 @@ def refines_borel(order, nvars, max_degree, cap=REFINES_PAIR_CAP):
         raise CapExceededError(
             f"{size * (size - 1)} pairs of monomials exceed the cap of {cap}"
         )
+    _require_width(nvars)
     ground = monomials_up_to_degree(nvars, max_degree)
     rows = [(m, _running_sums(m.exps, nvars)) for m in ground]
     sample = None
@@ -147,9 +149,11 @@ def weight_vectors_by_total(nvars):
     ceil((r + c(c-1)/2) / c) <= f <= r - c(c-1)/2.
     Those f form an interval, so the next vector in lex order raises by one
     the last entry that can still rise and completes it by _least_tail.
+    Refuses nvars above MAX_VARIABLES, before building the first vector.
     """
     if nvars < 1:
         raise ValueError("nvars must be at least 1")
+    _require_width(nvars)
     total = nvars * (nvars + 1) // 2
     while True:
         v = _least_tail(total, nvars)
@@ -205,9 +209,9 @@ def separating_witnesses(m, mp, nvars=None, budget=10_000):
             return above, below
 
 
-def random_weight_vector(nvars, rng, max_gap=5):
-    """A random strictly decreasing positive weight vector."""
-    gaps = [rng.randint(1, max_gap) for _ in range(nvars)]
+def random_weight_vector(nvars, rng):
+    """A random strictly decreasing positive weight vector: gaps of 1 to 5."""
+    gaps = [rng.randint(1, 5) for _ in range(nvars)]
     weights = []
     running = 0
     for g in reversed(gaps):

@@ -26,6 +26,11 @@ def run(capsys, *argv):
     return code, out, err
 
 
+def width_error(width):
+    """The refusal of a variable x_width above the width bound."""
+    return f"error: x{width} lies above x1000000, the last variable allowed\n"
+
+
 def run_limited(*argv):
     """The CLI as a whole process under a 1.5 GB address-space limit: the
     finished process and its wall time in seconds."""
@@ -236,48 +241,75 @@ class TestWindow:
         assert elapsed < 1.0
 
     @pytest.mark.parametrize(
-        "argv, named, poset",
+        "argv, width",
         [
             pytest.param(
-                ("compare", "--poset", "A[n=2,d=2]", "x1^2", "x300000000"),
-                "x300000000", "A[n=2,d=2]", id="compare-x1^2-x300000000-x300000000",
+                ("compare", "--poset", "A[n=2,d=2]", "x1^2", "x300000000"), 300000000,
+                id="compare-x1^2-x300000000-x300000000",
             ),
             pytest.param(
-                ("meet", "--poset", "A[n=2,d=2]", "x300000000*x1", "x1^2"),
-                "x1*x300000000", "A[n=2,d=2]", id="meet-x300000000*x1-x1^2-x1*x300000000",
+                ("meet", "--poset", "A[n=2,d=2]", "x300000000*x1", "x1^2"), 300000000,
+                id="meet-x300000000*x1-x1^2-x1*x300000000",
             ),
             pytest.param(
-                ("join", "--poset", "A[n=2,d=2]", "x1^2", "x300000000^5*x2"),
-                "x2*x300000000^5", "A[n=2,d=2]", id="join-x1^2-x300000000^5*x2-x2*x300000000^5",
+                ("join", "--poset", "A[n=2,d=2]", "x1^2", "x300000000^5*x2"), 300000000,
+                id="join-x1^2-x300000000^5*x2-x2*x300000000^5",
             ),
             pytest.param(
                 ("bijection", "partition", "--poset", "A[n=3,d=2]", "--filter", "x300000000"),
-                "x300000000", "A[n=3,d=2]", id="bijection partition-x300000000",
+                300000000, id="bijection partition-x300000000",
             ),
             pytest.param(
                 ("bijection", "walk", "--poset", "D[n=2,d=3]", "--filter", "x300000000"),
-                "x300000000", "D[n=2,d=3]", id="bijection walk-x300000000",
+                300000000, id="bijection walk-x300000000",
             ),
             pytest.param(
-                ("termorder", "separate", "x1", "x300000000", "--n", "2"),
-                "x300000000", "A[n=2]", id="termorder separate-x1-x300000000",
+                ("termorder", "separate", "x1", "x300000000", "--n", "2"), 300000000,
+                id="termorder separate-x1-x300000000",
+            ),
+            *(
+                pytest.param(argv, width, id=" ".join(argv))
+                for argv, width in [
+                    (("compare", "--poset", "A", "x1", "x300000000"), 300000000),
+                    (("join", "--poset", "C[n=4,d=2]", "x1^2", "x300000000"), 300000000),
+                    (("ideal", "check", "--order", "A", "--gens", "x300000000"), 300000000),
+                    (("ideal", "close", "--order", "B", "--gens", "x1,x300000000"), 300000000),
+                    (("bijection", "young", "--inverse", "100000000"), 100000000),
+                    (("bijection", "young", "x300000000"), 300000000),
+                    (("bijection", "squarefree", "--degree", "100000000", "--parts", "1"),
+                     100000001),
+                    (("bijection", "squarefree", "--degree", "3", "--inverse", "x300000000"),
+                     300000000),
+                    (("bijection", "partition", "--poset", "A[n=3,d=2]",
+                      "--filter", '["x300000000"]'), 300000000),
+                    (("termorder", "separate", "x1", "x300000000"), 300000000),
+                    (("termorder", "separate", "x1*x3", "x2^2", "--n", "100000000"), 100000000),
+                    (("termorder", "check", "--order", "lex", "--n", "300000000",
+                      "--max-degree", "0"), 300000000),
+                    (("hasse", "--poset", "A[n=300000000,d=0]"), 300000000),
+                    (("count", "--poset", "D[n=300000000,d=0]"), 300000000),
+                    (("enumerate", "--poset", "A[n=300000000]", "--max-degree", "0"), 300000000),
+                ]
             ),
         ],
     )
-    def test_huge_variable_index(self, argv, named, poset):
-        # refused from the parse's sparse terms: an exponent tuple as long
-        # as the index would take gigabytes
+    def test_huge_variable_index(self, argv, width):
+        # refused before an exponent tuple that wide is built, whatever the
+        # poset's n: x300000000 alone would take gigabytes
         done, elapsed = run_limited(*argv)
-        message = f"error: {named} is not in the ground set of {poset}\n"
-        assert (done.returncode, done.stdout, done.stderr) == (2, "", message)
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", width_error(width))
+        assert elapsed < 1.0
+
+    def test_operand_at_the_bound(self):
+        done, elapsed = run_limited("compare", "--poset", "A", "x1", "x1000000")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "x1 > x1000000\n", "")
         assert elapsed < 1.0
 
     def test_huge_variable_index_with_no_variables(self):
-        # --n 0 is refused after the operands parse, and that parse too
-        # builds no exponent tuple
+        # the operands parse before --n 0 is refused, and the parse refuses
+        # the index before it builds an exponent tuple
         done, elapsed = run_limited("termorder", "separate", "x1", "x300000000", "--n", "0")
-        message = "error: nvars must be at least 1\n"
-        assert (done.returncode, done.stdout, done.stderr) == (2, "", message)
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", width_error(300000000))
         assert elapsed < 1.0
 
 
