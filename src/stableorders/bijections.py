@@ -18,7 +18,7 @@ from itertools import combinations
 
 from .monomials import Monomial
 from .orders import Family, PosetId
-from .lattice import build_hasse
+from .lattice import VERTEX_CAP, CapExceededError, build_hasse
 from .filters import count_filters, is_filter
 
 
@@ -81,10 +81,8 @@ def filter_to_distinct_partition(elements, degree):
     """
     if not is_filter(elements, PosetId(Family.BOREL, 3, degree)):
         raise ValueError("the given set is not a filter of the three-variable order")
-    sizes = [0] * (degree + 1)
-    for m in elements:
-        sizes[m.exponent(3)] += 1
-    return tuple(s for s in sizes if s)
+    sizes = Counter(m.exponent(3) for m in elements)
+    return tuple(sizes[i] for i in sorted(sizes))
 
 
 def _check_distinct_parts(parts, degree):
@@ -98,8 +96,12 @@ def _check_distinct_parts(parts, degree):
 
 
 def distinct_partition_to_filter(parts, degree):
-    """Rebuild the filter whose x3-layers are top segments of the given sizes."""
+    """Rebuild the filter whose x3-layers are top segments of the given sizes.
+    Raises CapExceededError when the filter, of sum(parts) monomials, would
+    have more than VERTEX_CAP."""
     parts = _check_distinct_parts(parts, degree)
+    if sum(parts) > VERTEX_CAP:
+        raise CapExceededError(f"a filter of {sum(parts)} monomials exceeds the cap of {VERTEX_CAP}")
     elements = set()
     for i, size in enumerate(parts):
         for beta in range(size):
@@ -196,10 +198,14 @@ def filter_to_walk(elements, degree):
     a of the filter, or hugs the staircase just above an empty column.  A
     filter holds x1 times each member of column a that stays in the
     staircase, so these heights never rise from one column to the next.
+    Raises CapExceededError when the walk, of 2 * (degree + 2) steps, would
+    have more than VERTEX_CAP.
     """
     if not is_filter(elements, PosetId(Family.DIVISIBILITY, 2, degree)):
         raise ValueError("the given set is not a filter of the two-variable staircase")
     region = degree + 2
+    if 2 * region > VERTEX_CAP:
+        raise CapExceededError(f"a walk of {2 * region} steps exceeds the cap of {VERTEX_CAP}")
     heights = [region] + [region - 1 - a for a in range(region)]
     for m in elements:
         a, b = m.exponent(1), m.exponent(2)

@@ -18,12 +18,21 @@ from itertools import compress
 from . import verify
 from .monomials import Monomial, graded_lex_key
 from .orders import Family, PosetId, relation
-from .lattice import VERTEX_CAP, CapExceededError, NotLatticeError, build_hasse, join, meet
+from .lattice import (
+    VERTEX_CAP,
+    CapExceededError,
+    NotLatticeError,
+    build_hasse,
+    diagram_size,
+    join,
+    meet,
+)
 from .filters import (
     FILTER_CAP,
     SweepBudgetError,
     _filter_masks,
     borel_closure,
+    closed_form_counts,
     count_filters,
     filter_counts_by_size,
     is_borel_ideal,
@@ -206,16 +215,25 @@ def _cmd_bound(args):
 
 def _cmd_count(args):
     poset = PosetId.parse(args.poset)
-    h = _capped("--cap", build_hasse, poset, cap=args.cap, max_degree=args.max_degree)
+    # the diagram's refusals come first, whether or not it is built
+    _capped("--cap", diagram_size, poset, cap=args.cap, max_degree=args.max_degree)
+    by_size = args.by_cardinality or args.cardinality is not None
+    known = closed_form_counts(poset, args.max_degree, by_size)
+    h = None if known is not None else build_hasse(poset, args.cap, args.max_degree)
     if args.by_cardinality:
-        counts = list(filter_counts_by_size(h))
+        counts = list(known if h is None else filter_counts_by_size(h))
         _emit(
             args,
             {"poset": str(poset), "counts": counts},
             *(f"{v} {cnt}" for v, cnt in enumerate(counts)),
         )
         return 0
-    total = count_filters(h, args.cardinality)
+    if h is not None:
+        total = count_filters(h, args.cardinality)
+    elif args.cardinality is None:
+        total = known
+    else:
+        total = known[args.cardinality] if 0 <= args.cardinality < len(known) else 0
     payload = {"poset": str(poset), "count": total}
     if args.cardinality is not None:
         payload["cardinality"] = args.cardinality

@@ -15,9 +15,11 @@ pivot are filters of the poset minus the pivot's down-set, and filters
 containing it correspond to filters of the poset minus the pivot's up-set.
 The same split, memoized, counts filters as the independent oracle.
 
-Also here: the closed-form counters for two and three variables, the
-weighted-walk recursion behind the stable-order counts, and monomial-ideal
-utilities (strongly-stable/stable closures and membership).
+Also here: closed_form_counts, which counts the filters of the posets the
+paper counts in closed form (chains, A and C of side 2, D[n=2,d], B[n=3,d])
+without a diagram; the three-variable recurrence and the weighted-walk table
+behind the stable-order counts; and monomial-ideal utilities
+(strongly-stable/stable closures and membership).
 """
 
 from __future__ import annotations
@@ -327,26 +329,46 @@ def filter_count_three_vars(d, v):
     return filter_count_three_vars(d - 1, v) + filter_count_three_vars(d - 1, v - (d + 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
+def _walk_weights(d, b):
+    """Row b >= 1 of the walk table of degree d: entry a, for a = 0 .. d+2-b,
+    lists by weight w the walks that weighted_walk_count(d, a, b, w) counts.
+
+    Built bottom-up from row 1, where the walk from (a, 1) that steps down
+    at column j >= a has weight d+1-j, one walk of each weight 0 .. d+1-a.
+    A walk from (a, b) steps down at column a, with label d+2-a-b, and goes
+    on from (a, b-1), or first steps right, and is a walk from (a+1, b): so
+    each row is a suffix sum over a of the row below, shifted by the label.
+    """
+    top = d + 2
+    row = [(1,) * (top - a) for a in range(top)]
+    for level in range(2, b + 1):
+        upper = [()] * (top - level + 1)
+        acc = []
+        for a in range(top - level, -1, -1):
+            label, lower = top - a - level, row[a]
+            acc = acc + [0] * (label + len(lower) - len(acc))
+            for w, count in enumerate(lower, label):
+                acc[w] += count
+            upper[a] = tuple(acc)
+        row = upper
+    return tuple(row)
+
+
 def weighted_walk_count(d, a, b, w):
     """Number of monotone lattice walks from (a, b) down-right to (d+2, 0)
     inside x+y <= d+2 whose vertical steps, labelled d+2-x-y at the step's
-    upper end, sum to w.
+    upper end, sum to w: entry w of _walk_weights(d, b)[a].
 
-    The b=0 base row is the displayed boundary convention; the recursion
-    itself only ever bottoms out at b=1, so that row is reachable only by
-    direct call.
+    The b=0 base row is the displayed boundary convention; the table starts
+    at b=1, so that row is reachable only by direct call.
     """
     if d < 0 or a < 0 or b < 0 or a + b > d + 2:
         raise ValueError("walk endpoint out of range")
     if b == 0:
         return 1 if w == d - a + 1 else 0
-    if b == 1:
-        return 1 if 0 <= w <= d + 1 - a else 0
-    return sum(
-        weighted_walk_count(d, j, b - 1, w + j + b - d - 2)
-        for j in range(a, d + 2 - b + 1)
-    )
+    weights = _walk_weights(d, b)[a]
+    return weights[w] if 0 <= w < len(weights) else 0
 
 
 def stable_filter_counts(d):
@@ -358,15 +380,81 @@ def stable_filter_counts(d):
         return 2, (1, 1)
     gg = [1, 1, 1, 1]
     for e in range(2, d + 1):
-        size = (e + 1) * (e + 2) // 2
         # CC(e-1, w): the filters of weight w of the two-variable staircase
         # of degree e-1, that is its weighted walks across the full region
-        gg = [
-            (gg[v] if v < len(gg) else 0)
-            + (weighted_walk_count(e - 1, 0, e + 1, v - e - 1) if v > e else 0)
-            for v in range(size + 1)
-        ]
+        gg += [0] * ((e + 1) * (e + 2) // 2 + 1 - len(gg))
+        for v, count in enumerate(_walk_weights(e - 1, e + 1)[0], e + 1):
+            gg[v] += count
     return sum(gg), tuple(gg)
+
+
+def closed_form_counts(poset, max_degree=None, by_size=False):
+    """The number of filters of a poset that the paper counts in closed
+    form, found without its diagram; with by_size, the counts by size, as
+    filter_counts_by_size gives them.  None for every other poset, and with
+    by_size for D[n=2,d] and B[n=3,d] past their chains, whose sizes have no
+    closed form here.  max_degree truncates a glued poset as in build_hasse.
+    Of the glued posets only D is covered: D[n] truncated at degree d is
+    D[n=n,d=d], the same monomials with the covers _generating_moves bounds
+    at degree d.  The size checks are diagram_size's, made by the caller.
+
+    - Chains: A, B and C with min(n-1, d) <= 1, and D with n = 1 or d <= 0.
+      One variable or degree 0 leaves one vertex (D truncated below degree
+      0 has none).  Otherwise the covers of _generating_moves are one path:
+      x1^(d-b)*x2^b moves x2 -> x1 (x1 -> x2 in C), degree-1 monomials move
+      x_(k+1) -> x_k (x_k -> x_(k+1) in C; in B it is the one move when
+      e_v = 1), and D[n=1] multiplies by x1.  A chain of N vertices has one
+      filter of each size 0..N: its top elements.
+    - A and C with min(n-1, d) = 2: the product of 1 + q^i over i = 1..m,
+      m = max(n-1, d) + 1, so 2^m filters.
+      * A[n=3,d]: filter_to_distinct_partition maps the filters one to one
+        onto the partitions into distinct parts of at most d + 1 (the
+        inverse is distinct_partition_to_filter), each part the size of an
+        x3-layer, so a filter's size is the sum of its parts.  Each part
+        1..d+1 occurs or not, whence the product; its factor 1 + q^(d+1) is
+        the recurrence of filter_count_three_vars.
+      * A[n,d] is the lattice of partitions in an (n-1) x d box: a degree-d
+        monomial is its running sums 0 <= s_1 <= ... <= s_(n-1) <= d, any
+        such sequence, and m <= m' iff each s_k(m) <= s_k(m') (_borel_leq).
+        Conjugating a partition is an isomorphism onto the d x (n-1) box,
+        so A[n,d] is isomorphic to A[d+1,n-1]: A[n,2] counts as A[3,n-1].
+      * dual_rename is an isomorphism of A[n,d] onto C[n,d], as it sends
+        the cover x_(k+1) -> x_k of A to the cover x_(n-k) -> x_(n+1-k) of C.
+    - D[n=2,d]: Catalan(d+2) filters.  filter_to_walk maps them one to one
+      onto the walks of region d+2 (walk_to_filter is its inverse): down
+      and right steps from (0, d+2) to (d+2, 0), the rights never ahead of
+      the downs, that is the Dyck paths of semilength d+2.
+    - B[n=3,d]: the sum of Catalan(i) over i = 0..d+1.  The paper's layer
+      recursion (stable_filter_counts) obtains B[n=3,d] from B[n=3,d-1] by
+      adding the filters of D[n=2,d-1], counted by walk weight, so the
+      total grows by Catalan(d+1), from the 4 filters of the chain
+      B[n=3,d=1].
+    """
+    family, n, d = poset.family, poset.nvars, poset.degree
+    if d is None and family is Family.DIVISIBILITY:
+        d = max_degree
+    if n is None or d is None:
+        return None
+    side = min(n - 1, d)
+    if side <= (0 if family is Family.DIVISIBILITY else 1):
+        bars = n if family is Family.DIVISIBILITY else n - 1
+        size = comb(bars + d, bars) if d >= 0 else 0
+        return (1,) * (size + 1) if by_size else size + 1
+    if family in (Family.BOREL, Family.DUAL_BOREL) and side == 2:
+        m = max(n - 1, d) + 1
+        if not by_size:
+            return 2**m
+        counts = [1]
+        for i in range(1, m + 1):
+            counts = [a + b for a, b in zip(counts + [0] * i, [0] * i + counts)]
+        return tuple(counts)
+    if by_size:
+        return None
+    if family is Family.DIVISIBILITY and n == 2:
+        return catalan(d + 2)
+    if family is Family.STABLE and n == 3:
+        return sum(catalan(i) for i in range(d + 2))
+    return None
 
 
 # ---------------------------------------------------------------------------

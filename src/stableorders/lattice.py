@@ -115,13 +115,13 @@ class HasseDiagram:
         }
 
 
-def build_hasse(poset, cap=VERTEX_CAP, max_degree=None):
-    """Build the Hasse diagram of a finite ground set, or of the truncation
-    of a degree-unbounded poset to degrees <= max_degree: every vertex's
-    upper covers are the ones _generating_moves lists.  Raises
-    CapExceededError, before listing any vertex, when there are more than
-    `cap` of them, and ValueError when a vertex, one exponent slot per
-    variable, would be wider than MAX_VARIABLES."""
+def diagram_size(poset, cap=VERTEX_CAP, max_degree=None):
+    """The vertex count of the diagram build_hasse builds for these
+    arguments, found without listing a vertex, after its refusals in this
+    order: ValueError when the poset has no finite diagram,
+    CapExceededError when there are more than `cap` vertices, and
+    ValueError when a vertex, one exponent slot per variable, would be
+    wider than MAX_VARIABLES."""
     n = poset.nvars
     if n is None:
         raise ValueError(f"{poset} has unboundedly many variables; no finite diagram")
@@ -141,6 +141,16 @@ def build_hasse(poset, cap=VERTEX_CAP, max_degree=None):
     if size > cap:
         raise CapExceededError(f"{size} vertices exceed the cap of {cap}")
     _require_width(n)
+    return size
+
+
+def build_hasse(poset, cap=VERTEX_CAP, max_degree=None):
+    """Build the Hasse diagram of a finite ground set, or of the truncation
+    of a degree-unbounded poset to degrees <= max_degree: every vertex's
+    upper covers are the ones _generating_moves lists.  Refuses, before
+    listing any vertex, as diagram_size does."""
+    diagram_size(poset, cap, max_degree)
+    n = poset.nvars
     if poset.degree is None:
         vertices = tuple(monomials_up_to_degree(n, max_degree))
     else:

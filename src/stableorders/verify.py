@@ -37,6 +37,7 @@ from .filters import (
     borel_closure,
     boundary,
     catalan,
+    closed_form_counts,
     count_filters,
     enumerate_filters,
     filter_count_three_vars,
@@ -180,6 +181,28 @@ def _suite_distributivity(c, rng):
         c.check(f"stable order not distributive (n={n}, d={d})", not check_distributive(h)[0])
 
 
+def _matches_closed_form(poset, counts, oracle, max_degree=None):
+    """closed_form_counts against the sweep's and the pivot oracle's counts
+    by size of one diagram: the total always, the counts by size where it
+    gives them."""
+    profile = closed_form_counts(poset, max_degree, by_size=True)
+    return (
+        counts == oracle
+        and closed_form_counts(poset, max_degree) == sum(counts)
+        and (profile is None or profile == counts)
+    )
+
+
+def _closed_forms_match(texts):
+    """_matches_closed_form on the diagram of each (poset id, max_degree)."""
+    for text, max_degree in texts:
+        h = build_hasse(PosetId.parse(text), max_degree=max_degree)
+        counts, oracle = filter_counts_by_size(h), pivot_filter_counts(h)
+        if not _matches_closed_form(h.poset, counts, oracle, max_degree):
+            return False
+    return True
+
+
 def _suite_filter_counts(c, rng):
     ok = all(
         count_filters(build_hasse(PosetId(Family.BOREL, 2, d))) == d + 2
@@ -208,6 +231,17 @@ def _suite_filter_counts(c, rng):
             filter_count_three_vars(d, v) == subsets.count(v) for v in range(len(h) + 1)
         )
         c.check(f"three-variable counts match distinct-part partitions (d={d})", ok)
+        c.check(f"closed form matches the sweep and pivot counts (A[n=3,d={d}])",
+                _matches_closed_form(h.poset, counts, oracle))
+    chains = (("A[n=2,d=4]", None), ("B[n=2,d=3]", None), ("C[n=2,d=5]", None),
+              ("A[n=5,d=1]", None), ("B[n=6,d=1]", None), ("C[n=4,d=1]", None),
+              ("A[n=1,d=3]", None), ("B[n=4,d=0]", None), ("D[n=1,d=5]", None),
+              ("D[n=4,d=0]", None), ("D[n=1]", 3), ("D[n=3]", -1))
+    c.check("chain closed forms match the sweep and pivot counts", _closed_forms_match(chains))
+    conjugates = (("A[n=4,d=2]", None), ("A[n=6,d=2]", None), ("C[n=3,d=4]", None),
+                  ("C[n=5,d=2]", None))
+    c.check("side-2 closed forms match the sweep and pivot counts on A[n,2] and C",
+            _closed_forms_match(conjugates))
     h = build_hasse(PosetId(Family.BOREL, 3, 3))
     c.check(
         "enumeration agrees with counting on the degree-3 three-variable order",
@@ -231,6 +265,13 @@ def _suite_stable_counts(c, rng):
             for v in range(len(h) + 1)
         )
         c.check(f"stable counts by size match pivot counts (d={d})", ok)
+        c.check(f"closed form matches the sweep and pivot counts (B[n=3,d={d}])",
+                _matches_closed_form(h.poset, counts, oracle))
+    for d in range(1, 6):
+        c.check(f"closed form matches the sweep and pivot counts (D[n=2,d={d}])",
+                _closed_forms_match([(f"D[n=2,d={d}]", None)]))
+    c.check("closed form matches the sweep and pivot counts (D[n=2] to degrees 2 and 4)",
+            _closed_forms_match([("D[n=2]", 2), ("D[n=2]", 4)]))
     ok = all(len(list(enumerate_walks(m))) == catalan(m) for m in range(0, 9))
     c.check("bounded walks are counted by Catalan numbers", ok)
     for e in range(1, 5):

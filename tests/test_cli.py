@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from stableorders.cli import _build_parser, main
+from stableorders.filters import catalan
 
 WALK_FILTER_CSV = "x2^4,x2^5,x2^6,x1*x2^4,x1*x2^5,x1^2*x2^4,x1^3*x2^3,x1^6"
 WALK_STEPS = "DDDDRRRDRRDRDDRR"
@@ -354,6 +355,63 @@ class TestCount:
         code, out, _ = run(capsys, "count", "--poset", poset_text)
         assert (code, out) == (0, f"{expected}\n")
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (("A[n=3,d=300]", "--cap", "100"), "45451 vertices exceed the cap of 100"),
+            (("C[n=300,d=2]", "--cap", "100", "--by-cardinality"),
+             "45150 vertices exceed the cap of 100"),
+            (("D[n=2,d=300]", "--cap", "100"), "45451 vertices exceed the cap of 100"),
+            (("D[n=2]", "--max-degree", "300", "--cap", "100"),
+             "45451 vertices exceed the cap of 100"),
+            (("B[n=3,d=300]", "--cap", "100", "--cardinality", "3"),
+             "45451 vertices exceed the cap of 100"),
+            (("A[n=20000,d=1]", "--cap", "100"), "20000 vertices exceed the cap of 100"),
+            (("D[n=1,d=60000]",), "60001 vertices exceed the cap of 50000"),
+        ],
+    )
+    def test_closed_forms_keep_the_cap(self, capsys, argv, error):
+        code, out, err = run(capsys, "count", "--poset", *argv)
+        assert (code, out, err) == (2, "", f"error: {error}; raise it with --cap\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("A[n=1000001,d=1]", "--cap", "2000000"),
+            ("B[n=1000001,d=0]",),
+            ("C[n=1000001,d=0]", "--by-cardinality"),
+            ("D[n=1000001,d=0]", "--cardinality", "1"),
+            ("D[n=1000001]", "--max-degree", "0"),
+        ],
+    )
+    def test_closed_forms_keep_the_width_bound(self, capsys, argv):
+        code, out, err = run(capsys, "count", "--poset", *argv)
+        assert (code, out, err) == (2, "", width_error(1000001))
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("A[n=3,d=300]",), 2**301),
+            (("D[n=2,d=300]",), catalan(302)),
+            (("B[n=3,d=300]",), sum(catalan(i) for i in range(302))),
+            (("A[n=20000,d=1]",), 20001),
+            (("A[n=3,d=100]", "--cardinality", "7"), 5),
+        ],
+    )
+    def test_closed_forms_answer_past_the_sweep(self, argv, expected):
+        # the sweep ran past 60 s or out of memory on the first and fourth
+        done, elapsed = run_limited("count", "--poset", *argv)
+        assert (done.returncode, done.stdout, done.stderr) == (0, f"{expected}\n", "")
+        assert elapsed < 5.0
+
+    def test_closed_form_profile(self):
+        done, elapsed = run_limited("count", "--poset", "A[n=300,d=2]", "--by-cardinality")
+        assert (done.returncode, done.stderr) == (0, "")
+        lines = done.stdout.splitlines()
+        assert len(lines) == 45151 and lines[:6] == ["0 1", "1 1", "2 1", "3 2", "4 2", "5 3"]
+        assert sum(int(line.split()[1]) for line in lines) == 2**300
+        assert elapsed < 10.0
+
     def test_sweep_budget(self, capsys, monkeypatch):
         monkeypatch.setattr("stableorders.filters.SWEEP_BUDGET_BYTES", 1000)
         code, out, err = run(capsys, "count", "--poset", "A[n=4,d=4]")
@@ -552,6 +610,32 @@ class TestBijections:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv, code, out, err",
+        [
+            (("partition", "--poset", "A[n=3,d=300000000]", "--filter", "[]"), 0, "[]\n", ""),
+            (("partition", "--poset", "A[n=3,d=300000000]",
+              "--filter", "x1^300000000,x1^299999999*x2"), 0, "[2]\n", ""),
+            (("walk", "--poset", "D[n=2,d=300000000]", "--filter", "[]"), 2, "",
+             "error: a walk of 600000004 steps exceeds the cap of 50000\n"),
+            (("partition", "--poset", "A[n=3,d=300000000]", "--inverse", "300000000"), 2, "",
+             "error: a filter of 300000000 monomials exceeds the cap of 50000\n"),
+        ],
+    )
+    def test_huge_degree(self, argv, code, out, err):
+        # sized by the filter or the parts given: the degree-sized lists they
+        # used to build ran out of memory
+        done, elapsed = run_limited("bijection", *argv)
+        assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+        assert elapsed < 5.0
+
+    def test_walk_at_the_cap(self, capsys):
+        code, out, _ = run(capsys, "bijection", "walk", "--poset", "D[n=2,d=24998]", "--filter", "")
+        assert (code, out) == (0, "DR" * 25000 + "\n")
+        code, out, err = run(capsys, "bijection", "walk", "--poset", "D[n=2,d=24999]",
+                             "--filter", "")
+        assert (code, out, err) == (2, "", "error: a walk of 50002 steps exceeds the cap of 50000\n")
 
     def test_walk_inverse_needs_region(self, capsys):
         code, _, err = run(capsys, "bijection", "walk", "--inverse", "DR")

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -17,6 +18,7 @@ from stableorders.filters import (
     borel_closure,
     boundary,
     catalan,
+    closed_form_counts,
     count_filters,
     enumerate_filters,
     filter_count_three_vars,
@@ -35,7 +37,7 @@ from stableorders.filters import (
 )
 from stableorders.lattice import CapExceededError, build_hasse
 from stableorders.monomials import ONE, Monomial, borel_moves_up, stable_moves_up
-from stableorders.orders import GroundSetError, PosetId, ground_monomials, leq
+from stableorders.orders import Family, GroundSetError, PosetId, ground_monomials, leq
 
 M = Monomial.parse
 
@@ -331,6 +333,134 @@ class TestWeightedWalks:
         top = (e + 1) * (e + 2) // 2
         for w in range(top + 1):
             assert weighted_walk_count(e, 0, e + 2, w) == count_filters(h, w)
+
+
+@lru_cache(maxsize=None)
+def recursive_walk_count(d, a, b, w):
+    """The memoised recursion weighted_walk_count replaced: a walk from
+    (a, b), b >= 2, runs right to a column j >= a and steps down there."""
+    if d < 0 or a < 0 or b < 0 or a + b > d + 2:
+        raise ValueError("walk endpoint out of range")
+    if b == 0:
+        return 1 if w == d - a + 1 else 0
+    if b == 1:
+        return 1 if 0 <= w <= d + 1 - a else 0
+    return sum(
+        recursive_walk_count(d, j, b - 1, w + j + b - d - 2)
+        for j in range(a, d + 2 - b + 1)
+    )
+
+
+def recursive_stable_counts(d):
+    """stable_filter_counts over recursive_walk_count, as it was written."""
+    if d == 0:
+        return 2, (1, 1)
+    gg = [1, 1, 1, 1]
+    for e in range(2, d + 1):
+        size = (e + 1) * (e + 2) // 2
+        gg = [
+            (gg[v] if v < len(gg) else 0)
+            + (recursive_walk_count(e - 1, 0, e + 1, v - e - 1) if v > e else 0)
+            for v in range(size + 1)
+        ]
+    return sum(gg), tuple(gg)
+
+
+class TestWalkTable:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data())
+    def test_matches_the_recursion(self, data):
+        d = data.draw(st.integers(min_value=0, max_value=9))
+        b = data.draw(st.integers(min_value=0, max_value=d + 2))
+        a = data.draw(st.integers(min_value=0, max_value=d + 2 - b))
+        top = (d + 2) * (d + 3) // 2
+        for w in range(-3, top + 3):
+            assert weighted_walk_count(d, a, b, w) == recursive_walk_count(d, a, b, w)
+
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(d=st.integers(min_value=0, max_value=9))
+    def test_stable_counts_match_the_recursion(self, d):
+        assert stable_filter_counts(d) == recursive_stable_counts(d)
+
+
+def closed_form_cases():
+    """(poset, max_degree) of every kind closed_form_counts covers, at small
+    random sizes: chains, A and C of side 2 and their conjugates, D[n=2],
+    B[n=3] and glued D."""
+    small = st.integers(min_value=0, max_value=7)
+    fixed = st.one_of(
+        st.builds(lambda f, n, d: (f, n, d), st.sampled_from("ABC"), st.integers(1, 2), small),
+        st.builds(lambda f, n, d: (f, n, d), st.sampled_from("ABC"), st.integers(1, 9),
+                  st.integers(0, 1)),
+        st.builds(lambda f, d: (f, 3, d), st.sampled_from("AC"), st.integers(2, 6)),
+        st.builds(lambda f, n: (f, n, 2), st.sampled_from("AC"), st.integers(3, 7)),
+        st.builds(lambda n, d: ("D", n, d), st.integers(1, 2), small),
+        st.builds(lambda n: ("D", n, 0), st.integers(1, 6)),
+        st.builds(lambda d: ("B", 3, d), st.integers(0, 6)),
+    )
+    glued = st.builds(lambda n, d: (PosetId(Family.DIVISIBILITY, n), d),
+                      st.integers(1, 2), st.integers(-1, 7))
+    return st.one_of(
+        fixed.map(lambda t: (PosetId(Family(t[0]), t[1], t[2]), None)), glued
+    )
+
+
+class TestClosedFormCounts:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(case=closed_form_cases())
+    def test_matches_the_sweep(self, case):
+        poset, max_degree = case
+        profile = filter_counts_by_size(build_hasse(poset, max_degree=max_degree))
+        assert closed_form_counts(poset, max_degree) == sum(profile)
+        by_size = closed_form_counts(poset, max_degree, by_size=True)
+        assert by_size is None or by_size == profile
+        # only D[n=2] and B[n=3] past their chains give the total alone
+        degree = poset.degree if max_degree is None else max_degree
+        total_alone = (
+            poset.family is Family.DIVISIBILITY and poset.nvars == 2 and degree >= 1
+            or poset.family is Family.STABLE and poset.nvars == 3 and degree >= 2
+        )
+        assert (by_size is None) == total_alone
+
+    @pytest.mark.parametrize(
+        "poset_text, max_degree",
+        [("A[n=4,d=3]", None), ("C[n=4,d=3]", None), ("B[n=4,d=2]", None),
+         ("B[n=3,d=2]", None), ("D[n=3,d=2]", None), ("A[n=2]", 3), ("B[n=3]", 3),
+         ("C[n=2]", 3), ("D", 3), ("A[n=3]", None)],
+    )
+    def test_others_are_left_to_the_sweep(self, poset_text, max_degree):
+        poset = PosetId.parse(poset_text)
+        by_size = closed_form_counts(poset, max_degree, by_size=True)
+        if poset_text == "B[n=3,d=2]":
+            assert by_size is None and closed_form_counts(poset) == 9
+        else:
+            assert by_size is None and closed_form_counts(poset, max_degree) is None
+
+    def test_large_sides(self):
+        assert closed_form_counts(PosetId.parse("A[n=3,d=300]")) == 2**301
+        assert closed_form_counts(PosetId.parse("C[n=301,d=2]")) == 2**301
+        assert closed_form_counts(PosetId.parse("D[n=2,d=300]")) == catalan(302)
+        assert closed_form_counts(PosetId.parse("B[n=3,d=300]")) == sum(map(catalan, range(302)))
+        assert closed_form_counts(PosetId.parse("A[n=20000,d=1]")) == 20001
+        profile = closed_form_counts(PosetId.parse("A[n=300,d=2]"), by_size=True)
+        assert len(profile) == 300 * 301 // 2 + 1 and sum(profile) == 2**300
+        assert profile == profile[::-1] and profile[:8] == (1, 1, 1, 2, 2, 3, 4, 5)
+
+
+class TestSweepOnLargePosets:
+    """The sizes the CLI now counts in closed form, kept on the sweep."""
+
+    @pytest.mark.parametrize(
+        "poset_text, expected",
+        [
+            ("A[n=3,d=45]", 2**46),
+            ("A[n=2,d=1500]", 1502),
+            ("A[n=3,d=30]", 2**31),
+            ("A[n=1200,d=1]", 1201),
+        ],
+    )
+    def test_count_filters(self, poset_text, expected):
+        assert count_filters(build_hasse(PosetId.parse(poset_text))) == expected
 
 
 class TestStableCounts:
