@@ -15,6 +15,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import isqrt
+from operator import mul
 
 from .monomials import Monomial
 from .orders import Family, PosetId
@@ -217,15 +219,16 @@ def filter_to_walk(elements, degree):
 def walk_to_filter(walk):
     """Inverse of filter_to_walk: in each column a of the staircase of degree
     region-2, the cells from the walk's lowest point there up to the
-    staircase's edge."""
+    staircase's edge.  Raises CapExceededError when the filter, of the sum
+    of those column heights, would have more than VERTEX_CAP monomials."""
     if walk.region < 2:
         raise ValueError("the filter region needs walk.region >= 2")
     degree = walk.region - 2
-    return frozenset(
-        Monomial((a, b))
-        for a, low in dict(walk.points()).items()
-        for b in range(low, degree - a + 1)
-    )
+    lows = dict(walk.points()).items()
+    size = sum(max(0, degree - a + 1 - low) for a, low in lows)
+    if size > VERTEX_CAP:
+        raise CapExceededError(f"a filter of {size} monomials exceeds the cap of {VERTEX_CAP}")
+    return frozenset(Monomial((a, b)) for a, low in lows for b in range(low, degree - a + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -287,27 +290,55 @@ def count_fountains(total):
     return sum(1 for _ in iter_fountains(total))
 
 
+#: Most terms fountain_gf_coefficients computes: its series division is
+#: quadratic in the terms, on coefficients of about 0.8 bits per term.  On
+#: a 2-core Xeon (Python 3.11) 5000 terms take 2-4 s, 10000 about 16 s.
+FOUNTAIN_TERMS_CAP = 5000
+
+
 def fountain_gf_coefficients(nterms):
-    """Coefficients 0..nterms of the fountain generating function: the
-    continued fraction 1/(1 - z/(1 - z^2/(1 - z^3/...))) cut at the least
-    depth J with J(J+1)/2 > nterms, which moves none of them.  With f_j =
-    1/(1 - z^j f_{j+1}), two f_{j+1} that agree below degree k give f_j
-    that agree below k + j, as 1/(1-a) - 1/(1-b) = (a-b)/((1-a)(1-b)).  The
-    cut sets f_{J+1} = 1, true below degree 1, so f_1 is true below degree
-    1 + J(J+1)/2 > nterms + 1."""
+    """Coefficients 0..nterms of the fountain generating function, the
+    continued fraction 1/(1 - z/(1 - z^2/(1 - z^3/...))), as the quotient
+    P/Q of Ramanujan's q-series (Odlyzko and Wilf, "n coins in a fountain",
+    Amer. Math. Monthly 95, 1988): P = Q_1 and Q = Q_0 of
+
+        Q_j = sum over k >= 0 of (-1)^k z^(k^2 + jk) / ((1-z)...(1-z^k)).
+
+    They obey the three-term recurrence of the convergents, Q_j = Q_(j+1)
+    - z^(j+1) Q_(j+2): in term k of Q_j - Q_(j+1), the factor 1 - z^k
+    cancels the last one of the denominator (term 0 vanishes), leaving term
+    k - 1 of -z^(j+1) Q_(j+2), as k^2 + jk = (k-1)^2 + (j+2)(k-1) + j + 1.
+    Each Q_j starts with 1, so r_j = Q_(j+1)/Q_j is a power series, and
+    the recurrence divided by Q_(j+1) reads r_j = 1/(1 - z^(j+1) r_(j+1)).
+    So P/Q = r_0 is the fraction cut at any depth J with r_J in place of
+    1.  Tails that agree below degree 1 give fractions that agree below
+    degree 1 + J(J+1)/2, as 1/(1-a) - 1/(1-b) = (a-b)/((1-a)(1-b)) adds j
+    at level j; hence P/Q is the fraction at every degree.
+
+    The factors 1/((1-z)...(1-z^k)) are built one from the last, dividing
+    by 1 - z^k as a prefix sum with stride k, to the nterms + 1 - k^2
+    coefficients term k needs: O(nterms^1.5) additions for both series.
+    One series division then gives P/Q.  Raises CapExceededError above
+    FOUNTAIN_TERMS_CAP terms.
+    """
     if nterms < 0:
         raise ValueError("nterms must be non-negative")
+    if nterms > FOUNTAIN_TERMS_CAP:
+        raise CapExceededError(f"{nterms} terms exceed the cap of {FOUNTAIN_TERMS_CAP}")
     size = nterms + 1
-    f = [1] + [0] * nterms
-    depth = 1
-    while depth * (depth + 1) // 2 <= nterms:
-        depth += 1
-    for j in range(depth, 0, -1):
-        shifted = ([0] * j + f)[:size]
-        g = [1] + [0] * nterms
-        for k in range(1, size):
-            g[k] = sum(shifted[i] * g[k - i] for i in range(1, k + 1))
-        f = g
+    p, q = [0] * size, [0] * size
+    factor = [1] + [0] * nterms
+    for k in range(isqrt(nterms) + 1):
+        if k:
+            for i in range(k, size - k * k):
+                factor[i] += factor[i - k]
+        sign = -1 if k % 2 else 1
+        for series, shift in ((q, k * k), (p, k * k + k)):
+            for i in range(size - shift):
+                series[shift + i] += sign * factor[i]
+    f = [0] * size
+    for m in range(size):
+        f[m] = p[m] - sum(map(mul, q[m:0:-1], f[:m]))
     return f
 
 

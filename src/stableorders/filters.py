@@ -253,8 +253,15 @@ def count_filters(h, cardinality=None):
 
 
 def _filter_masks(h, cardinality=None, cap=FILTER_CAP):
-    """Count the filters and check the cap now, then return an iterator over
-    every filter as the bitmask of its vertex indices.
+    """Check the cap now, then return an iterator over every filter as the
+    bitmask of its vertex indices.
+
+    The cap needs a bound, not the count: no size has more filters than
+    all sizes together.  The total comes from closed_form_counts where the
+    paper gives one (a glued D as D truncated at its top degree, as
+    build_hasse truncated it), else from one plain frontier sweep.  Only
+    when it exceeds the cap and a cardinality was asked is that size
+    counted, by count_filters, to decide and to report.
 
     The walk splits on a pivot: a branch (mask, chosen) stands for the
     filters `chosen | F` with F a filter of the subposet induced on `mask`.
@@ -269,7 +276,12 @@ def _filter_masks(h, cardinality=None, cap=FILTER_CAP):
     Raises CapExceededError when more than `cap` filters would be produced,
     and SweepBudgetError when counting them overruns SWEEP_BUDGET_BYTES.
     """
-    total = count_filters(h, cardinality)
+    top = h.vertices[-1].degree() if h.vertices else -1
+    total = closed_form_counts(h.poset, top)
+    if total is None:
+        total = _frontier_sweep(h, 0)
+    if total > cap and cardinality is not None:
+        total = count_filters(h, cardinality)
     if total > cap:
         raise CapExceededError(f"{total} filters exceed the cap of {cap}")
     up, down = h.up_masks(), h.down_masks()

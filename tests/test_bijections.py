@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import seed as fixed_seed
 from hypothesis import strategies as st
 
+from stableorders import bijections
 from stableorders.bijections import (
     Fountain,
     LatticeWalk,
@@ -34,7 +35,7 @@ from stableorders.bijections import (
     young_to_monomial,
 )
 from stableorders.filters import catalan, count_filters, enumerate_filters, is_filter
-from stableorders.lattice import build_hasse
+from stableorders.lattice import CapExceededError, build_hasse
 from stableorders.monomials import ONE, Monomial, monomials_of_degree
 from stableorders.orders import PosetId, ground_monomials, leq
 
@@ -243,6 +244,29 @@ class TestWalks:
             assert count_filters(h, w) == count
 
 
+def continued_fraction_coefficients(nterms, depth=None):
+    """Coefficients 0..nterms of the fountain series as the continued
+    fraction 1/(1 - z/(1 - z^2/(1 - z^3/...))) cut at `depth`, by default
+    the least depth J with J(J+1)/2 > nterms, which moves none of them.
+    With f_j = 1/(1 - z^j f_{j+1}), two f_{j+1} that agree below degree k
+    give f_j that agree below k + j, as 1/(1-a) - 1/(1-b) =
+    (a-b)/((1-a)(1-b)).  The cut sets f_{J+1} = 1, true below degree 1, so
+    f_1 is true below degree 1 + J(J+1)/2 > nterms + 1.  One series
+    inversion per level: the oracle for fountain_gf_coefficients."""
+    if depth is None:
+        depth = 1
+        while depth * (depth + 1) // 2 <= nterms:
+            depth += 1
+    f = [1] + [0] * nterms
+    for j in range(depth, 0, -1):
+        shifted = ([0] * j + f)[: nterms + 1]
+        g = [1] + [0] * nterms
+        for k in range(1, nterms + 1):
+            g[k] = sum(shifted[i] * g[k - i] for i in range(1, k + 1))
+        f = g
+    return f
+
+
 class TestFountains:
     def test_validation(self):
         Fountain(((0, 1, 2), (0,)))  # fine
@@ -274,18 +298,18 @@ class TestFountains:
         assert tall in set(iter_fountains(6))
 
     def test_truncated_fraction_matches_full_depth(self):
-        # the fraction cut at depth 61 is exact up to z^60 (any cut at depth
-        # J > nterms is): f_j = 1/(1 - z^j f_{j+1}) on power series
-        nterms = 60
-        f = [1] + [0] * nterms
-        for j in range(nterms + 1, 0, -1):
-            shifted = [0] * j + f
-            g = [1] + [0] * nterms
-            for k in range(1, nterms + 1):
-                g[k] = sum(shifted[i] * g[k - i] for i in range(1, k + 1))
-            f = g
-        for n in range(nterms + 1):
-            assert fountain_gf_coefficients(n) == f[: n + 1]
+        # the fraction cut at depth 61 is exact up to z^60, as any cut at a
+        # depth J with J(J+1)/2 > nterms is; the quotient P/Q agrees with both
+        full = continued_fraction_coefficients(60, 61)
+        for n in range(61):
+            expected = full[: n + 1]
+            assert fountain_gf_coefficients(n) == continued_fraction_coefficients(n) == expected
+
+    def test_terms_cap(self, monkeypatch):
+        monkeypatch.setattr(bijections, "FOUNTAIN_TERMS_CAP", 10)
+        assert fountain_gf_coefficients(10) == GF_PREFIX[:11]
+        with pytest.raises(CapExceededError, match="^11 terms exceed the cap of 10$"):
+            fountain_gf_coefficients(11)
 
     def test_generating_function(self):
         assert fountain_gf_coefficients(12) == GF_PREFIX

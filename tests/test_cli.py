@@ -637,6 +637,26 @@ class TestBijections:
                              "--filter", "")
         assert (code, out, err) == (2, "", "error: a walk of 50002 steps exceeds the cap of 50000\n")
 
+    def test_walk_inverse_at_the_cap(self, capsys):
+        # D^r R^r leaves (r-1)r/2 monomials: 49770 at r = 316, 50086 at 317
+        for region, size in ((316, 49770), (317, 50086)):
+            steps = "D" * region + "R" * region
+            code, out, err = run(capsys, "bijection", "walk", "--region", str(region),
+                                 "--inverse", steps)
+            if size <= 50000:
+                assert (code, out.count(", "), err) == (0, size - 1, "")
+            else:
+                assert (code, out, err) == (
+                    2, "", f"error: a filter of {size} monomials exceeds the cap of 50000\n")
+
+    def test_walk_inverse_is_sized_before_listing(self):
+        # r = 2000 listed 1999000 monomials in 37 s before the cap
+        done, elapsed = run_limited("bijection", "walk", "--region", "2000",
+                                    "--inverse", "D" * 2000 + "R" * 2000)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: a filter of 1999000 monomials exceeds the cap of 50000\n"
+        assert elapsed < 5.0
+
     def test_walk_inverse_needs_region(self, capsys):
         code, _, err = run(capsys, "bijection", "walk", "--inverse", "DR")
         assert code == 2
@@ -816,6 +836,13 @@ class TestGeneratingFunctions:
         code, out, _ = run(capsys, "gf", "fountains", "--terms", "4", "--format", "json")
         assert code == 0
         assert json.loads(out) == {"coefficients": [1, 1, 1, 2, 3]}
+
+    def test_fountains_terms_cap(self):
+        # a list of 10^9 coefficients would exhaust the address space
+        done, elapsed = run_limited("gf", "fountains", "--terms", "1000000000")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: 1000000000 terms exceed the cap of 5000\n"
+        assert elapsed < 5.0
 
 
 class TestVerify:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis import seed as fixed_seed
 
-from stableorders import cli
+from stableorders import cli, filters
 from stableorders.cli import _elements_json_dict, _format_filter
 from stableorders.filters import (
     _filter_masks,
@@ -261,6 +261,68 @@ class TestCounting:
         with pytest.raises(CapExceededError):
             list(enumerate_filters(h, cap=3))
         assert len(list(enumerate_filters(h, cap=16))) == 16
+
+
+class TestEnumerationCap:
+    @fixed_seed(20261)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        family=st.sampled_from("ABCD"),
+        nvars=st.integers(min_value=1, max_value=4),
+        degree=st.integers(min_value=-1, max_value=5),
+        glued=st.booleans(),
+    )
+    def test_refuses_exactly_over_the_cap(self, family, nvars, degree, glued):
+        assume(glued or degree >= 0)
+        if glued:
+            poset, max_degree = PosetId.parse(f"{family}[n={nvars}]"), degree
+        else:
+            poset, max_degree = PosetId.parse(f"{family}[n={nvars},d={degree}]"), None
+        h = build_hasse(poset, max_degree=max_degree)
+        assume(len(h) <= 40)
+        profile = filter_counts_by_size(h)
+        for cardinality in [None, *range(-1, len(h) + 2)]:
+            if cardinality is None:
+                count = sum(profile)
+            else:
+                count = profile[cardinality] if 0 <= cardinality <= len(h) else 0
+            for cap in (count - 1, count):
+                if count > cap:
+                    with pytest.raises(CapExceededError) as excinfo:
+                        _filter_masks(h, cardinality, cap)
+                    assert str(excinfo.value) == f"{count} filters exceed the cap of {cap}"
+                else:
+                    assert len(list(_filter_masks(h, cardinality, cap))) == count
+
+    @pytest.mark.parametrize(
+        "poset_text, max_degree",
+        [("A[n=3,d=9]", None), ("C[n=6,d=2]", None), ("D[n=2,d=6]", None),
+         ("B[n=3,d=6]", None), ("D[n=2]", 5), ("D[n=2]", -1), ("A[n=9,d=1]", None)],
+    )
+    def test_closed_forms_need_no_sweep(self, monkeypatch, poset_text, max_degree):
+        h = build_hasse(PosetId.parse(poset_text), max_degree=max_degree)
+        profile = filter_counts_by_size(h)
+
+        def sweep(h, width):
+            raise AssertionError("the enumeration of a closed-form poset swept")
+
+        monkeypatch.setattr(filters, "_frontier_sweep", sweep)
+        assert len(list(_filter_masks(h))) == sum(profile)
+        for cardinality in range(len(h) + 1):
+            assert len(list(_filter_masks(h, cardinality))) == profile[cardinality]
+
+    def test_one_plain_sweep_elsewhere(self, monkeypatch):
+        h = build_hasse(PosetId.parse("C[n=4,d=4]"))
+        expected = filter_counts_by_size(h)[17]
+        widths, sweep = [], filters._frontier_sweep
+
+        def recorded(h, width):
+            widths.append(width)
+            return sweep(h, width)
+
+        monkeypatch.setattr(filters, "_frontier_sweep", recorded)
+        assert len(list(_filter_masks(h, 17))) == expected
+        assert widths == [0]
 
 
 class TestCatalan:
