@@ -185,7 +185,8 @@ def _cmd_hasse(args):
         _emit(args, h.to_json_dict())
     else:
         header = (f"poset: {poset}", f"vertices: {len(h)}", f"covers: {len(h.covers)}")
-        covers = (f"{h.vertices[hi]} covers {h.vertices[lo]}" for lo, hi in h.covers)
+        names = [str(m) for m in h.vertices]  # each vertex is rendered once
+        covers = (f"{names[hi]} covers {names[lo]}" for lo, hi in h.covers)
         _emit(args, None, *header, *covers)
     return 0
 

@@ -27,9 +27,9 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .monomials import Monomial, graded_lex_key
+from .monomials import Monomial, _moved, _stripped, graded_lex_key
 from .orders import Family, GroundSetError, PosetId, _generating_moves, _require_member
-from .lattice import CapExceededError, _iter_bits, _linear_order
+from .lattice import VERTEX_CAP, CapExceededError, _iter_bits, _linear_order
 
 #: Default bound on the filters one enumeration lists.
 FILTER_CAP = 1_000_000
@@ -44,11 +44,29 @@ def is_filter(elements, poset):
     if not poset.is_finite():
         raise ValueError(f"{poset} has an infinite ground set")
     members = frozenset(elements)
+    keys = {m.exps for m in members}
+    # member by member, in the set's order, so that a set with both a
+    # non-member and an unclosed member is refused by whichever comes first
     for m in members:
         _require_member(poset, m)
-        if not members.issuperset(_generating_moves(poset, m)):
+        if not keys.issuperset(_generating_moves(poset, m.exps)):
             return False
     return True
+
+
+def _is_up_closed(keys, poset):
+    """is_filter on a set of exponent tuples known to lie in the ground set."""
+    return all(keys.issuperset(_generating_moves(poset, e)) for e in keys)
+
+
+def _interior(keys, nvars):
+    """interior on a set of exponent tuples."""
+    return {
+        e for e in keys
+        if all(_moved(e, j, i) in keys
+               for i in range(1, min(len(e), nvars) + 1) if e[i - 1]
+               for j in range(i + 1, nvars + 1))
+    }
 
 
 def interior(elements, nvars):
@@ -58,11 +76,8 @@ def interior(elements, nvars):
     the monomial v*x_j/x_i also belongs to the set.
     """
     members = frozenset(elements)
-    return frozenset(
-        v for v in members
-        if all(v.transfer(j, i) in members
-               for i in range(1, nvars + 1) if v.exponent(i) for j in range(i + 1, nvars + 1))
-    )
+    inner = _interior({m.exps for m in members}, nvars)
+    return frozenset(m for m in members if m.exps in inner)
 
 
 def boundary(elements, nvars):
@@ -82,13 +97,13 @@ def is_filter_by_layers(elements, nvars, degree):
     for m in elements:
         if m.max_support() > nvars or m.degree() != degree:
             raise GroundSetError(f"{m} is not a degree-{degree} monomial in {nvars} variables")
-        layers[m.exponent(nvars)].add(Monomial(m.exps[: nvars - 1]))
+        layers[m.exponent(nvars)].add(_stripped(m.exps[: nvars - 1]))
     for i, layer in enumerate(layers):
-        if not is_filter(layer, PosetId(Family.BOREL, nvars - 1, degree - i)):
+        if not _is_up_closed(layer, PosetId(Family.BOREL, nvars - 1, degree - i)):
             return False
     for i in range(degree):
-        lifted = {m.times_var(1) for m in layers[i + 1]}
-        if not lifted <= interior(layers[i], nvars - 1):
+        lifted = {_moved(e, 1) for e in layers[i + 1]}
+        if not lifted <= _interior(layers[i], nvars - 1):
             return False
     return True
 
@@ -487,43 +502,45 @@ def ideal_contains(gens, m):
     return any(g.divides(m) for g in gens)
 
 
-def _has_segment_in(members, m):
-    """Whether the exponent tuple of an initial segment of m (its first k
-    variables in index order, k = 0 .. deg m) is in `members`.  By
+def _has_segment_in(members, exps):
+    """Whether an initial segment of the exponent tuple exps (its first k
+    variables in index order, k = 0 .. its degree) is in `members`.  By
     Eliahou-Kervaire each m in a stable ideal is g*w with g a minimal
     generator and max(g) <= min(w), so g is such a segment: the test is
     exact when `members` lies in a stable ideal and holds its minimal
-    generators, and never accepts m outside the ideal `members` generate."""
-    exps = m.exps
-    return () in members or any(
+    generators, and never accepts m outside the ideal `members` generate.
+    The whole tuple, the longest segment, is looked up first."""
+    return exps in members or () in members or any(
         exps[:j] + (a,) in members for j, e in enumerate(exps) for a in range(1, e + 1))
 
 
 def _move_closure(gens, family):
     """Close under _generating_moves (which keep the degree) in rising
-    degree.  When degree d begins, the members of lower degree are closed,
-    so generate a stable ideal, and _has_segment_in is exact: a monomial
-    joins only if outside the ideal so far, so members are the minimal
-    generators.  Each is forced, and the result passes the generator test
-    proved in _generating_moves."""
+    degree, on exponent tuples.  When degree d begins, the members of lower
+    degree are closed, so generate a stable ideal, and _has_segment_in is
+    exact: a monomial joins only if outside the ideal so far, so members
+    are the minimal generators.  Each is forced, and the result passes the
+    generator test proved in _generating_moves.  Raises CapExceededError
+    once the members pass VERTEX_CAP: x30^6 alone closes to 1,623,160."""
     poset = PosetId(family)
-    members, closed = set(), []
+    members = set()
     for g in sorted(set(gens), key=graded_lex_key):
-        queue = [g]
+        queue = [g.exps]
         while queue:
-            m = queue.pop()
-            if not _has_segment_in(members, m):
-                members.add(m.exps)
-                closed.append(m)
-                queue.extend(_generating_moves(poset, m))
-    return tuple(sorted(closed, key=graded_lex_key))
+            e = queue.pop()
+            if not _has_segment_in(members, e):
+                members.add(e)
+                if len(members) > VERTEX_CAP:
+                    raise CapExceededError(f"the closure passed the cap of {VERTEX_CAP} generators")
+                queue.extend(_generating_moves(poset, e))
+    return tuple(sorted(map(Monomial, members), key=graded_lex_key))
 
 
 def _is_closed(gens, family):
     """The generator test by _has_segment_in on set(gens): exact when the
     ideal is closed (so stable), and rejecting a move outside it if not."""
     poset, members = PosetId(family), {g.exps for g in gens}
-    return all(_has_segment_in(members, u) for g in gens for u in _generating_moves(poset, g))
+    return all(_has_segment_in(members, u) for g in members for u in _generating_moves(poset, g))
 
 
 def borel_closure(gens):

@@ -29,6 +29,11 @@ from .orders import (
 #: Default bound on the vertices of a Hasse diagram.
 VERTEX_CAP = 50_000
 
+#: Bound on vertices times variables in one diagram: a vertex is a dense
+#: exponent tuple, so a wide chain such as A[n=20000,d=1] holds about n^2/2
+#: slots in few vertices.  No flag raises it.
+SLOT_BUDGET = 4_000_000
+
 
 class CapExceededError(ValueError):
     """A requested construction is larger than the allowed cap."""
@@ -95,11 +100,12 @@ class HasseDiagram:
 
     def to_dot(self):
         """DOT text with one node per vertex and one edge per cover (upper -> lower)."""
+        names = [str(m) for m in self.vertices]
         lines = ["digraph hasse {"]
-        for m in self.vertices:
-            lines.append(f'  "{m}";')
+        for name in names:
+            lines.append(f'  "{name}";')
         for lo, hi in self.covers:
-            lines.append(f'  "{self.vertices[hi]}" -> "{self.vertices[lo]}";')
+            lines.append(f'  "{names[hi]}" -> "{names[lo]}";')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -147,19 +153,24 @@ def diagram_size(poset, cap=VERTEX_CAP, max_degree=None):
 def build_hasse(poset, cap=VERTEX_CAP, max_degree=None):
     """Build the Hasse diagram of a finite ground set, or of the truncation
     of a degree-unbounded poset to degrees <= max_degree: every vertex's
-    upper covers are the ones _generating_moves lists.  Refuses, before
-    listing any vertex, as diagram_size does."""
-    diagram_size(poset, cap, max_degree)
+    upper covers are the ones _generating_moves lists, found by exponent
+    tuple.  Refuses, before listing any vertex, as diagram_size does, and
+    then with ValueError when the vertices times the n exponent slots a
+    vertex may hold exceed SLOT_BUDGET."""
+    size = diagram_size(poset, cap, max_degree)
     n = poset.nvars
+    if size * n > SLOT_BUDGET:
+        raise ValueError(
+            f"{size} vertices of up to {n} exponent slots exceed the budget of {SLOT_BUDGET} slots")
     if poset.degree is None:
         vertices = tuple(monomials_up_to_degree(n, max_degree))
     else:
         vertices = tuple(ground_monomials(poset))
-    index = {m: i for i, m in enumerate(vertices)}
+    index = {m.exps: i for i, m in enumerate(vertices)}
     covers = sorted(
         (i, index[u])
         for i, m in enumerate(vertices)
-        for u in _generating_moves(poset, m, max_degree)
+        for u in _generating_moves(poset, m.exps, max_degree)
     )
     return HasseDiagram(poset, vertices, tuple(covers))
 

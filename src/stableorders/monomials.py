@@ -8,6 +8,14 @@ strongly-stable and stable orders for the brute-force reachability oracle;
 the covers that orders, diagrams and filters use come from
 orders._generating_moves.
 
+The move kernel works on the stripped exponent tuples themselves: _moved is
+the one definition of a unit move and of multiplication by a variable, and
+orders._generating_moves, the diagram build, the filter tests and the ideal
+closures take and return tuples.  A Monomial, which validates its
+exponents, is built only at the boundary: parsed input, diagram vertices
+and returned sets.  Monomial.transfer and Monomial.times_var check their
+arguments and then call _moved.
+
 A tuple as long as its largest variable index is built from sparse terms
 (a parsed product, a partition's rows or parts, a number of variables) only
 up to MAX_VARIABLES variables: x300000000 alone would take gigabytes.
@@ -34,6 +42,31 @@ def _require_width(nvars):
         raise ValueError(f"x{nvars} lies above x{MAX_VARIABLES}, the last variable allowed")
 
 
+def _stripped(exps):
+    """The tuple without its trailing zeros, in one slice however many."""
+    if exps and not exps[-1]:
+        end = len(exps) - 1
+        while end and not exps[end - 1]:
+            end -= 1
+        return exps[:end]
+    return exps
+
+
+def _moved(exps, i, j=0):
+    """The stripped exponent tuple of exps * x_i / x_j, or of exps * x_i when
+    j is 0 (indices from 1): the one place a tuple gains or moves a unit.
+    exps is stripped, and holds x_j when j is given and differs from i."""
+    out = list(exps)
+    if i > len(out):
+        out += [0] * (i - len(out))
+    out[i - 1] += 1
+    if j:
+        out[j - 1] -= 1
+        while out and not out[-1]:
+            out.pop()
+    return tuple(out)
+
+
 class Monomial:
     """An exponent vector, canonicalized by stripping trailing zeros."""
 
@@ -44,12 +77,7 @@ class Monomial:
         for e in exps:
             if not isinstance(e, int) or isinstance(e, bool) or e < 0:
                 raise ValueError(f"exponents must be non-negative integers, got {e!r}")
-        if exps and not exps[-1]:
-            # one slice, however many trailing zeros
-            end = len(exps) - 1
-            while end and not exps[end - 1]:
-                end -= 1
-            exps = exps[:end]
+        exps = _stripped(exps)
         object.__setattr__(self, "exps", exps)
         object.__setattr__(self, "_hash", hash(exps))
 
@@ -150,18 +178,13 @@ class Monomial:
         """Multiply by the single variable x_i."""
         if i < 1:
             raise ValueError("variable indices start at 1")
-        exps = list(self.exps) + [0] * (i - len(self.exps))
-        exps[i - 1] += 1
-        return Monomial(exps)
+        return Monomial(_moved(self.exps, i))
 
     def transfer(self, i, j):
         """Replace one copy of x_j by x_i, i.e. multiply by x_i/x_j."""
         if i < 1 or not self.exponent(j) and i != j:
             raise ValueError(f"cannot replace x{j} by x{i} in {self}")
-        exps = list(self.exps) + [0] * (i - len(self.exps))
-        exps[i - 1] += 1
-        exps[j - 1] -= 1
-        return Monomial(exps)
+        return Monomial(_moved(self.exps, i, j))
 
     def gcd(self, other):
         n = min(len(self.exps), len(other.exps))

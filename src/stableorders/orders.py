@@ -22,6 +22,7 @@ from operator import le, sub
 
 from .monomials import (
     Monomial,
+    _moved,
     borel_moves_up,
     stable_moves_up,
     monomials_of_degree,
@@ -265,8 +266,10 @@ def _borel_leq(m, mp):
     return all(map(le, _running_sums(m.exps, n), _running_sums(mp.exps, n)))
 
 
-def _generating_moves(poset, m, max_degree=None):
-    """The upper covers of m: the family's covering moves, plus (below the
+def _generating_moves(poset, exps, max_degree=None):
+    """The upper covers of the monomial with stripped exponent tuple exps,
+    as stripped exponent tuples (the move kernel works on tuples; see
+    monomials): the family's covering moves, plus (below the
     degree bound: D's staircase degree, or max_degree for a truncated glued
     poset) multiplication by the least variable: x_n in A and B, x_1 in C,
     every x_i in D.  A: x_{k+1} -> x_k.  C: x_k -> x_{k+1}.  B, with v the
@@ -293,14 +296,13 @@ def _generating_moves(poset, m, max_degree=None):
     """
     family = poset.family
     n = poset.nvars
-    exps = m.exps
     v = len(exps)
     if family is Family.BOREL:
-        moves = [m.transfer(k, k + 1) for k in range(1, v) if exps[k]]
+        moves = [_moved(exps, k, k + 1) for k in range(1, v) if exps[k]]
     elif family is Family.DUAL_BOREL:
-        moves = [m.transfer(k + 1, k) for k in range(1, min(v + 1, n)) if exps[k - 1]]
+        moves = [_moved(exps, k + 1, k) for k in range(1, min(v + 1, n)) if exps[k - 1]]
     elif family is Family.STABLE and v > 1:
-        moves = [m.transfer(i, v) for i in range(1 if exps[-1] > 1 else v - 1, v)]
+        moves = [_moved(exps, i, v) for i in range(1 if exps[-1] > 1 else v - 1, v)]
     else:
         moves = []
     if poset.degree is None:
@@ -309,11 +311,11 @@ def _generating_moves(poset, m, max_degree=None):
         bound = poset.degree
     else:
         return moves
-    if bound is None or m.degree() >= bound:
+    if bound is None or sum(exps) >= bound:
         return moves
     if family is Family.DIVISIBILITY:
-        return moves + [m.times_var(i) for i in range(1, n + 1)]
-    return moves + [m.times_var(1 if family is Family.DUAL_BOREL else n)]
+        return moves + [_moved(exps, i) for i in range(1, n + 1)]
+    return moves + [_moved(exps, 1 if family is Family.DUAL_BOREL else n)]
 
 
 def relation(poset, m, mp):

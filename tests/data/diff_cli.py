@@ -1,4 +1,5 @@
-"""Differential of `stableorders count`, `enumerate` and `gf fountains`
+"""Differential of `stableorders count`, `enumerate`, `gf fountains`,
+`hasse`, `ideal` and the `bijection partition`/`walk --filter` directions
 between a git revision and this tree.
 
     python3 tests/data/diff_cli.py REV
@@ -19,12 +20,25 @@ and B[n=3,d=6], each at every cardinality from -1 to N+1 and none, as text
 and JSON, with the default --cap and with --cap at the count less one and
 at the count; the counts come from this tree's `filter_counts_by_size`.
 The `gf fountains` argv ask for 0..400 and 1500 terms, and 10^9.
+
+The `hasse` argv cover A/B/C/D with n 1-4 and d 0-4, and the glued posets
+with --max-degree -1..3, as text, JSON and DOT; larger posets; chains of up
+to 2000 variables, the widest the slot budget lets through; and the vertex
+cap and unbounded refusals.  The `ideal check` and `ideal close` argv run
+both orders on seeded generator sets of up to four monomials in up to five
+variables, as text and JSON, on closures of up to 42,504 generators, and on
+malformed and too-wide generators.  The `bijection partition` and `walk`
+argv send every filter of A[n=3,d] (d 0-6) and D[n=2,d] (d 0-5), from this
+tree's `enumerate_filters`, as a comma list, a JSON list of names or a JSON
+record, and the same filters without their top member (no longer filters),
+with ground-set outsiders, and malformed payloads.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -36,8 +50,9 @@ ROOT = Path(__file__).resolve().parents[2]
 LIMIT = 1_500_000_000
 sys.path.insert(0, str(ROOT / "src"))
 
-from stableorders.filters import filter_counts_by_size  # noqa: E402
+from stableorders.filters import enumerate_filters, filter_counts_by_size  # noqa: E402
 from stableorders.lattice import build_hasse  # noqa: E402
+from stableorders.monomials import Monomial, graded_lex_key  # noqa: E402
 from stableorders.orders import PosetId  # noqa: E402
 
 # Runs in each child: read the argv list from stdin, print one JSON record
@@ -155,8 +170,82 @@ def fountain_cases():
     return out
 
 
+def hasse_cases():
+    formats = [(), ("--format", "json"), ("--format", "dot")]
+    out = []
+    for family in "ABCD":
+        for n in range(1, 5):
+            for d in range(5):
+                out += [["hasse", "--poset", f"{family}[n={n},d={d}]", *f] for f in formats]
+            for degree in range(-1, 4):
+                glued = ["hasse", "--poset", f"{family}[n={n}]", "--max-degree", str(degree)]
+                out += [[*glued, *f] for f in formats]
+        out.append(["hasse", "--poset", f"{family}[n=3]"])
+        out.append(["hasse", "--poset", f"{family}[n=3,d=4]", "--cap", "3"])
+    for poset in ("A[n=3,d=12]", "B[n=5,d=4]", "C[n=5,d=4]", "D[n=4,d=5]"):
+        out += [["hasse", "--poset", poset, *f] for f in formats]
+    for poset in ("A[n=1200,d=1]", "B[n=1200,d=1]", "C[n=1000,d=1]", "A[n=2000,d=1]",
+                  "A[n=30,d=10]", "A[n=1000001,d=0]"):
+        out.append(["hasse", "--poset", poset])
+    return out
+
+
+def ideal_cases():
+    rng = random.Random(18)
+    out = []
+    for k in range(150):
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            exps = [rng.randint(0, 2) for _ in range(rng.randint(1, 5))]
+            terms = [f"x{i}^{e}" if e > 1 else f"x{i}" for i, e in enumerate(exps, 1) if e]
+            gens.append("*".join(terms) or "1")
+        for order in "AB":
+            for action in ("check", "close"):
+                argv = ["ideal", action, "--order", order, "--gens", ",".join(gens)]
+                out.append([*argv, "--format", "json"] if k % 3 == 0 else argv)
+    for gens in ("x20^5", "x12^4", "x1200", "x2*x3,x1^3", "x4^3,x2*x5^2",
+                 "x1,x300000000", "", "y1", "x0", "[1,2", "x2^2,"):
+        for order in "AB":
+            for action in ("check", "close"):
+                out.append(["ideal", action, "--order", order, "--gens", gens])
+    return out
+
+
+def _payloads(members, k):
+    """The members as a comma list, a JSON list of names or a JSON record."""
+    names = [str(m) for m in sorted(members, key=graded_lex_key)]
+    if k % 3 == 0:
+        return ",".join(names)
+    if k % 3 == 1:
+        return json.dumps(names)
+    return json.dumps({"elements": [list(m.exps) for m in members]})
+
+
+def bijection_cases():
+    out = []
+    for kind, family, n, degrees in (("partition", "A", 3, range(7)), ("walk", "D", 2, range(6))):
+        for d in degrees:
+            poset = f"{family}[n={n},d={d}]"
+            base = ["bijection", kind, "--poset", poset]
+            for k, members in enumerate(enumerate_filters(build_hasse(PosetId.parse(poset)))):
+                out.append([*base, "--filter", _payloads(members, k),
+                            *(("--format", "json") if k % 4 == 1 else ())])
+                top = max(members, key=graded_lex_key, default=None)
+                if len(members) > 1:
+                    out.append([*base, "--filter", _payloads(members - {top}, k)])
+                if k % 5 == 0:
+                    outsider = Monomial.from_terms({n + 1: d + 1})
+                    out.append([*base, "--filter", _payloads(members | {outsider}, k)])
+            for bad in ('{"foo":1}', '{"elements": 3}', '{"elements": [true]}', '{"elements": [',
+                        f"x1^{d + 1}", "x300000000", "[]", "", "x1^-1", "{}"):
+                out.append([*base, "--filter", bad])
+        out.append(["bijection", kind, "--poset", f"{family}[n={n + 1},d=2]", "--filter", "[]"])
+    return out
+
+
 def cases():
-    return count_cases() + enumerate_cases() + fountain_cases()
+    return (count_cases() + enumerate_cases() + fountain_cases() + hasse_cases()
+            + ideal_cases() + bijection_cases())
 
 
 def _run(src, argv_list):

@@ -14,8 +14,10 @@ from pathlib import Path
 
 import pytest
 
+from stableorders import filters, lattice
 from stableorders.cli import _build_parser, main
 from stableorders.filters import catalan
+from stableorders.orders import PosetId
 
 WALK_FILTER_CSV = "x2^4,x2^5,x2^6,x1*x2^4,x1*x2^5,x1^2*x2^4,x1^3*x2^3,x1^6"
 WALK_STEPS = "DDDDRRRDRRDRDDRR"
@@ -158,6 +160,31 @@ class TestHasse:
             code, out, err = run(capsys, command, "--poset", poset)
             assert (code, out) == (2, "")
             assert err == f"error: {count} vertices exceed the cap of 50000; raise it with {flag}\n"
+
+    @pytest.mark.parametrize("command", ["hasse", "enumerate"])
+    def test_wide_chain_is_refused_before_listing(self, capsys, command):
+        # vertex x_k holds k exponent slots, so the 20,000 vertices hold about
+        # 2 * 10**8: listing them ran past 40 s under a 1.5 GB limit
+        code, out, err = run(capsys, command, "--poset", "A[n=20000,d=1]")
+        assert (code, out) == (2, "")
+        assert err == ("error: 20000 vertices of up to 20000 exponent slots exceed "
+                       "the budget of 4000000 slots\n")
+
+    @pytest.mark.parametrize(
+        "poset, max_degree, slots",
+        [("A[n=3,d=3]", None, 30), ("D[n=2]", 2, 12), ("C[n=4,d=1]", None, 16)],
+    )
+    def test_slot_budget_edge(self, monkeypatch, poset, max_degree, slots):
+        pid = PosetId.parse(poset)
+        monkeypatch.setattr(lattice, "SLOT_BUDGET", slots)
+        assert len(lattice.build_hasse(pid, max_degree=max_degree)) * pid.nvars == slots
+        monkeypatch.setattr(lattice, "SLOT_BUDGET", slots - 1)
+        with pytest.raises(ValueError, match=f"exceed the budget of {slots - 1} slots"):
+            lattice.build_hasse(pid, max_degree=max_degree)
+
+    def test_slot_budget_comes_after_the_vertex_cap(self, capsys):
+        code, _, err = run(capsys, "hasse", "--poset", "A[n=20000,d=1]", "--cap", "100")
+        assert (code, err) == (2, "error: 20000 vertices exceed the cap of 100; raise it with --cap\n")
 
     def test_truncation(self, capsys):
         code, out, _ = run(capsys, "hasse", "--poset", "D[n=2]", "--max-degree", "1")
@@ -820,6 +847,21 @@ class TestIdeals:
         code, out, _ = run(capsys, "ideal", "close", "--order", "A", "--gens", "x12^4")
         assert code == 0
         assert out.count(", ") + 1 == comb(15, 4) == 1365
+
+    @pytest.mark.parametrize("order", ["A", "B"])
+    def test_close_is_capped(self, capsys, order):
+        # C(35, 6) = 1,623,160 generators: the closure ran past 60 s
+        code, out, err = run(capsys, "ideal", "close", "--order", order, "--gens", "x30^6")
+        assert (code, out, err) == (2, "", "error: the closure passed the cap of 50000 generators\n")
+
+    def test_close_cap_edge(self, capsys, monkeypatch):
+        # the closure of x3^2 is the six degree-2 monomials in three variables
+        monkeypatch.setattr(filters, "VERTEX_CAP", 6)
+        code, out, _ = run(capsys, "ideal", "close", "--order", "A", "--gens", "x3^2")
+        assert (code, out.count(", ") + 1) == (0, 6)
+        monkeypatch.setattr(filters, "VERTEX_CAP", 5)
+        code, out, err = run(capsys, "ideal", "close", "--order", "A", "--gens", "x3^2")
+        assert (code, out, err) == (2, "", "error: the closure passed the cap of 5 generators\n")
 
     def test_needs_generators(self, capsys):
         code, _, err = run(capsys, "ideal", "check", "--order", "A", "--gens", "")
