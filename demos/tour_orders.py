@@ -3,9 +3,11 @@ from __future__ import annotations
 
 import argparse
 
+from stableorders import cli
 from stableorders.lattice import build_hasse
-from stableorders.monomials import Monomial, borel_moves_up, stable_moves_up
+from stableorders.monomials import Monomial
 from stableorders.orders import PosetId, partial_sums, relation
+from stableorders.verify import borel_moves_up, stable_moves_up
 
 M = Monomial.parse
 
@@ -51,7 +53,7 @@ def main():
         print(f"  {h.vertices[hi]} covers {h.vertices[lo]}")
     print()
     print("The same diagram as graphviz input:")
-    print(h.to_dot())
+    cli.main(["hasse", "--poset", code, "--format", "dot"])
 
 
 if __name__ == "__main__":

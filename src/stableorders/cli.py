@@ -90,19 +90,29 @@ def _elements_from_json(data):
     return frozenset(out)
 
 
+def _json_elements(load, source):
+    """_elements_from_json of load(source), refusing JSON nested deeper
+    than the decoder's recursion allows."""
+    try:
+        data = load(source)
+    except RecursionError:
+        raise ValueError("the filter JSON is nested too deeply") from None
+    return _elements_from_json(data)
+
+
 def _filter_payload(text):
     """Elements of a filter from inline JSON, '-' (standard input), a JSON
     file path, or a comma separated monomial list."""
     if text is None:
         raise ValueError("give the filter with --filter")
     if text == "-":
-        return _elements_from_json(json.load(sys.stdin))
+        return _json_elements(json.load, sys.stdin)
     stripped = text.strip()
     if stripped.startswith(("{", "[")):
-        return _elements_from_json(json.loads(stripped))
+        return _json_elements(json.loads, stripped)
     try:
         with open(text) as fh:
-            return _elements_from_json(json.load(fh))
+            return _json_elements(json.load, fh)
     except OSError:
         return _parse_elements(text)
 
@@ -140,6 +150,23 @@ def _emit(args, payload, *lines):
             print(line)
 
 
+# hasse and enumerate, whose output can be large, write the layout of
+# json.dumps(indent=2) record by record; there each item of a list inside
+# a record starts a line here
+_JSON_INDENT = "\n" + " " * 8
+
+
+def _write_json_items(records):
+    """Write a list of rendered records, the value of a key of the
+    top-level object, as json.dumps(indent=2) lays it out."""
+    write, opening = sys.stdout.write, "[\n    "
+    for record in records:
+        write(opening)
+        write(record)
+        opening = ",\n    "
+    write("\n  ]" if opening == ",\n    " else "[]")
+
+
 def _emit_monomial(args, m):
     _emit(args, {"monomial": str(m), "exponents": list(m.exps)}, m)
 
@@ -175,17 +202,38 @@ def _capped(flag, fn, *args, **kwargs):
         raise CapExceededError(f"{exc}; raise it with {flag}") from None
 
 
+def _write_hasse_json(h, names):
+    """json.dumps(payload, indent=2) and a newline, written vertex by vertex
+    and cover by cover, for payload {"poset", "vertices": [{"monomial",
+    "exponents"}], "covers"} with each vertex padded to the poset's n
+    exponents."""
+    n, sep, write = h.poset.nvars, "," + _JSON_INDENT, sys.stdout.write
+    write(f'{{\n  "poset": {json.dumps(str(h.poset))},\n  "vertices": ')
+    _write_json_items(
+        f'{{\n      "monomial": {json.dumps(name)},\n      "exponents": [{_JSON_INDENT}'
+        f'{sep.join(map(str, m.exponent_vector(n)))}\n      ]\n    }}'
+        for name, m in zip(names, h.vertices))
+    write(',\n  "covers": ')
+    _write_json_items(f"[\n      {lo},\n      {hi}\n    ]" for lo, hi in h.covers)
+    write("\n}\n")
+
+
 def _cmd_hasse(args):
     poset = PosetId.parse(args.poset)
     h = _capped("--cap", build_hasse, poset, cap=args.cap, max_degree=args.max_degree)
-    # each format is built only when asked for: large diagrams make them costly
+    # each vertex is rendered once, and each format only when asked for:
+    # large diagrams make them costly
+    names = [str(m) for m in h.vertices]
     if args.format == "dot":
-        print(h.to_dot())
+        # one node per vertex and one edge per cover, upper -> lower
+        sys.stdout.write("digraph hasse {\n")
+        sys.stdout.writelines(f'  "{name}";\n' for name in names)
+        sys.stdout.writelines(f'  "{names[hi]}" -> "{names[lo]}";\n' for lo, hi in h.covers)
+        sys.stdout.write("}\n\n")
     elif args.format == "json":
-        _emit(args, h.to_json_dict())
+        _write_hasse_json(h, names)
     else:
         header = (f"poset: {poset}", f"vertices: {len(h)}", f"covers: {len(h.covers)}")
-        names = [str(m) for m in h.vertices]  # each vertex is rendered once
         covers = (f"{names[hi]} covers {names[lo]}" for lo, hi in h.covers)
         _emit(args, None, *header, *covers)
     return 0
@@ -246,9 +294,6 @@ def _cmd_count(args):
 # vertex: the selectors that pick its members out of a reversed table.
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
-# json.dumps(indent=2) starts each exponent list of "elements" here
-_JSON_INDENT = "\n" + " " * 8
-
 
 def _cmd_enumerate(args):
     poset = PosetId.parse(args.poset)
@@ -268,14 +313,15 @@ def _cmd_enumerate(args):
         # around each exponent list laid out by json.dumps at its depth
         table = [json.dumps(list(m.exps), indent=2).replace("\n", _JSON_INDENT)
                  for m in reversed(h.vertices)]
-        sep, write = "," + _JSON_INDENT, sys.stdout.write
-        write(f'{{\n  "poset": {json.dumps(str(poset))},\n  "filters": ')
-        opening = "[\n"
-        for mask in masks:
+        sep = "," + _JSON_INDENT
+
+        def record(mask):
             elements = f"[{_JSON_INDENT}{sep.join(members(table, mask))}\n      ]" if mask else "[]"
-            write(f'{opening}    {{\n      "elements": {elements}\n    }}')
-            opening = ",\n"
-        write("[]\n}\n" if opening == "[\n" else "\n  ]\n}\n")
+            return f'{{\n      "elements": {elements}\n    }}'
+
+        sys.stdout.write(f'{{\n  "poset": {json.dumps(str(poset))},\n  "filters": ')
+        _write_json_items(map(record, masks))
+        sys.stdout.write("\n}\n")
     else:
         table = [str(m) for m in reversed(h.vertices)]
         sys.stdout.writelines(f"{{{', '.join(members(table, mask))}}}\n" for mask in masks)

@@ -13,13 +13,14 @@ poset is #P-complete, so that layering is where the speed comes from.
 Enumeration walks the pivot tree on bitmask subposets: filters avoiding a
 pivot are filters of the poset minus the pivot's down-set, and filters
 containing it correspond to filters of the poset minus the pivot's up-set.
-The same split, memoized, counts filters as the independent oracle.
+The same split, memoized, counts filters as the independent oracle in
+verify.
 
 Also here: closed_form_counts, which counts the filters of the posets the
 paper counts in closed form (chains, A and C of side 2, D[n=2,d], B[n=3,d])
 without a diagram; the three-variable recurrence and the weighted-walk table
 behind the stable-order counts; and monomial-ideal utilities
-(strongly-stable/stable closures and membership).
+(strongly-stable/stable closures and their tests).
 """
 
 from __future__ import annotations
@@ -212,44 +213,6 @@ def _pivot(up, down, mask):
             pivot, best = i, size
         probe &= ~principal
     return pivot
-
-
-def _filter_poly(h, mask, memo, rng=None):
-    """Filter counts of the bitmask subposet, indexed by filter cardinality
-    (the pivot recursion behind the oracle pivot_filter_counts)."""
-    out = memo.get(mask)
-    if out is not None:
-        return out
-    if mask == 0:
-        memo[mask] = (1,)
-        return (1,)
-    up = h.up_masks()
-    down = h.down_masks()
-    if rng is None:
-        pivot = _pivot(up, down, mask)
-    else:
-        candidates = [i for i in range(len(h)) if mask >> i & 1]
-        pivot = rng.choice(candidates)
-    principal = up[pivot] & mask
-    without = _filter_poly(h, mask & ~(down[pivot] & mask), memo, rng)
-    within = _filter_poly(h, mask & ~principal, memo, rng)
-    shift = principal.bit_count()
-    out = [0] * (mask.bit_count() + 1)
-    for k, v in enumerate(without):
-        out[k] += v
-    for k, v in enumerate(within):
-        out[k + shift] += v
-    out = tuple(out)
-    memo[mask] = out
-    return out
-
-
-def pivot_filter_counts(h, rng=None):
-    """Filter counts by size from the pivot recursion with a fresh memo: the
-    oracle for filter_counts_by_size.  The largest up-set is the pivot, or a
-    random element when rng is given (the counts do not depend on the
-    pivot).  Recursive and unbounded, so only for small diagrams."""
-    return _filter_poly(h, (1 << len(h)) - 1, {}, rng)
 
 
 def count_filters(h, cardinality=None):
@@ -495,11 +458,6 @@ def minimal_generators(gens):
         if not any(k.divides(g) for k in kept):
             kept.append(g)
     return tuple(kept)
-
-
-def ideal_contains(gens, m):
-    """Membership in the monomial ideal generated by gens."""
-    return any(g.divides(m) for g in gens)
 
 
 def _has_segment_in(members, exps):

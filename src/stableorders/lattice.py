@@ -98,28 +98,6 @@ class HasseDiagram:
     def leq(self, m, mp):
         return self.leq_indices(self.index(m), self.index(mp))
 
-    def to_dot(self):
-        """DOT text with one node per vertex and one edge per cover (upper -> lower)."""
-        names = [str(m) for m in self.vertices]
-        lines = ["digraph hasse {"]
-        for name in names:
-            lines.append(f'  "{name}";')
-        for lo, hi in self.covers:
-            lines.append(f'  "{names[hi]}" -> "{names[lo]}";')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self):
-        nvars = self.poset.nvars
-        return {
-            "poset": str(self.poset),
-            "vertices": [
-                {"monomial": str(m), "exponents": m.exponent_vector(nvars)}
-                for m in self.vertices
-            ],
-            "covers": [list(c) for c in self.covers],
-        }
-
 
 def diagram_size(poset, cap=VERTEX_CAP, max_degree=None):
     """The vertex count of the diagram build_hasse builds for these
@@ -324,63 +302,6 @@ def _stable_join(m, mp):
     return Monomial(a[:n])
 
 
-def _meet_join_tables(h):
-    """All pairwise meets and joins by bitmask scans; raises NotLatticeError."""
-    n = len(h)
-    up, down = h.up_masks(), h.down_masks()
-    meets = [[0] * n for _ in range(n)]
-    joins = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            common = down[i] & down[j]
-            best = [k for k in _iter_bits(common) if up[k] & common == 1 << k]
-            if len(best) != 1:
-                raise NotLatticeError(f"{h.vertices[i]} and {h.vertices[j]} lack a unique meet")
-            meets[i][j] = meets[j][i] = best[0]
-            common = up[i] & up[j]
-            best = [k for k in _iter_bits(common) if down[k] & common == 1 << k]
-            if len(best) != 1:
-                raise NotLatticeError(f"{h.vertices[i]} and {h.vertices[j]} lack a unique join")
-            joins[i][j] = joins[j][i] = best[0]
-    return meets, joins
-
-
-def check_distributive(h):
-    """Test a ∧ (b ∨ c) = (a ∧ b) ∨ (a ∧ c) over all vertex triples.
-
-    Returns (True, None) or (False, first violating triple of monomials).
-    """
-    meets, joins = _meet_join_tables(h)
-    n = len(h)
-    for a in range(n):
-        row = meets[a]
-        for b in range(n):
-            for c in range(n):
-                if row[joins[b][c]] != joins[row[b]][row[c]]:
-                    return False, (h.vertices[a], h.vertices[b], h.vertices[c])
-    return True, None
-
-
-def find_n5(h):
-    """Search for a pentagon sublattice (bottom, a, b, c, top) with b < c and a
-    incomparable to both; returns None when the lattice is modular."""
-    meets, joins = _meet_join_tables(h)
-    n = len(h)
-    for a in range(n):
-        for b in range(n):
-            if b == a or h.leq_indices(a, b) or h.leq_indices(b, a):
-                continue
-            for c in range(n):
-                if c in (a, b) or not h.leq_indices(b, c):
-                    continue
-                if h.leq_indices(a, c) or h.leq_indices(c, a):
-                    continue
-                if meets[a][b] == meets[a][c] and joins[a][b] == joins[a][c]:
-                    verts = h.vertices
-                    return (verts[meets[a][b]], verts[a], verts[b], verts[c], verts[joins[a][b]])
-    return None
-
-
 def _longest_path_ranks(h):
     return _fill(h, False, lambda i, lows: 1 + max(lows, default=-1))
 
@@ -399,34 +320,6 @@ def rank_sizes(h):
     for r in ranks:
         counts[r] += 1
     return counts
-
-
-def height_width(h):
-    """(length of a longest chain, size of a largest antichain).
-
-    The width is exact: by Dilworth's theorem it equals the number of vertices
-    minus a maximum matching in the bipartite strict-comparability graph.
-    """
-    ranks = _longest_path_ranks(h)
-    height = max(ranks, default=0)
-
-    n = len(h)
-    up = h.up_masks()
-    adjacency = [list(_iter_bits(up[i] & ~(1 << i))) for i in range(n)]
-    match_right = [-1] * n
-
-    def augment(u, visited):
-        for v in adjacency[u]:
-            if v in visited:
-                continue
-            visited.add(v)
-            if match_right[v] == -1 or augment(match_right[v], visited):
-                match_right[v] = u
-                return True
-        return False
-
-    matched = sum(1 for u in range(n) if augment(u, set()))
-    return height, n - matched
 
 
 def gaussian(a, b):

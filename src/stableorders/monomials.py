@@ -3,9 +3,7 @@
 A monomial is stored as a tuple of non-negative integer exponents with
 trailing zeros stripped, so x1^2*x3 is (2, 0, 1) and the unit is ().  An
 exchange move replaces one copy of a variable x_j by a variable x_i with
-smaller index.  borel_moves_up and stable_moves_up list every move of the
-strongly-stable and stable orders for the brute-force reachability oracle;
-the covers that orders, diagrams and filters use come from
+smaller index.  The covers that orders, diagrams and filters use come from
 orders._generating_moves.
 
 The move kernel works on the stripped exponent tuples themselves: _moved is
@@ -202,42 +200,6 @@ ONE = Monomial(())
 def graded_lex_key(m):
     """Sort key: total degree first, then the exponent tuple lexicographically."""
     return (m.degree(), m.exps)
-
-
-def borel_moves_up(m):
-    """All single exchange moves x_i/x_j with i < j, one for each usable pair.
-
-    These generate the strongly-stable (Borel) order: each move replaces one
-    copy of some occurring variable x_j by a strictly smaller-index variable.
-    """
-    moves = set()
-    for j in range(2, m.max_support() + 1):
-        if m.exponent(j) == 0:
-            continue
-        for i in range(1, j):
-            moves.add(m.transfer(i, j))
-    return frozenset(moves)
-
-
-def stable_moves_up(m):
-    """Exchange moves allowed in the stable order: only the last variable moves.
-
-    Only one copy of x_v, v = max_support(m), may be replaced by a
-    smaller-index variable.
-    """
-    v = m.max_support()
-    if v < 2:
-        return frozenset()
-    return frozenset(m.transfer(i, v) for i in range(1, v))
-
-
-def index_weight(m):
-    """Sum of variable indices counted with multiplicity.
-
-    Strictly decreases along every upward exchange move, which certifies
-    antisymmetry of the generated orders and termination of searches.
-    """
-    return sum(i * e for i, e in enumerate(m.exps, start=1))
 
 
 def monomials_of_degree(nvars, degree):

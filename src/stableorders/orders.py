@@ -23,8 +23,6 @@ from operator import le, sub
 from .monomials import (
     Monomial,
     _moved,
-    borel_moves_up,
-    stable_moves_up,
     monomials_of_degree,
     monomials_up_to_degree,
 )
@@ -167,19 +165,6 @@ def dual_rename(m, nvars):
     if m.max_support() > nvars:
         raise ValueError(f"{m} does not fit in {nvars} variables")
     return Monomial(reversed(m.exponent_vector(nvars)))
-
-
-def antitone_dual_sequence(m, window):
-    """The order-reversing bijection from monomials in `window` variables onto
-    partial sums of degree-`window` monomials.
-
-    Returns the tuple of exponent(1) zeros, exponent(2) ones, and so on, then
-    one entry `window`: padded with its last value, it is constant `window`
-    from position degree + 1 onward.
-    """
-    if m.max_support() > window:
-        raise ValueError(f"{m} does not fit in {window} variables")
-    return tuple(k for k in range(window) for _ in range(m.exponent(k + 1))) + (window,)
 
 
 def _stable_leq(m, mp, n):
@@ -329,50 +314,3 @@ def relation(poset, m, mp):
     if backward:
         return "gt"
     return "incomparable"
-
-
-def reachability_oracle(poset, m, mp):
-    """Decide m <= mp by brute-force search over generating relations only.
-
-    Used as an independent check on leq: it never consults partial sums or
-    the stable case split, just walks exchange moves (and multiplication when
-    the degree is unbounded).
-    """
-    _require_member(poset, m)
-    _require_member(poset, mp)
-    family = poset.family
-    if family is Family.DUAL_BOREL:
-        n = poset.nvars
-        renamed = PosetId(Family.BOREL, n, poset.degree)
-        return reachability_oracle(renamed, dual_rename(m, n), dual_rename(mp, n))
-    if m == mp:
-        return True
-    target_degree = mp.degree()
-    if m.degree() > target_degree:
-        return False
-    nvars = poset.nvars or max(m.max_support(), mp.max_support(), 1)
-    allow_multiplication = poset.degree is None or family is Family.DIVISIBILITY
-
-    def neighbors(u):
-        out = set()
-        if family is Family.BOREL:
-            out.update(borel_moves_up(u))
-        elif family is Family.STABLE:
-            out.update(stable_moves_up(u))
-        if allow_multiplication and u.degree() < target_degree:
-            out.update(u.times_var(i) for i in range(1, nvars + 1))
-        return out
-
-    seen = {m}
-    frontier = [m]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in neighbors(u):
-                if w == mp:
-                    return True
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return False

@@ -13,7 +13,7 @@ from operator import le
 
 from .lattice import CapExceededError
 from .monomials import _require_width, monomials_up_to_degree, stars_and_bars
-from .orders import Family, PosetId, _borel_leq, _running_sums, relation
+from .orders import Family, PosetId, _running_sums, relation
 
 LESS = -1
 EQUAL = 0
@@ -83,10 +83,6 @@ def _cmp(x, y):
     return (x > y) - (x < y)
 
 
-def is_strictly_decreasing(weights):
-    return all(a > b for a, b in zip(weights, weights[1:])) and all(w > 0 for w in weights)
-
-
 #: Default bound on the ordered pairs refines_borel scans, N * (N - 1) for
 #: N monomials: it admits n=4 up to degree 9 (715 monomials), not degree 10.
 REFINES_PAIR_CAP = 1_000_000
@@ -127,14 +123,6 @@ def refines_borel(order, nvars, max_degree, cap=REFINES_PAIR_CAP):
             if sample is None:
                 sample = (mp, m)
     return True, sample
-
-
-def ordinal_sum_leq(m, mp):
-    """The ordinal sum of the fixed-degree strongly-stable orders: lower
-    degree first, strongly-stable comparison within a degree."""
-    if m.degree() != mp.degree():
-        return m.degree() < mp.degree()
-    return _borel_leq(m, mp)
 
 
 def weight_vectors_by_total(nvars):

@@ -2,6 +2,15 @@
 runtime, mostly by checking a fast path against an independent oracle (move
 reachability, pivot counts, subset scans, brute-force meets and joins).
 
+The oracles live here, and in no module a command answers from: the
+exchange moves borel_moves_up and stable_moves_up, which
+reachability_oracle walks breadth first (the check on orders.leq); the
+pairwise meets and joins of _meet_join_tables, and check_distributive,
+find_n5 and height_width, which read lattice facts off them; the memoized
+pivot recursion pivot_filter_counts (the check on the frontier sweep); and
+ordinal_sum_leq, the intersection of the degree-compatible term orders.
+The tests import them from here too.
+
 run_suite(name, seed) runs the suite SUITES[name] and returns its report.
 """
 
@@ -16,24 +25,26 @@ from .monomials import Monomial, graded_lex_key, monomials_up_to_degree
 from .orders import (
     Family,
     PosetId,
+    _borel_leq,
+    _require_member,
+    dual_rename,
     ground_monomials,
     leq,
     monomial_from_partial_sums,
     partial_sums,
-    reachability_oracle,
 )
 from .lattice import (
-    _meet_join_tables,
+    NotLatticeError,
+    _iter_bits,
+    _longest_path_ranks,
     build_hasse,
-    check_distributive,
-    find_n5,
     gaussian,
-    height_width,
     join,
     meet,
     rank_sizes,
 )
 from .filters import (
+    _pivot,
     borel_closure,
     boundary,
     catalan,
@@ -45,7 +56,6 @@ from .filters import (
     interior,
     is_filter,
     is_filter_by_layers,
-    pivot_filter_counts,
     stable_filter_counts,
     weighted_walk_count,
 )
@@ -74,11 +84,224 @@ from .termorders import (
     GREATER,
     LESS,
     TermOrder,
-    ordinal_sum_leq,
     random_weight_vector,
     refines_borel,
     separating_witnesses,
 )
+
+
+# ---------------------------------------------------------------------------
+# oracles: the brute force that the suites below and the tests check the
+# fast paths against
+
+
+def borel_moves_up(m):
+    """All single exchange moves x_i/x_j with i < j, one for each usable pair.
+
+    These generate the strongly-stable (Borel) order: each move replaces one
+    copy of some occurring variable x_j by a strictly smaller-index variable.
+    """
+    moves = set()
+    for j in range(2, m.max_support() + 1):
+        if m.exponent(j) == 0:
+            continue
+        for i in range(1, j):
+            moves.add(m.transfer(i, j))
+    return frozenset(moves)
+
+
+def stable_moves_up(m):
+    """Exchange moves allowed in the stable order: only the last variable moves.
+
+    Only one copy of x_v, v = max_support(m), may be replaced by a
+    smaller-index variable.
+    """
+    v = m.max_support()
+    if v < 2:
+        return frozenset()
+    return frozenset(m.transfer(i, v) for i in range(1, v))
+
+
+def reachability_oracle(poset, m, mp):
+    """Decide m <= mp by brute-force search over generating relations only.
+
+    Used as an independent check on leq: it never consults partial sums or
+    the stable case split, just walks exchange moves (and multiplication when
+    the degree is unbounded).
+    """
+    _require_member(poset, m)
+    _require_member(poset, mp)
+    family = poset.family
+    if family is Family.DUAL_BOREL:
+        n = poset.nvars
+        renamed = PosetId(Family.BOREL, n, poset.degree)
+        return reachability_oracle(renamed, dual_rename(m, n), dual_rename(mp, n))
+    if m == mp:
+        return True
+    target_degree = mp.degree()
+    if m.degree() > target_degree:
+        return False
+    nvars = poset.nvars or max(m.max_support(), mp.max_support(), 1)
+    allow_multiplication = poset.degree is None or family is Family.DIVISIBILITY
+
+    def neighbors(u):
+        out = set()
+        if family is Family.BOREL:
+            out.update(borel_moves_up(u))
+        elif family is Family.STABLE:
+            out.update(stable_moves_up(u))
+        if allow_multiplication and u.degree() < target_degree:
+            out.update(u.times_var(i) for i in range(1, nvars + 1))
+        return out
+
+    seen = {m}
+    frontier = [m]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in neighbors(u):
+                if w == mp:
+                    return True
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return False
+
+
+def _meet_join_tables(h):
+    """All pairwise meets and joins by bitmask scans; raises NotLatticeError."""
+    n = len(h)
+    up, down = h.up_masks(), h.down_masks()
+    meets = [[0] * n for _ in range(n)]
+    joins = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            common = down[i] & down[j]
+            best = [k for k in _iter_bits(common) if up[k] & common == 1 << k]
+            if len(best) != 1:
+                raise NotLatticeError(f"{h.vertices[i]} and {h.vertices[j]} lack a unique meet")
+            meets[i][j] = meets[j][i] = best[0]
+            common = up[i] & up[j]
+            best = [k for k in _iter_bits(common) if down[k] & common == 1 << k]
+            if len(best) != 1:
+                raise NotLatticeError(f"{h.vertices[i]} and {h.vertices[j]} lack a unique join")
+            joins[i][j] = joins[j][i] = best[0]
+    return meets, joins
+
+
+def check_distributive(h):
+    """Test a ∧ (b ∨ c) = (a ∧ b) ∨ (a ∧ c) over all vertex triples.
+
+    Returns (True, None) or (False, first violating triple of monomials).
+    """
+    meets, joins = _meet_join_tables(h)
+    n = len(h)
+    for a in range(n):
+        row = meets[a]
+        for b in range(n):
+            for c in range(n):
+                if row[joins[b][c]] != joins[row[b]][row[c]]:
+                    return False, (h.vertices[a], h.vertices[b], h.vertices[c])
+    return True, None
+
+
+def find_n5(h):
+    """Search for a pentagon sublattice (bottom, a, b, c, top) with b < c and a
+    incomparable to both; returns None when the lattice is modular."""
+    meets, joins = _meet_join_tables(h)
+    n = len(h)
+    for a in range(n):
+        for b in range(n):
+            if b == a or h.leq_indices(a, b) or h.leq_indices(b, a):
+                continue
+            for c in range(n):
+                if c in (a, b) or not h.leq_indices(b, c):
+                    continue
+                if h.leq_indices(a, c) or h.leq_indices(c, a):
+                    continue
+                if meets[a][b] == meets[a][c] and joins[a][b] == joins[a][c]:
+                    verts = h.vertices
+                    return (verts[meets[a][b]], verts[a], verts[b], verts[c], verts[joins[a][b]])
+    return None
+
+
+def height_width(h):
+    """(length of a longest chain, size of a largest antichain).
+
+    The width is exact: by Dilworth's theorem it equals the number of vertices
+    minus a maximum matching in the bipartite strict-comparability graph.
+    """
+    ranks = _longest_path_ranks(h)
+    height = max(ranks, default=0)
+
+    n = len(h)
+    up = h.up_masks()
+    adjacency = [list(_iter_bits(up[i] & ~(1 << i))) for i in range(n)]
+    match_right = [-1] * n
+
+    def augment(u, visited):
+        for v in adjacency[u]:
+            if v in visited:
+                continue
+            visited.add(v)
+            if match_right[v] == -1 or augment(match_right[v], visited):
+                match_right[v] = u
+                return True
+        return False
+
+    matched = sum(1 for u in range(n) if augment(u, set()))
+    return height, n - matched
+
+
+def _filter_poly(h, mask, memo, rng=None):
+    """Filter counts of the bitmask subposet, indexed by filter cardinality
+    (the pivot recursion behind the oracle pivot_filter_counts)."""
+    out = memo.get(mask)
+    if out is not None:
+        return out
+    if mask == 0:
+        memo[mask] = (1,)
+        return (1,)
+    up = h.up_masks()
+    down = h.down_masks()
+    if rng is None:
+        pivot = _pivot(up, down, mask)
+    else:
+        candidates = [i for i in range(len(h)) if mask >> i & 1]
+        pivot = rng.choice(candidates)
+    principal = up[pivot] & mask
+    without = _filter_poly(h, mask & ~(down[pivot] & mask), memo, rng)
+    within = _filter_poly(h, mask & ~principal, memo, rng)
+    shift = principal.bit_count()
+    out = [0] * (mask.bit_count() + 1)
+    for k, v in enumerate(without):
+        out[k] += v
+    for k, v in enumerate(within):
+        out[k + shift] += v
+    out = tuple(out)
+    memo[mask] = out
+    return out
+
+
+def pivot_filter_counts(h, rng=None):
+    """Filter counts by size from the pivot recursion with a fresh memo: the
+    oracle for filter_counts_by_size.  The largest up-set is the pivot, or a
+    random element when rng is given (the counts do not depend on the
+    pivot).  Recursive and unbounded, so only for small diagrams."""
+    return _filter_poly(h, (1 << len(h)) - 1, {}, rng)
+
+
+def ordinal_sum_leq(m, mp):
+    """The ordinal sum of the fixed-degree strongly-stable orders: lower
+    degree first, strongly-stable comparison within a degree."""
+    if m.degree() != mp.degree():
+        return m.degree() < mp.degree()
+    return _borel_leq(m, mp)
+
+
+# ---------------------------------------------------------------------------
+# suites
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Differential of `stableorders count`, `enumerate`, `gf fountains`,
-`hasse`, `ideal` and the `bijection partition`/`walk --filter` directions
-between a git revision and this tree.
+`hasse`, `ideal`, the `bijection partition`/`walk --filter` directions,
+`compare`, `meet`, `join`, `termorder` and `verify` between a git revision
+and this tree.
 
     python3 tests/data/diff_cli.py REV
 
@@ -8,8 +9,10 @@ Run from the root of a checkout.  REV's files are exported with `git archive`
 into a temporary directory (nothing is fetched).  The same argv list then
 runs through `stableorders.cli.main` in one child process per tree, one tree
 at a time, each under a 1.5 GB address-space limit.  Every argv whose exit
-code, stdout or stderr differs is printed, and the last line is a summary
-such as `diff_cli: 0 of 1234 argv differ`.  Exit code 1 when any differ.
+code, stdout or stderr differs is printed (`verify` is compared on exit code
+and stdout only, as its stderr holds timings), and the last line is a
+summary such as `diff_cli: 0 of 1234 argv differ`.  Exit code 1 when any
+differ.
 
 The `count` argv cover A/B/C/D with n 1-5 and d 0-7 (plain, --format json,
 --by-cardinality and --cardinality inside and outside the profile), glued
@@ -31,7 +34,17 @@ malformed and too-wide generators.  The `bijection partition` and `walk`
 argv send every filter of A[n=3,d] (d 0-6) and D[n=2,d] (d 0-5), from this
 tree's `enumerate_filters`, as a comma list, a JSON list of names or a JSON
 record, and the same filters without their top member (no longer filters),
-with ground-set outsiders, and malformed payloads.
+with ground-set outsiders, and malformed payloads, among them JSON nested
+100,000 deep, inline and in a file.
+
+The `compare`, `meet` and `join` argv take seeded pairs from the ground sets
+of A/B/C/D with n 1-4 and d 0-3, and of the glued posets up to degree 3, as
+text and JSON, with operands outside the ground set and malformed ones.  The
+`termorder check` argv cover every kind, weighted ones with rising and
+falling weights, with and without --degree-first, n 1-4 and max degree 0-4,
+and a small --cap; the `termorder separate` argv take seeded pairs of
+monomials in up to four variables.  The `verify` argv run every suite and
+`all` with seeds 0-3.
 """
 
 from __future__ import annotations
@@ -52,8 +65,9 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from stableorders.filters import enumerate_filters, filter_counts_by_size  # noqa: E402
 from stableorders.lattice import build_hasse  # noqa: E402
-from stableorders.monomials import Monomial, graded_lex_key  # noqa: E402
-from stableorders.orders import PosetId  # noqa: E402
+from stableorders.monomials import Monomial, graded_lex_key, monomials_up_to_degree  # noqa: E402
+from stableorders.orders import PosetId, ground_monomials  # noqa: E402
+from stableorders.verify import SUITES  # noqa: E402
 
 # Runs in each child: read the argv list from stdin, print one JSON record
 # [code, stdout, stderr] per argv.
@@ -221,7 +235,10 @@ def _payloads(members, k):
     return json.dumps({"elements": [list(m.exps) for m in members]})
 
 
-def bijection_cases():
+def bijection_cases(tmp):
+    deep = ["[" * 100000, '{"elements": ' + "[" * 100000]
+    for i, payload in enumerate(deep):
+        (tmp / f"deep{i}.json").write_text(payload)
     out = []
     for kind, family, n, degrees in (("partition", "A", 3, range(7)), ("walk", "D", 2, range(6))):
         for d in degrees:
@@ -240,12 +257,69 @@ def bijection_cases():
                         f"x1^{d + 1}", "x300000000", "[]", "", "x1^-1", "{}"):
                 out.append([*base, "--filter", bad])
         out.append(["bijection", kind, "--poset", f"{family}[n={n + 1},d=2]", "--filter", "[]"])
+        poset = f"{family}[n={n},d=2]"
+        for i, payload in enumerate(deep):
+            for argument in (payload, str(tmp / f"deep{i}.json")):
+                out.append(["bijection", kind, "--poset", poset, "--filter", argument])
     return out
 
 
-def cases():
+def operand_cases():
+    rng = random.Random(20)
+    out = []
+    posets = [(f"{family}[n={n},d={d}]", None) for family in "ABCD" for n in range(1, 5)
+              for d in range(4)]
+    posets += [(f"{family}[n={n}]", n) for family in "ABCD" for n in range(1, 5)]
+    posets += [("A", 3), ("B", 3), ("D", 3)]
+    for k, (text, nvars) in enumerate(posets):
+        poset = PosetId.parse(text)
+        pool = ground_monomials(poset) if nvars is None else monomials_up_to_degree(nvars, 3)
+        names = [str(m) for m in pool]
+        pairs = [(rng.choice(names), rng.choice(names)) for _ in range(12)]
+        pairs += [("x5^2", names[0]), (names[-1], "x1^9"), ("x0", "x1"), ("x1^-1", "x2")]
+        for i, (left, right) in enumerate(pairs):
+            command = ("compare", "meet", "join")[i % 3]
+            argv = [command, "--poset", text, left, right]
+            out.append([*argv, "--format", "json"] if (i + k) % 4 == 0 else argv)
+    return out
+
+
+def termorder_cases():
+    rng = random.Random(21)
+    out = []
+    for n in range(1, 5):
+        for max_degree in range(5):
+            base = ["--n", str(n), "--max-degree", str(max_degree)]
+            for kind in ("lex", "deglex", "degrevlex"):
+                out.append(["termorder", "check", "--order", kind, *base])
+            falling = ",".join(str(n - i) for i in range(n))
+            rising = ",".join(str(i + 1) for i in range(n))
+            for weights in (falling, rising):
+                for first in ((), ("--degree-first",)):
+                    out.append(["termorder", "check", "--order", "weighted", "--weights", weights,
+                                *first, *base, *(("--format", "json") if max_degree % 2 else ())])
+    out += [["termorder", "check", "--order", "lex", "--n", "3", "--max-degree", "4",
+             "--cap", "100"],
+            ["termorder", "check", "--order", "weighted", "--n", "3"],
+            ["termorder", "check", "--order", "lex", "--n", "0"]]
+    pool = [str(m) for m in monomials_up_to_degree(4, 3)]
+    for i in range(120):
+        left, right = rng.choice(pool), rng.choice(pool)
+        out.append(["termorder", "separate", left, right,
+                    *(("--n", "4") if i % 3 == 0 else ()),
+                    *(("--format", "json") if i % 4 == 1 else ())])
+    return out
+
+
+def verify_cases():
+    return [["verify", "--suite", suite, "--seed", str(seed)]
+            for suite in ("all", *SUITES) for seed in range(4)]
+
+
+def cases(tmp):
     return (count_cases() + enumerate_cases() + fountain_cases() + hasse_cases()
-            + ideal_cases() + bijection_cases())
+            + ideal_cases() + bijection_cases(tmp) + operand_cases() + termorder_cases()
+            + verify_cases())
 
 
 def _run(src, argv_list):
@@ -263,19 +337,21 @@ def _run(src, argv_list):
 
 
 def main(rev):
-    argv_list = cases()
     with tempfile.TemporaryDirectory() as tmp:
+        argv_list = cases(Path(tmp))
         archive = subprocess.run(
             ["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True, check=True
         ).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         before = _run(Path(tmp) / "src", argv_list)
-    after = _run(ROOT / "src", argv_list)
+        after = _run(ROOT / "src", argv_list)
     differ = 0
     for argv, old, new in zip(argv_list, before, after):
+        if argv[0] == "verify":  # its stderr holds timings
+            old, new = old[:2], new[:2]
         if old != new:
             differ += 1
-            print(f"{' '.join(argv)}\n  {rev}: {old!r:.300}\n  tree: {new!r:.300}")
+            print(f"{' '.join(argv):.300}\n  {rev}: {old!r:.300}\n  tree: {new!r:.300}")
     print(f"diff_cli: {differ} of {len(argv_list)} argv differ")
     return 1 if differ else 0
 

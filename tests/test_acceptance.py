@@ -37,10 +37,7 @@ from stableorders.filters import (
 )
 from stableorders.lattice import (
     build_hasse,
-    check_distributive,
-    find_n5,
     gaussian,
-    height_width,
     meet,
     rank_sizes,
 )
@@ -51,19 +48,27 @@ from stableorders.orders import (
     leq,
     monomial_from_partial_sums,
     partial_sums,
-    reachability_oracle,
     relation,
 )
 from stableorders.termorders import (
     GREATER,
     LESS,
     TermOrder,
-    is_strictly_decreasing,
-    ordinal_sum_leq,
     random_weight_vector,
     refines_borel,
     separating_witnesses,
 )
+from stableorders.verify import (
+    check_distributive,
+    find_n5,
+    height_width,
+    ordinal_sum_leq,
+    reachability_oracle,
+)
+
+
+def is_strictly_decreasing(weights):
+    return all(a > b for a, b in zip(weights, weights[1:])) and all(w > 0 for w in weights)
 
 
 def hasse(text):

@@ -142,6 +142,51 @@ class TestHasse:
         assert [v["monomial"] for v in data["vertices"]] == ["x2^2", "x1*x2", "x1^2"]
         assert data["covers"] == [[0, 1], [1, 2]]
 
+    def test_dot_output(self, capsys):
+        code, out, _ = run(capsys, "hasse", "--poset", "A[n=2,d=2]", "--format", "dot")
+        assert (code, out) == (0, (
+            'digraph hasse {\n'
+            '  "x2^2";\n'
+            '  "x1*x2";\n'
+            '  "x1^2";\n'
+            '  "x1*x2" -> "x2^2";\n'
+            '  "x1^2" -> "x1*x2";\n'
+            "}\n\n"
+        ))
+
+    def test_json_output(self, capsys):
+        code, out, _ = run(capsys, "hasse", "--poset", "A[n=2,d=2]", "--format", "json")
+        payload = {
+            "poset": "A[n=2,d=2]",
+            "vertices": [
+                {"monomial": "x2^2", "exponents": [0, 2]},
+                {"monomial": "x1*x2", "exponents": [1, 1]},
+                {"monomial": "x1^2", "exponents": [2, 0]},
+            ],
+            "covers": [[0, 1], [1, 2]],
+        }
+        assert (code, out) == (0, json.dumps(payload, indent=2) + "\n")
+
+    @pytest.mark.parametrize(
+        "poset, max_degree",
+        [("A[n=3,d=2]", None), ("B[n=4,d=3]", None), ("C[n=3,d=3]", None), ("D[n=2,d=3]", None),
+         ("A[n=1,d=4]", None), ("B[n=3]", 2), ("D[n=3]", -1), ("A[n=40,d=1]", None)],
+    )
+    def test_json_is_the_indented_document(self, capsys, poset, max_degree):
+        # written record by record, it is byte for byte the document
+        # json.dumps(indent=2) makes of the whole diagram, vertices padded to n
+        extra = () if max_degree is None else ("--max-degree", str(max_degree))
+        code, out, _ = run(capsys, "hasse", "--poset", poset, *extra, "--format", "json")
+        pid = PosetId.parse(poset)
+        h = lattice.build_hasse(pid, max_degree=max_degree)
+        payload = {
+            "poset": poset,
+            "vertices": [{"monomial": str(m), "exponents": m.exponent_vector(pid.nvars)}
+                         for m in h.vertices],
+            "covers": [list(c) for c in h.covers],
+        }
+        assert (code, out) == (0, json.dumps(payload, indent=2) + "\n")
+
     def test_cap(self, capsys):
         code, _, err = run(capsys, "hasse", "--poset", "A[n=3,d=2]", "--cap", "2")
         assert code == 2
@@ -629,6 +674,22 @@ class TestBijections:
                 [6], [3, 3], [2, 4], [1, 5], [0, 6], [1, 4], [0, 5], [0, 4],
             ]
         }
+
+    @pytest.mark.parametrize("form", ["inline", "stdin", "file"])
+    @pytest.mark.parametrize("payload", ["[" * 100000, '{"elements": ' + "[" * 100000])
+    @pytest.mark.parametrize("kind, poset", [("partition", "A[n=3,d=2]"), ("walk", "D[n=2,d=2]")])
+    def test_deeply_nested_filter_json(self, capsys, monkeypatch, tmp_path, kind, poset, payload,
+                                       form):
+        # the JSON decoder used to end in a RecursionError traceback, exit 1
+        argument = payload
+        if form == "stdin":
+            monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+            argument = "-"
+        elif form == "file":
+            argument = str(tmp_path / "filter.json")
+            Path(argument).write_text(payload)
+        code, out, err = run(capsys, "bijection", kind, "--poset", poset, "--filter", argument)
+        assert (code, out, err) == (2, "", "error: the filter JSON is nested too deeply\n")
 
     @pytest.mark.parametrize("payload", ['{"foo":1}', '{"elements": 3}'])
     def test_walk_rejects_malformed_records(self, capsys, payload):

@@ -14,12 +14,8 @@ from stableorders.lattice import (
     NotGradedError,
     NotLatticeError,
     _linear_order,
-    _meet_join_tables,
     build_hasse,
-    check_distributive,
-    find_n5,
     gaussian,
-    height_width,
     join,
     meet,
     rank_sizes,
@@ -31,8 +27,14 @@ from stableorders.orders import (
     PosetId,
     ground_monomials,
     leq,
-    reachability_oracle,
     relation,
+)
+from stableorders.verify import (
+    _meet_join_tables,
+    check_distributive,
+    find_n5,
+    height_width,
+    reachability_oracle,
 )
 
 M = Monomial.parse
@@ -211,25 +213,6 @@ class TestBuildHasse:
             build_hasse(PosetId.parse("A[*,d=2]"))
         with pytest.raises(ValueError):
             build_hasse(PosetId.parse("A[n=2]"))
-
-    def test_dot_output(self):
-        h = build_hasse(PosetId.parse("A[n=2,d=2]"))
-        assert h.to_dot() == (
-            'digraph hasse {\n'
-            '  "x2^2";\n'
-            '  "x1*x2";\n'
-            '  "x1^2";\n'
-            '  "x1*x2" -> "x2^2";\n'
-            '  "x1^2" -> "x1*x2";\n'
-            "}\n"
-        )
-
-    def test_json_dict(self):
-        h = build_hasse(PosetId.parse("A[n=3,d=2]"))
-        data = h.to_json_dict()
-        assert data["poset"] == "A[n=3,d=2]"
-        assert data["vertices"][0] == {"monomial": "x3^2", "exponents": [0, 0, 2]}
-        assert data["covers"] == [list(c) for c in h.covers]
 
 
 class TestMeetJoin:

@@ -11,13 +11,11 @@ from stableorders.monomials import (
     MAX_VARIABLES,
     ONE,
     Monomial,
-    borel_moves_up,
     graded_lex_key,
-    index_weight,
     monomials_of_degree,
     monomials_up_to_degree,
-    stable_moves_up,
 )
+from stableorders.verify import borel_moves_up, stable_moves_up
 
 exponent_vectors = st.lists(st.integers(min_value=0, max_value=5), max_size=5)
 monomials = exponent_vectors.map(Monomial)
@@ -187,12 +185,14 @@ class TestMoves:
 
     @given(nonunit_monomials)
     def test_index_weight_strictly_drops_along_moves(self, m):
+        # the sum of variable indices with multiplicity: its strict drop
+        # certifies that the moves generate an antisymmetric order
+        def index_weight(u):
+            return sum(i * e for i, e in enumerate(u.exps, start=1))
+
         for mp in borel_moves_up(m):
             assert index_weight(mp) < index_weight(m)
             assert mp != m
-
-    def test_index_weight_values(self):
-        assert index_weight(Monomial((2, 0, 1))) == 1 + 1 + 3
 
 
 class TestEnumeration:

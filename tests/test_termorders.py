@@ -16,15 +16,18 @@ from stableorders.termorders import (
     GREATER,
     LESS,
     TermOrder,
-    is_strictly_decreasing,
-    ordinal_sum_leq,
     random_weight_vector,
     refines_borel,
     separating_witnesses,
     weight_vectors_by_total,
 )
+from stableorders.verify import ordinal_sum_leq
 
 M = Monomial.parse
+
+
+def is_strictly_decreasing(weights):
+    return all(a > b for a, b in zip(weights, weights[1:])) and all(w > 0 for w in weights)
 
 exponent_vectors = st.lists(st.integers(min_value=0, max_value=3), max_size=3)
 monomials = exponent_vectors.map(Monomial)

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import argparse
+import ast
+import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -13,6 +16,7 @@ import pytest
 import stableorders
 from stableorders import verify
 from stableorders.cli import _build_parser
+from stableorders.lattice import HasseDiagram
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -56,3 +60,42 @@ def test_library_does_not_import_cli():
         timeout=60,
     )
     assert (done.returncode, done.stdout) == (0, "False\n")
+
+
+# The brute-force oracles, which live in verify only, and the helpers that
+# nothing in the package called, now gone from it or kept in the tests.
+ORACLES = {
+    "borel_moves_up", "stable_moves_up", "reachability_oracle", "_meet_join_tables",
+    "check_distributive", "find_n5", "height_width", "_filter_poly", "pivot_filter_counts",
+    "ordinal_sum_leq",
+}
+GONE = {"index_weight", "antitone_dual_sequence", "ideal_contains", "is_strictly_decreasing"}
+ANSWERING = ("monomials", "orders", "lattice", "filters", "termorders")
+
+
+def _imported_modules(module):
+    """The modules an import statement of module's source names, relative
+    ones as they are written: ".verify", "..", "stableorders.verify"."""
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            names.add(base)
+            names.update(base + ("" if base.endswith(".") else ".") + a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+    return names
+
+
+def test_oracles_live_only_in_verify():
+    assert ORACLES <= vars(verify).keys()
+    for name in ANSWERING:
+        module = importlib.import_module(f"stableorders.{name}")
+        assert not (ORACLES | GONE) & vars(module).keys(), name
+        assert not {".verify", "stableorders.verify"} & _imported_modules(module), name
+    for info in pkgutil.iter_modules(stableorders.__path__):
+        module = importlib.import_module(f"stableorders.{info.name}")
+        assert not GONE & vars(module).keys(), info.name
+    # cli renders every output format; the diagram renders none
+    assert not {"to_dot", "to_json_dict"} & vars(HasseDiagram).keys()
+
