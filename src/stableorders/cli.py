@@ -142,12 +142,23 @@ def _format_filter(elements):
 
 def _emit(args, payload, *lines):
     """The one place that picks the output format: the payload as indented
-    JSON under --format json, otherwise the text lines, one per line."""
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in lines:
-            print(line)
+    JSON under --format json, otherwise the text lines, one per line.
+
+    An exact count may pass the interpreter's limit on the digits of an int
+    converted to str (4300 by default, where there is one): it is lifted
+    here, around the output, and never for parsing argv."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        if args.format == "json":
+            print(json.dumps(payload, indent=2))
+        else:
+            for line in lines:
+                print(line)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 # hasse and enumerate, whose output can be large, write the layout of

@@ -4,11 +4,12 @@ Counting sweeps the Hasse diagram, deciding vertex after vertex whether it
 is in the filter, in lex order of the exponent vectors (index-reversed for
 the dual family): a linear extension, so a vertex may always join, and may
 stay out only if none of its lower covers is in.  The sweep's state is the
-in/out pattern of the frontier (decided vertices with an undecided cover
-neighbour), each state carrying its filter counts by size.  Along that
-order every family's layers leave a narrow frontier; a memory budget on
-the live states bounds the work.  Counting the filters of an arbitrary
-poset is #P-complete, so that layering is where the speed comes from.
+set of future vertices already forced in (the upper covers of the members
+so far), each state carrying its filter counts by size: the transfer-matrix
+count of order ideals (Knuth, TAOCP 4A, 7.1.4).  Along that order every
+family's layers force few distinct sets; a memory budget on the live
+states bounds the work.  Counting the filters of an arbitrary poset is
+#P-complete, so that layering is where the speed comes from.
 
 Enumeration walks the pivot tree on bitmask subposets: filters avoiding a
 pivot are filters of the poset minus the pivot's down-set, and filters
@@ -88,7 +89,7 @@ def boundary(elements, nvars):
 
 def is_filter_by_layers(elements, nvars, degree):
     """Layerwise filter test: slice the degree-`degree` monomials by the
-    exponent i of the last variable, stripping it off (layer i).  Every slice
+    exponent i of x_nvars, stripping it off (layer i).  Every slice
     must be a filter one variable down, and pushing the next slice up by x1
     must land in the previous slice's interior.  Agrees with is_filter on the
     strongly-stable order."""
@@ -109,8 +110,8 @@ def is_filter_by_layers(elements, nvars, degree):
     return True
 
 
-# Memory budget of the states one sweep step keeps: each holds its frontier
-# bits and its packed counts, on top of a dict entry's fixed overhead.
+# Memory budget of the states one sweep step keeps: each holds its forced
+# mask and its packed counts, on top of a dict entry's fixed overhead.
 SWEEP_BUDGET_BYTES = 1 << 27
 _ENTRY_BYTES = 120
 
@@ -124,56 +125,43 @@ def _frontier_sweep(h, width):
     """One sweep over the diagram in _linear_order, where a vertex's upper
     covers come after it, so it may always join.
 
-    Each live state (the frontier's in/out bits, one slot per frontier
-    vertex) maps to its filter counts by size packed into one integer,
-    `width` bits per size; width 0 packs nothing and counts every size
-    together.  Returns the final packed counts.  Raises SweepBudgetError
-    when the states kept after a step would need more than
-    SWEEP_BUDGET_BYTES.
+    A state is the set of future vertices already forced into the filter,
+    the upper covers of the members decided so far, as a mask relative to
+    the current step: bit 0 is the vertex being decided, and the mask
+    shifts right once per step.  That set is all the rest of the sweep
+    reads: a vertex may stay out of an up-set iff none of its lower covers
+    is in the set, every lower cover is decided earlier, and a decided
+    member's upper covers are exactly what it forces.  So two partial
+    filters with the same forced set extend in the same ways: a vertex not
+    forced may stay out, and any vertex may join, forcing its upper covers.
+
+    Each live state maps to its filter counts by size packed into one
+    integer, `width` bits per size; width 0 packs nothing and counts every
+    size together.  Returns the final packed counts.  Raises
+    SweepBudgetError when the states kept after a step would need more
+    than SWEEP_BUDGET_BYTES.
     """
-    order = _linear_order(h)
-    position = [0] * len(h)
-    for t, v in enumerate(order):
-        position[v] = t
-    last = position[:]  # step of each vertex's last upper cover (or its own)
-    lowers = [[] for _ in order]
+    position = {v: t for t, v in enumerate(_linear_order(h))}
+    ups = [0] * len(h)  # the upper covers of step t, relative to step t + 1
     for lo, hi in h.covers:
-        lowers[hi].append(lo)
-        last[lo] = max(last[lo], position[hi])
-    slot = [0] * len(h)
-    free, next_slot = [], 0
+        ups[position[lo]] |= 1 << (position[hi] - position[lo] - 1)
+    span = max((up.bit_length() for up in ups), default=0)  # bounds every key
     states = {0: 1}
-    for t, v in enumerate(order):
-        need_out = leaving = 0
-        for u in lowers[v]:
-            need_out |= 1 << slot[u]
-            if last[u] == t:
-                leaving |= 1 << slot[u]
-                free.append(slot[u])
-        bit = 0
-        if last[v] > t:
-            if free:
-                slot[v] = free.pop()
-            else:
-                slot[v], next_slot = next_slot, next_slot + 1
-            bit = 1 << slot[v]
-        keep = ~leaving
+    for t, up in enumerate(ups):
         grown = {}
         get = grown.get
         for state, counts in states.items():
-            if not state & need_out:
-                key = state & keep
-                grown[key] = get(key, 0) + counts
-            key = state & keep | bit
+            rest = state >> 1
+            if not state & 1:
+                grown[rest] = get(rest, 0) + counts
+            key = rest | up
             grown[key] = get(key, 0) + (counts << width)
         # after t + 1 decisions a count has at most t + 2 bits per size field
-        state_bytes = _ENTRY_BYTES + (next_slot + max(width, 1) * (t + 2)) // 8
+        state_bytes = _ENTRY_BYTES + (span + max(width, 1) * (t + 2)) // 8
         if len(grown) * state_bytes > SWEEP_BUDGET_BYTES:
             raise SweepBudgetError(
-                f"filter counting needs {len(grown)} live states of up to {state_bytes} "
-                f"bytes at step {t + 1} of {len(h)}, over the budget of "
-                f"{SWEEP_BUDGET_BYTES >> 20} MiB"
-            )
+                f"filter counting needs {len(grown)} live states of up to {state_bytes} bytes "
+                f"at step {t + 1} of {len(h)}, over the budget of {SWEEP_BUDGET_BYTES >> 20} MiB")
         states = grown
     return states[0]
 

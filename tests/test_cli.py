@@ -9,6 +9,7 @@ import resource
 import subprocess
 import sys
 import time
+from decimal import Decimal, localcontext
 from math import comb
 from pathlib import Path
 
@@ -475,6 +476,33 @@ class TestCount:
         done, elapsed = run_limited("count", "--poset", *argv)
         assert (done.returncode, done.stdout, done.stderr) == (0, f"{expected}\n", "")
         assert elapsed < 5.0
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("A[n=3,d=20000]", "--cap", "1000000000"), 2**20001),
+            (("D[n=2,d=8000]", "--cap", "100000000", "--format", "json"), catalan(8002)),
+            (("A[n=3,d=20000]", "--cap", "1000000000", "--format", "json"), 2**20001),
+        ],
+        ids=["A-text", "D-json", "A-json"],
+    )
+    def test_counts_past_the_digit_limit(self, capsys, argv, expected):
+        # 6,022 and 4,812 digits, past the 4,300 that Python 3.11 converts
+        # by default; the answer is read back as a Decimal, which no such
+        # limit bounds
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run(capsys, "count", "--poset", *argv)
+        assert (code, err) == (0, "")
+        with localcontext() as context:
+            context.prec = 10_000
+            answer = json.loads(out, parse_int=Decimal)["count"] if "json" in argv else Decimal(out)
+            assert answer == Decimal(expected)
+        # the limit is lifted for the output only, and still bounds argv
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        if limit:
+            with pytest.raises(SystemExit):
+                main(["count", "--poset", "A[n=3,d=2]", "--cap", "9" * (limit + 1)])
+            assert "invalid int value" in capsys.readouterr().err
 
     def test_closed_form_profile(self):
         done, elapsed = run_limited("count", "--poset", "A[n=300,d=2]", "--by-cardinality")
