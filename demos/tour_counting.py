@@ -6,12 +6,11 @@ import argparse
 from stableorders.filters import (
     catalan,
     count_filters,
-    enumerate_filters,
-    filter_count_three_vars,
     stable_filter_counts,
 )
-from stableorders.lattice import build_hasse, gaussian, rank_sizes
+from stableorders.lattice import build_hasse
 from stableorders.orders import PosetId
+from stableorders.verify import enumerate_filters, filter_count_three_vars, gaussian, rank_sizes
 
 
 def hasse(text):

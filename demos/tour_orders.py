@@ -6,8 +6,8 @@ import argparse
 from stableorders import cli
 from stableorders.lattice import build_hasse
 from stableorders.monomials import Monomial
-from stableorders.orders import PosetId, partial_sums, relation
-from stableorders.verify import borel_moves_up, stable_moves_up
+from stableorders.orders import PosetId, relation
+from stableorders.verify import borel_moves_up, partial_sums, stable_moves_up
 
 M = Monomial.parse
 

@@ -5,18 +5,21 @@ import argparse
 from collections import Counter
 
 from stableorders.bijections import (
-    count_fountains,
-    enumerate_walks,
     filter_to_walk,
     fountain_gf_coefficients,
-    iter_fountains,
-    limit_filter_count,
     walk_to_filter,
     walk_weight,
 )
-from stableorders.filters import catalan, enumerate_filters
+from stableorders.filters import catalan
 from stableorders.lattice import build_hasse
 from stableorders.orders import PosetId
+from stableorders.verify import (
+    count_fountains,
+    enumerate_filters,
+    enumerate_walks,
+    iter_fountains,
+    limit_filter_count,
+)
 
 
 def main():

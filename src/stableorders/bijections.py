@@ -4,24 +4,22 @@ Monomials correspond to Young diagrams (one row of length i per copy of
 x_i); three-variable filters of fixed degree correspond to partitions into
 distinct parts; those in turn are squarefree monomials; filters of the
 two-variable divisibility staircase correspond to bounded lattice walks
-counted by Catalan numbers; the large-degree limit of the stable counts is
-the coin-fountain generating function; and four-variable filters stack up
-into planar partitions.
+counted by Catalan numbers; and the large-degree limit of the stable counts
+is the coin-fountain generating function.  The enumerations that re-check
+these live in verify.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
 from math import isqrt
 from operator import mul
 
 from .monomials import Monomial
 from .orders import Family, PosetId
-from .lattice import VERTEX_CAP, CapExceededError, build_hasse
-from .filters import count_filters, is_filter
+from .lattice import VERTEX_CAP, CapExceededError
+from .filters import is_filter
 
 
 # ---------------------------------------------------------------------------
@@ -42,15 +40,6 @@ def young_to_monomial(rows):
     return Monomial.from_terms(Counter(_check_partition(rows)))
 
 
-def young_contains(outer, inner):
-    """Diagram containment: inner fits inside outer row by row."""
-    outer = _check_partition(outer)
-    inner = _check_partition(inner)
-    if len(inner) > len(outer):
-        return False
-    return all(a <= b for a, b in zip(inner, outer))
-
-
 def _check_partition(rows):
     rows = tuple(rows)
     last = None
@@ -59,12 +48,6 @@ def _check_partition(rows):
             raise ValueError(f"not a partition (weakly decreasing positive parts): {rows!r}")
         last = r
     return rows
-
-
-def remove_first_column(rows):
-    """Strip the first column of a Young diagram: subtract 1 from each row."""
-    rows = _check_partition(rows)
-    return tuple(r - 1 for r in rows if r > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -171,21 +154,6 @@ class LatticeWalk:
         return out
 
 
-def enumerate_walks(region):
-    """Yield every admissible walk, down-steps preferred first."""
-
-    def rec(downs, rights, acc):
-        if downs == region and rights == region:
-            yield LatticeWalk(region, acc)
-            return
-        if downs < region:
-            yield from rec(downs + 1, rights, acc + ("D",))
-        if rights < downs and rights < region:
-            yield from rec(downs, rights + 1, acc + ("R",))
-
-    yield from rec(0, 0, ())
-
-
 def walk_weight(walk):
     """Sum over down-steps of region - x - y at the step's upper end."""
     starts = walk.points()
@@ -233,61 +201,6 @@ def walk_to_filter(walk):
 
 # ---------------------------------------------------------------------------
 # coin fountains
-
-
-@dataclass(frozen=True)
-class Fountain:
-    """Rows of coin positions: the base row is contiguous from 0, and every
-    higher coin rests on two adjacent coins of the row below.  Rows above the
-    base need not be contiguous."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        for r, row in enumerate(self.rows):
-            if not row:
-                raise ValueError("fountain rows must be nonempty")
-            if any(b <= a for a, b in zip(row, row[1:])):
-                raise ValueError("row positions must strictly increase")
-            if r == 0:
-                if row != tuple(range(len(row))):
-                    raise ValueError("the base row must be contiguous starting at 0")
-            else:
-                below = set(self.rows[r - 1])
-                for p in row:
-                    if p not in below or p + 1 not in below:
-                        raise ValueError(f"coin at {p} in row {r} lacks support")
-
-    def coins(self):
-        return sum(len(row) for row in self.rows)
-
-
-def iter_fountains(total):
-    """Yield every fountain with the given number of coins."""
-    if total < 0:
-        raise ValueError("coin count must be non-negative")
-    if total == 0:
-        yield Fountain(())
-        return
-
-    def extend(rows, remaining):
-        if remaining == 0:
-            yield Fountain(rows)
-            return
-        prev = rows[-1]
-        prev_set = set(prev)
-        allowed = [p for p in prev if p + 1 in prev_set]
-        for size in range(1, min(len(allowed), remaining) + 1):
-            for combo in combinations(allowed, size):
-                yield from extend(rows + (combo,), remaining - size)
-
-    for base in range(1, total + 1):
-        yield from extend((tuple(range(base)),), total - base)
-
-
-def count_fountains(total):
-    """Number of fountains with the given number of coins (brute force)."""
-    return sum(1 for _ in iter_fountains(total))
 
 
 #: Most terms fountain_gf_coefficients computes: its series division is
@@ -341,97 +254,3 @@ def fountain_gf_coefficients(nterms):
         f[m] = p[m] - sum(map(mul, q[m:0:-1], f[:m]))
     return f
 
-
-def limit_filter_count(weight):
-    """Filters of the stable order in three variables with exactly `weight`
-    elements, at any degree past weight (the counts stabilize; degree
-    weight+1 already reaches the limit)."""
-    if weight < 0:
-        raise ValueError("weight must be non-negative")
-    h = build_hasse(PosetId(Family.STABLE, 3, weight + 1))
-    return count_filters(h, weight)
-
-
-# ---------------------------------------------------------------------------
-# planar partitions (four variables)
-
-
-@dataclass(frozen=True)
-class PlanarPartition:
-    """A matrix of stack heights, weakly decreasing along rows and columns."""
-
-    heights: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        for row in self.heights:
-            if any(b > a for a, b in zip(row, row[1:])):
-                raise ValueError("rows must be weakly decreasing")
-        for upper, lower in zip(self.heights, self.heights[1:]):
-            if len(lower) != len(upper):
-                raise ValueError("height rows must form a matrix")
-            if any(b > a for a, b in zip(upper, lower)):
-                raise ValueError("columns must be weakly decreasing")
-
-
-def _strict_partitions(max_part):
-    """All partitions into distinct parts <= max_part (the empty one first)."""
-    out = [()]
-    for size in range(1, max_part + 1):
-        for combo in combinations(range(1, max_part + 1), size):
-            out.append(tuple(sorted(combo, reverse=True)))
-    return out
-
-
-def _fits_under(nxt, prev):
-    """Level condition: row t of the next level fits under row t+1 of the
-    previous one (so each level sits strictly inside the interior below)."""
-    return all(t + 1 < len(prev) and nxt[t] <= prev[t + 1] for t in range(len(nxt)))
-
-
-def iter_filter_level_stacks(degree):
-    """Yield the level sequences (one distinct-parts partition per x4-layer)
-    that encode filters of the four-variable fixed-degree order."""
-
-    def rec(level, prev, acc):
-        if level > degree:
-            yield acc
-            return
-        for cand in _strict_partitions(degree + 1 - level):
-            if prev is None or _fits_under(cand, prev):
-                yield from rec(level + 1, cand, acc + (cand,))
-
-    yield from rec(0, None, ())
-
-
-@lru_cache(maxsize=None)
-def planar_partition_filter_count(degree):
-    """Count the level stacks; matches the filter count of the four-variable
-    fixed-degree strongly-stable order."""
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
-
-    @lru_cache(maxsize=None)
-    def count_from(level, prev):
-        if level > degree:
-            return 1
-        total = 0
-        for cand in _strict_partitions(degree + 1 - level):
-            if prev is None or _fits_under(cand, prev):
-                total += count_from(level + 1, cand)
-        return total
-
-    return count_from(0, None)
-
-
-def planar_partition_from_levels(levels, degree):
-    """Stack the level partitions into a planar partition: the height over
-    cell (t, c) counts the levels whose row t exceeds c."""
-    box = degree + 1
-    heights = tuple(
-        tuple(
-            sum(1 for lam in levels if t < len(lam) and lam[t] > c)
-            for c in range(box)
-        )
-        for t in range(box)
-    )
-    return PlanarPartition(heights)

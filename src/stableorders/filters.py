@@ -19,9 +19,10 @@ verify.
 
 Also here: closed_form_counts, which counts the filters of the posets the
 paper counts in closed form (chains, A and C of side 2, D[n=2,d], B[n=3,d])
-without a diagram; the three-variable recurrence and the weighted-walk table
-behind the stable-order counts; and monomial-ideal utilities
-(strongly-stable/stable closures and their tests).
+without a diagram; the weighted-walk table behind the stable-order counts;
+and the strongly-stable/stable ideal closures and tests.  The three-variable
+recurrence, the layerwise filter test and filters listed as monomial sets,
+which only re-check these, live in verify.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .monomials import Monomial, _moved, _stripped, graded_lex_key
-from .orders import Family, GroundSetError, PosetId, _generating_moves, _require_member
-from .lattice import VERTEX_CAP, CapExceededError, _iter_bits, _linear_order
+from .monomials import Monomial, graded_lex_key
+from .orders import Family, PosetId, _generating_moves, _require_member
+from .lattice import VERTEX_CAP, CapExceededError, _linear_order
 
 #: Default bound on the filters one enumeration lists.
 FILTER_CAP = 1_000_000
@@ -52,60 +53,6 @@ def is_filter(elements, poset):
     for m in members:
         _require_member(poset, m)
         if not keys.issuperset(_generating_moves(poset, m.exps)):
-            return False
-    return True
-
-
-def _is_up_closed(keys, poset):
-    """is_filter on a set of exponent tuples known to lie in the ground set."""
-    return all(keys.issuperset(_generating_moves(poset, e)) for e in keys)
-
-
-def _interior(keys, nvars):
-    """interior on a set of exponent tuples."""
-    return {
-        e for e in keys
-        if all(_moved(e, j, i) in keys
-               for i in range(1, min(len(e), nvars) + 1) if e[i - 1]
-               for j in range(i + 1, nvars + 1))
-    }
-
-
-def interior(elements, nvars):
-    """Members that stay inside under every downward exchange x_j/x_i, i < j.
-
-    A monomial v survives when for all i < j <= nvars with x_i dividing v,
-    the monomial v*x_j/x_i also belongs to the set.
-    """
-    members = frozenset(elements)
-    inner = _interior({m.exps for m in members}, nvars)
-    return frozenset(m for m in members if m.exps in inner)
-
-
-def boundary(elements, nvars):
-    """The set minus its interior."""
-    return frozenset(elements) - interior(elements, nvars)
-
-
-def is_filter_by_layers(elements, nvars, degree):
-    """Layerwise filter test: slice the degree-`degree` monomials by the
-    exponent i of x_nvars, stripping it off (layer i).  Every slice
-    must be a filter one variable down, and pushing the next slice up by x1
-    must land in the previous slice's interior.  Agrees with is_filter on the
-    strongly-stable order."""
-    if nvars < 3:
-        raise ValueError("the layerwise test needs at least three variables")
-    layers = [set() for _ in range(degree + 1)]
-    for m in elements:
-        if m.max_support() > nvars or m.degree() != degree:
-            raise GroundSetError(f"{m} is not a degree-{degree} monomial in {nvars} variables")
-        layers[m.exponent(nvars)].add(_stripped(m.exps[: nvars - 1]))
-    for i, layer in enumerate(layers):
-        if not _is_up_closed(layer, PosetId(Family.BOREL, nvars - 1, degree - i)):
-            return False
-    for i in range(degree):
-        lifted = {_moved(e, 1) for e in layers[i + 1]}
-        if not lifted <= _interior(layers[i], nvars - 1):
             return False
     return True
 
@@ -277,34 +224,11 @@ def _filter_masks(h, cardinality=None, cap=FILTER_CAP):
     return walk()
 
 
-def enumerate_filters(h, cardinality=None, cap=FILTER_CAP):
-    """Yield every filter as a frozenset of monomials, in the order of
-    _filter_masks: at each pivot, the filters avoiding it come before
-    those containing it.  Raises CapExceededError as _filter_masks does,
-    when the first filter is asked for."""
-    vertices = h.vertices
-    for chosen in _filter_masks(h, cardinality, cap):
-        yield frozenset(vertices[i] for i in _iter_bits(chosen))
-
-
 def catalan(n):
     """The n-th Catalan number, comb(2n, n)/(n+1)."""
     if n < 0:
         raise ValueError("catalan(n) needs n >= 0")
     return comb(2 * n, n) // (n + 1)
-
-
-@lru_cache(maxsize=None)
-def filter_count_three_vars(d, v):
-    """Filters of cardinality v in the strongly-stable order on degree-d
-    monomials in three variables: F(d,v) = F(d-1,v) + F(d-1,v-(d+1))."""
-    if d < 1:
-        raise ValueError("the three-variable recurrence starts at degree 1")
-    if v < 0:
-        return 0
-    if d == 1:
-        return 1 if v <= 3 else 0
-    return filter_count_three_vars(d - 1, v) + filter_count_three_vars(d - 1, v - (d + 1))
 
 
 @lru_cache(maxsize=16)
@@ -390,7 +314,7 @@ def closed_form_counts(poset, max_degree=None, by_size=False):
         inverse is distinct_partition_to_filter), each part the size of an
         x3-layer, so a filter's size is the sum of its parts.  Each part
         1..d+1 occurs or not, whence the product; its factor 1 + q^(d+1) is
-        the recurrence of filter_count_three_vars.
+        the recurrence of verify.filter_count_three_vars.
       * A[n,d] is the lattice of partitions in an (n-1) x d box: a degree-d
         monomial is its running sums 0 <= s_1 <= ... <= s_(n-1) <= d, any
         such sequence, and m <= m' iff each s_k(m) <= s_k(m') (_borel_leq).
@@ -439,10 +363,22 @@ def closed_form_counts(poset, max_degree=None, by_size=False):
 # monomial ideals given by generators
 
 
+#: Most generator pairs minimal_generators tests: 1,414 incomparable x_i*x_j
+#: take 0.8-1.3 s under ideal check on a 2-core host.  No flag raises it.
+GENERATOR_PAIR_BUDGET = 1_000_000
+
+
 def minimal_generators(gens):
-    """The divisibility antichain generating the same ideal, graded-lex sorted."""
+    """The divisibility antichain generating the same ideal, graded-lex
+    sorted.  Raises CapExceededError, before testing any pair, when the
+    distinct generators make more than GENERATOR_PAIR_BUDGET pairs."""
+    gens = set(gens)
+    pairs = len(gens) * (len(gens) - 1) // 2
+    if pairs > GENERATOR_PAIR_BUDGET:
+        raise CapExceededError(
+            f"{len(gens)} generators make {pairs} pairs, over the budget of {GENERATOR_PAIR_BUDGET}")
     kept: list[Monomial] = []
-    for g in sorted(set(gens), key=graded_lex_key):
+    for g in sorted(gens, key=graded_lex_key):
         if not any(k.divides(g) for k in kept):
             kept.append(g)
     return tuple(kept)

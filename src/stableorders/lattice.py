@@ -1,9 +1,10 @@
-"""Hasse diagrams, meets and joins, rank data, and Gaussian polynomials.
+"""Hasse diagrams with their reachability bitmasks, and meets and joins.
 
 Fixed-degree ground sets of the strongly-stable order form distributive
 lattices computed coordinatewise on partial sums; the stable order also
 forms a lattice but a non-modular one, whose meets and joins follow the
-same case split on the last variable as its comparisons.
+same case split on the last variable as its comparisons.  The rank sizes
+of a diagram and the Gaussian polynomials they match live in verify.
 """
 
 from __future__ import annotations
@@ -41,17 +42,6 @@ class CapExceededError(ValueError):
 
 class NotLatticeError(ValueError):
     """Some pair of vertices lacks a unique meet or join."""
-
-
-class NotGradedError(ValueError):
-    """Maximal chains of the diagram do not all have the same length."""
-
-
-def _iter_bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @dataclass(eq=False)
@@ -302,44 +292,3 @@ def _stable_join(m, mp):
     return Monomial(a[:n])
 
 
-def _longest_path_ranks(h):
-    return _fill(h, False, lambda i, lows: 1 + max(lows, default=-1))
-
-
-def rank_sizes(h):
-    """Vertex counts per rank of a graded diagram (rank 0 at the bottom)."""
-    ranks = _longest_path_ranks(h)
-    for lo, hi in h.covers:
-        if ranks[hi] - ranks[lo] != 1:
-            raise NotGradedError(f"cover {h.vertices[lo]} < {h.vertices[hi]} skips a rank")
-    has_upper = {lo for lo, _ in h.covers}
-    top_ranks = {ranks[i] for i in range(len(h)) if i not in has_upper}
-    if len(top_ranks) > 1:
-        raise NotGradedError("maximal chains end at different heights")
-    counts = [0] * (max(ranks, default=0) + 1)
-    for r in ranks:
-        counts[r] += 1
-    return counts
-
-
-def gaussian(a, b):
-    """Gaussian binomial [a+b choose a] by the Pascal-type recurrence
-    P(a,b) = P(a-1,b) + q^a * P(a,b-1); counts partitions in an a-by-b box.
-    Returns the coefficient tuple, constant term first."""
-    if a < 0 or b < 0:
-        raise ValueError("gaussian(a, b) needs a, b >= 0")
-    previous_row = [[1]] * (b + 1)  # row i = 0
-    for i in range(1, a + 1):
-        row = [[1]]
-        for j in range(1, b + 1):
-            upper = previous_row[j]
-            left = row[j - 1]
-            size = i * j + 1
-            coeffs = [0] * size
-            for k, v in enumerate(upper):
-                coeffs[k] += v
-            for k, v in enumerate(left):
-                coeffs[k + i] += v
-            row.append(coeffs)
-        previous_row = row
-    return tuple(previous_row[b])

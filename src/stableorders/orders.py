@@ -148,14 +148,8 @@ def _window(m, mp):
     return max(len(m.exps), len(mp.exps), 1)
 
 
-def partial_sums(m):
-    """The tuple of running partial sums of m's exponents over its support
-    (over x1 for the unit); the last entry is the total degree."""
-    return _running_sums(m.exps, max(len(m.exps), 1))
-
-
 def monomial_from_partial_sums(sums):
-    """Inverse of partial_sums: difference the tuple back to exponents.
+    """Inverse of _running_sums: difference the tuple back to exponents.
     Padding with the last value adds only trailing zeros."""
     return Monomial(map(sub, sums, (0,) + tuple(sums)))
 

@@ -197,12 +197,3 @@ def separating_witnesses(m, mp, nvars=None, budget=10_000):
             return above, below
 
 
-def random_weight_vector(nvars, rng):
-    """A random strictly decreasing positive weight vector: gaps of 1 to 5."""
-    gaps = [rng.randint(1, 5) for _ in range(nvars)]
-    weights = []
-    running = 0
-    for g in reversed(gaps):
-        running += g
-        weights.append(running)
-    return tuple(reversed(weights))

@@ -9,7 +9,12 @@ pairwise meets and joins of _meet_join_tables, and check_distributive,
 find_n5 and height_width, which read lattice facts off them; the memoized
 pivot recursion pivot_filter_counts (the check on the frontier sweep); and
 ordinal_sum_leq, the intersection of the degree-compatible term orders.
-The tests import them from here too.
+
+So do the paper's constructions that no command runs, each a second way
+to an answer a command finds: rank sizes and Gaussian polynomials, the
+interior and the layerwise filter test, filters listed as monomial sets,
+the three-variable recurrence, and the walk, fountain and planar-partition
+enumerations.  The tests import them from here too.
 
 run_suite(name, seed) runs the suite SUITES[name] and returns its report.
 """
@@ -19,75 +24,52 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
-from .monomials import Monomial, graded_lex_key, monomials_up_to_degree
+from .monomials import Monomial, _moved, _stripped, graded_lex_key, monomials_up_to_degree
 from .orders import (
     Family,
+    GroundSetError,
     PosetId,
     _borel_leq,
+    _generating_moves,
     _require_member,
+    _running_sums,
     dual_rename,
     ground_monomials,
     leq,
     monomial_from_partial_sums,
-    partial_sums,
 )
-from .lattice import (
-    NotLatticeError,
-    _iter_bits,
-    _longest_path_ranks,
-    build_hasse,
-    gaussian,
-    join,
-    meet,
-    rank_sizes,
-)
+from .lattice import NotLatticeError, _fill, build_hasse, join, meet
 from .filters import (
+    FILTER_CAP,
+    _filter_masks,
     _pivot,
     borel_closure,
-    boundary,
     catalan,
     closed_form_counts,
     count_filters,
-    enumerate_filters,
-    filter_count_three_vars,
     filter_counts_by_size,
-    interior,
     is_filter,
-    is_filter_by_layers,
     stable_filter_counts,
     weighted_walk_count,
 )
 from .bijections import (
     LatticeWalk,
-    count_fountains,
+    _check_partition,
     distinct_partition_to_filter,
     distinct_partition_to_squarefree,
-    enumerate_walks,
     filter_to_distinct_partition,
     filter_to_walk,
     fountain_gf_coefficients,
-    iter_filter_level_stacks,
-    limit_filter_count,
     monomial_to_young,
-    planar_partition_filter_count,
-    planar_partition_from_levels,
-    remove_first_column,
     squarefree_to_distinct_partition,
     walk_to_filter,
     walk_weight,
-    young_contains,
     young_to_monomial,
 )
-from .termorders import (
-    GREATER,
-    LESS,
-    TermOrder,
-    random_weight_vector,
-    refines_borel,
-    separating_witnesses,
-)
+from .termorders import GREATER, LESS, TermOrder, refines_borel, separating_witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +149,13 @@ def reachability_oracle(poset, m, mp):
                     nxt.append(w)
         frontier = nxt
     return False
+
+
+def _iter_bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _meet_join_tables(h):
@@ -298,6 +287,328 @@ def ordinal_sum_leq(m, mp):
     if m.degree() != mp.degree():
         return m.degree() < mp.degree()
     return _borel_leq(m, mp)
+
+
+# ---------------------------------------------------------------------------
+# the paper's constructions that no command runs: each only re-checks an
+# answer that a command finds another way
+
+
+def partial_sums(m):
+    """The tuple of running partial sums of m's exponents over its support
+    (over x1 for the unit); the last entry is the total degree."""
+    return _running_sums(m.exps, max(len(m.exps), 1))
+
+
+class NotGradedError(ValueError):
+    """Maximal chains of the diagram do not all have the same length."""
+
+
+def _longest_path_ranks(h):
+    return _fill(h, False, lambda i, lows: 1 + max(lows, default=-1))
+
+
+def rank_sizes(h):
+    """Vertex counts per rank of a graded diagram (rank 0 at the bottom)."""
+    ranks = _longest_path_ranks(h)
+    for lo, hi in h.covers:
+        if ranks[hi] - ranks[lo] != 1:
+            raise NotGradedError(f"cover {h.vertices[lo]} < {h.vertices[hi]} skips a rank")
+    has_upper = {lo for lo, _ in h.covers}
+    top_ranks = {ranks[i] for i in range(len(h)) if i not in has_upper}
+    if len(top_ranks) > 1:
+        raise NotGradedError("maximal chains end at different heights")
+    counts = [0] * (max(ranks, default=0) + 1)
+    for r in ranks:
+        counts[r] += 1
+    return counts
+
+
+def gaussian(a, b):
+    """Gaussian binomial [a+b choose a] by the Pascal-type recurrence
+    P(a,b) = P(a-1,b) + q^a * P(a,b-1); counts partitions in an a-by-b box.
+    Returns the coefficient tuple, constant term first."""
+    if a < 0 or b < 0:
+        raise ValueError("gaussian(a, b) needs a, b >= 0")
+    previous_row = [[1]] * (b + 1)  # row i = 0
+    for i in range(1, a + 1):
+        row = [[1]]
+        for j in range(1, b + 1):
+            upper = previous_row[j]
+            left = row[j - 1]
+            size = i * j + 1
+            coeffs = [0] * size
+            for k, v in enumerate(upper):
+                coeffs[k] += v
+            for k, v in enumerate(left):
+                coeffs[k + i] += v
+            row.append(coeffs)
+        previous_row = row
+    return tuple(previous_row[b])
+
+
+def _is_up_closed(keys, poset):
+    """is_filter on a set of exponent tuples known to lie in the ground set."""
+    return all(keys.issuperset(_generating_moves(poset, e)) for e in keys)
+
+
+def _interior(keys, nvars):
+    """interior on a set of exponent tuples."""
+    return {
+        e for e in keys
+        if all(_moved(e, j, i) in keys
+               for i in range(1, min(len(e), nvars) + 1) if e[i - 1]
+               for j in range(i + 1, nvars + 1))
+    }
+
+
+def interior(elements, nvars):
+    """Members that stay inside under every downward exchange x_j/x_i, i < j.
+
+    A monomial v survives when for all i < j <= nvars with x_i dividing v,
+    the monomial v*x_j/x_i also belongs to the set.
+    """
+    members = frozenset(elements)
+    inner = _interior({m.exps for m in members}, nvars)
+    return frozenset(m for m in members if m.exps in inner)
+
+
+def boundary(elements, nvars):
+    """The set minus its interior."""
+    return frozenset(elements) - interior(elements, nvars)
+
+
+def is_filter_by_layers(elements, nvars, degree):
+    """Layerwise filter test: slice the degree-`degree` monomials by the
+    exponent i of x_nvars, stripping it off (layer i).  Every slice
+    must be a filter one variable down, and pushing the next slice up by x1
+    must land in the previous slice's interior.  Agrees with is_filter on the
+    strongly-stable order."""
+    if nvars < 3:
+        raise ValueError("the layerwise test needs at least three variables")
+    layers = [set() for _ in range(degree + 1)]
+    for m in elements:
+        if m.max_support() > nvars or m.degree() != degree:
+            raise GroundSetError(f"{m} is not a degree-{degree} monomial in {nvars} variables")
+        layers[m.exponent(nvars)].add(_stripped(m.exps[: nvars - 1]))
+    for i, layer in enumerate(layers):
+        if not _is_up_closed(layer, PosetId(Family.BOREL, nvars - 1, degree - i)):
+            return False
+    for i in range(degree):
+        lifted = {_moved(e, 1) for e in layers[i + 1]}
+        if not lifted <= _interior(layers[i], nvars - 1):
+            return False
+    return True
+
+
+def enumerate_filters(h, cardinality=None, cap=FILTER_CAP):
+    """Yield every filter as a frozenset of monomials, in the order of
+    _filter_masks: at each pivot, the filters avoiding it come before
+    those containing it.  Raises CapExceededError as _filter_masks does,
+    when the first filter is asked for."""
+    vertices = h.vertices
+    for chosen in _filter_masks(h, cardinality, cap):
+        yield frozenset(vertices[i] for i in _iter_bits(chosen))
+
+
+@lru_cache(maxsize=None)
+def filter_count_three_vars(d, v):
+    """Filters of cardinality v in the strongly-stable order on degree-d
+    monomials in three variables: F(d,v) = F(d-1,v) + F(d-1,v-(d+1))."""
+    if d < 1:
+        raise ValueError("the three-variable recurrence starts at degree 1")
+    if v < 0:
+        return 0
+    if d == 1:
+        return 1 if v <= 3 else 0
+    return filter_count_three_vars(d - 1, v) + filter_count_three_vars(d - 1, v - (d + 1))
+
+
+def young_contains(outer, inner):
+    """Diagram containment: inner fits inside outer row by row."""
+    outer = _check_partition(outer)
+    inner = _check_partition(inner)
+    if len(inner) > len(outer):
+        return False
+    return all(a <= b for a, b in zip(inner, outer))
+
+
+def remove_first_column(rows):
+    """Strip the first column of a Young diagram: subtract 1 from each row."""
+    rows = _check_partition(rows)
+    return tuple(r - 1 for r in rows if r > 1)
+
+
+def enumerate_walks(region):
+    """Yield every admissible walk, down-steps preferred first."""
+
+    def rec(downs, rights, acc):
+        if downs == region and rights == region:
+            yield LatticeWalk(region, acc)
+            return
+        if downs < region:
+            yield from rec(downs + 1, rights, acc + ("D",))
+        if rights < downs and rights < region:
+            yield from rec(downs, rights + 1, acc + ("R",))
+
+    yield from rec(0, 0, ())
+
+
+@dataclass(frozen=True)
+class Fountain:
+    """Rows of coin positions: the base row is contiguous from 0, and every
+    higher coin rests on two adjacent coins of the row below.  Rows above the
+    base need not be contiguous."""
+
+    rows: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        for r, row in enumerate(self.rows):
+            if not row:
+                raise ValueError("fountain rows must be nonempty")
+            if any(b <= a for a, b in zip(row, row[1:])):
+                raise ValueError("row positions must strictly increase")
+            if r == 0:
+                if row != tuple(range(len(row))):
+                    raise ValueError("the base row must be contiguous starting at 0")
+            else:
+                below = set(self.rows[r - 1])
+                for p in row:
+                    if p not in below or p + 1 not in below:
+                        raise ValueError(f"coin at {p} in row {r} lacks support")
+
+    def coins(self):
+        return sum(len(row) for row in self.rows)
+
+
+def iter_fountains(total):
+    """Yield every fountain with the given number of coins."""
+    if total < 0:
+        raise ValueError("coin count must be non-negative")
+    if total == 0:
+        yield Fountain(())
+        return
+
+    def extend(rows, remaining):
+        if remaining == 0:
+            yield Fountain(rows)
+            return
+        prev = rows[-1]
+        prev_set = set(prev)
+        allowed = [p for p in prev if p + 1 in prev_set]
+        for size in range(1, min(len(allowed), remaining) + 1):
+            for combo in combinations(allowed, size):
+                yield from extend(rows + (combo,), remaining - size)
+
+    for base in range(1, total + 1):
+        yield from extend((tuple(range(base)),), total - base)
+
+
+def count_fountains(total):
+    """Number of fountains with the given number of coins (brute force)."""
+    return sum(1 for _ in iter_fountains(total))
+
+
+def limit_filter_count(weight):
+    """Filters of the stable order in three variables with exactly `weight`
+    elements, at any degree past weight (the counts stabilize; degree
+    weight+1 already reaches the limit)."""
+    if weight < 0:
+        raise ValueError("weight must be non-negative")
+    h = build_hasse(PosetId(Family.STABLE, 3, weight + 1))
+    return count_filters(h, weight)
+
+
+@dataclass(frozen=True)
+class PlanarPartition:
+    """A matrix of stack heights, weakly decreasing along rows and columns."""
+
+    heights: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        for row in self.heights:
+            if any(b > a for a, b in zip(row, row[1:])):
+                raise ValueError("rows must be weakly decreasing")
+        for upper, lower in zip(self.heights, self.heights[1:]):
+            if len(lower) != len(upper):
+                raise ValueError("height rows must form a matrix")
+            if any(b > a for a, b in zip(upper, lower)):
+                raise ValueError("columns must be weakly decreasing")
+
+
+def _strict_partitions(max_part):
+    """All partitions into distinct parts <= max_part (the empty one first)."""
+    out = [()]
+    for size in range(1, max_part + 1):
+        for combo in combinations(range(1, max_part + 1), size):
+            out.append(tuple(sorted(combo, reverse=True)))
+    return out
+
+
+def _fits_under(nxt, prev):
+    """Level condition: row t of the next level fits under row t+1 of the
+    previous one (so each level sits strictly inside the interior below)."""
+    return all(t + 1 < len(prev) and nxt[t] <= prev[t + 1] for t in range(len(nxt)))
+
+
+def iter_filter_level_stacks(degree):
+    """Yield the level sequences (one distinct-parts partition per x4-layer)
+    that encode filters of the four-variable fixed-degree order."""
+
+    def rec(level, prev, acc):
+        if level > degree:
+            yield acc
+            return
+        for cand in _strict_partitions(degree + 1 - level):
+            if prev is None or _fits_under(cand, prev):
+                yield from rec(level + 1, cand, acc + (cand,))
+
+    yield from rec(0, None, ())
+
+
+@lru_cache(maxsize=None)
+def planar_partition_filter_count(degree):
+    """Count the level stacks; matches the filter count of the four-variable
+    fixed-degree strongly-stable order."""
+    if degree < 0:
+        raise ValueError("degree must be non-negative")
+
+    @lru_cache(maxsize=None)
+    def count_from(level, prev):
+        if level > degree:
+            return 1
+        total = 0
+        for cand in _strict_partitions(degree + 1 - level):
+            if prev is None or _fits_under(cand, prev):
+                total += count_from(level + 1, cand)
+        return total
+
+    return count_from(0, None)
+
+
+def planar_partition_from_levels(levels, degree):
+    """Stack the level partitions into a planar partition: the height over
+    cell (t, c) counts the levels whose row t exceeds c."""
+    box = degree + 1
+    heights = tuple(
+        tuple(
+            sum(1 for lam in levels if t < len(lam) and lam[t] > c)
+            for c in range(box)
+        )
+        for t in range(box)
+    )
+    return PlanarPartition(heights)
+
+
+def random_weight_vector(nvars, rng):
+    """A random strictly decreasing positive weight vector: gaps of 1 to 5."""
+    gaps = [rng.randint(1, 5) for _ in range(nvars)]
+    weights = []
+    running = 0
+    for g in reversed(gaps):
+        running += g
+        weights.append(running)
+    return tuple(reversed(weights))
 
 
 # ---------------------------------------------------------------------------

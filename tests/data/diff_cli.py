@@ -32,10 +32,10 @@ both orders on seeded generator sets of up to four monomials in up to five
 variables, as text and JSON, on closures of up to 42,504 generators, and on
 malformed and too-wide generators.  The `bijection partition` and `walk`
 argv send every filter of A[n=3,d] (d 0-6) and D[n=2,d] (d 0-5), from this
-tree's `enumerate_filters`, as a comma list, a JSON list of names or a JSON
-record, and the same filters without their top member (no longer filters),
-with ground-set outsiders, and malformed payloads, among them JSON nested
-100,000 deep, inline and in a file.
+tree's `verify.enumerate_filters`, as a comma list, a JSON list of names or
+a JSON record, and the same filters without their top member (no longer
+filters), with ground-set outsiders, and malformed payloads, among them JSON
+nested 100,000 deep, inline and in a file.
 
 The `compare`, `meet` and `join` argv take seeded pairs from the ground sets
 of A/B/C/D with n 1-4 and d 0-3, and of the glued posets up to degree 3, as
@@ -63,11 +63,11 @@ ROOT = Path(__file__).resolve().parents[2]
 LIMIT = 1_500_000_000
 sys.path.insert(0, str(ROOT / "src"))
 
-from stableorders.filters import enumerate_filters, filter_counts_by_size  # noqa: E402
+from stableorders.filters import filter_counts_by_size  # noqa: E402
 from stableorders.lattice import build_hasse  # noqa: E402
 from stableorders.monomials import Monomial, graded_lex_key, monomials_up_to_degree  # noqa: E402
 from stableorders.orders import PosetId, ground_monomials  # noqa: E402
-from stableorders.verify import SUITES  # noqa: E402
+from stableorders.verify import SUITES, enumerate_filters  # noqa: E402
 
 # Runs in each child: read the argv list from stdin, print one JSON record
 # [code, stdout, stderr] per argv.

@@ -11,59 +11,56 @@ from collections import Counter
 from itertools import combinations
 
 from stableorders.bijections import (
-    count_fountains,
     distinct_partition_to_filter,
-    enumerate_walks,
     filter_to_distinct_partition,
     filter_to_walk,
     fountain_gf_coefficients,
-    iter_filter_level_stacks,
     monomial_to_young,
-    planar_partition_filter_count,
     walk_to_filter,
     walk_weight,
-    young_contains,
     young_to_monomial,
 )
 from stableorders.filters import (
     catalan,
     count_filters,
-    enumerate_filters,
-    filter_count_three_vars,
     is_filter,
-    is_filter_by_layers,
     stable_filter_counts,
     weighted_walk_count,
 )
-from stableorders.lattice import (
-    build_hasse,
-    gaussian,
-    meet,
-    rank_sizes,
-)
+from stableorders.lattice import build_hasse, meet
 from stableorders.monomials import monomials_of_degree, monomials_up_to_degree
 from stableorders.orders import (
     PosetId,
     ground_monomials,
     leq,
     monomial_from_partial_sums,
-    partial_sums,
     relation,
 )
 from stableorders.termorders import (
     GREATER,
     LESS,
     TermOrder,
-    random_weight_vector,
     refines_borel,
     separating_witnesses,
 )
 from stableorders.verify import (
     check_distributive,
+    count_fountains,
+    enumerate_filters,
+    enumerate_walks,
+    filter_count_three_vars,
     find_n5,
+    gaussian,
     height_width,
+    is_filter_by_layers,
+    iter_filter_level_stacks,
     ordinal_sum_leq,
+    partial_sums,
+    planar_partition_filter_count,
+    random_weight_vector,
+    rank_sizes,
     reachability_oracle,
+    young_contains,
 )
 
 

@@ -11,33 +11,36 @@ from hypothesis import strategies as st
 
 from stableorders import bijections
 from stableorders.bijections import (
-    Fountain,
     LatticeWalk,
-    PlanarPartition,
-    count_fountains,
     distinct_partition_to_filter,
     distinct_partition_to_squarefree,
-    enumerate_walks,
     filter_to_distinct_partition,
     filter_to_walk,
     fountain_gf_coefficients,
-    iter_filter_level_stacks,
-    iter_fountains,
-    limit_filter_count,
     monomial_to_young,
-    planar_partition_filter_count,
-    planar_partition_from_levels,
-    remove_first_column,
     squarefree_to_distinct_partition,
     walk_to_filter,
     walk_weight,
-    young_contains,
     young_to_monomial,
 )
-from stableorders.filters import catalan, count_filters, enumerate_filters, is_filter
+from stableorders.filters import catalan, count_filters, is_filter
 from stableorders.lattice import CapExceededError, build_hasse
 from stableorders.monomials import ONE, Monomial, monomials_of_degree
 from stableorders.orders import PosetId, ground_monomials, leq
+from stableorders.verify import (
+    Fountain,
+    PlanarPartition,
+    count_fountains,
+    enumerate_filters,
+    enumerate_walks,
+    iter_filter_level_stacks,
+    iter_fountains,
+    limit_filter_count,
+    planar_partition_filter_count,
+    planar_partition_from_levels,
+    remove_first_column,
+    young_contains,
+)
 
 M = Monomial.parse
 

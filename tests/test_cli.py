@@ -952,6 +952,26 @@ class TestIdeals:
         code, out, err = run(capsys, "ideal", "close", "--order", "A", "--gens", "x3^2")
         assert (code, out, err) == (2, "", "error: the closure passed the cap of 5 generators\n")
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_check_pair_budget(self, capsys, monkeypatch, fmt):
+        # minimal_generators tests pairs: 8,000 incomparable x_i*x_j ran 39 s
+        # whole-process; these five generators make ten pairs
+        argv = ("ideal", "check", "--order", "A", "--gens", "x1*x2,x1*x3,x2*x3,x4^2,x5^2",
+                "--format", fmt)
+        monkeypatch.setattr(filters, "GENERATOR_PAIR_BUDGET", 10)
+        code, out, err = run(capsys, *argv)
+        assert (code, bool(out), err) == (1, True, "")
+        monkeypatch.setattr(filters, "GENERATOR_PAIR_BUDGET", 9)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: 5 generators make 10 pairs, over the budget of 9\n")
+
+    def test_check_pair_budget_default(self, capsys):
+        # 1,414 generators make 998,991 pairs and 1,415 make 1,000,405
+        gens = [f"x{i}*x{j}" for j in range(2, 60) for i in range(1, j)][:1415]
+        code, out, err = run(capsys, "ideal", "check", "--order", "A", "--gens", ",".join(gens))
+        assert (code, out, err) == (
+            2, "", "error: 1415 generators make 1000405 pairs, over the budget of 1000000\n")
+
     def test_needs_generators(self, capsys):
         code, _, err = run(capsys, "ideal", "check", "--order", "A", "--gens", "")
         assert code == 2

@@ -16,17 +16,12 @@ from stableorders.cli import _elements_json_dict, _format_filter
 from stableorders.filters import (
     _filter_masks,
     borel_closure,
-    boundary,
     catalan,
     closed_form_counts,
     count_filters,
-    enumerate_filters,
-    filter_count_three_vars,
     filter_counts_by_size,
-    interior,
     is_borel_ideal,
     is_filter,
-    is_filter_by_layers,
     is_stable_ideal,
     minimal_generators,
     stable_closure,
@@ -37,7 +32,16 @@ from stableorders.filters import (
 from stableorders.lattice import CapExceededError, _linear_order, build_hasse
 from stableorders.monomials import ONE, Monomial
 from stableorders.orders import Family, GroundSetError, PosetId, ground_monomials, leq
-from stableorders.verify import borel_moves_up, pivot_filter_counts, stable_moves_up
+from stableorders.verify import (
+    borel_moves_up,
+    boundary,
+    enumerate_filters,
+    filter_count_three_vars,
+    interior,
+    is_filter_by_layers,
+    pivot_filter_counts,
+    stable_moves_up,
+)
 
 M = Monomial.parse
 

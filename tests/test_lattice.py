@@ -11,14 +11,11 @@ from hypothesis import strategies as st
 from stableorders.lattice import (
     CapExceededError,
     HasseDiagram,
-    NotGradedError,
     NotLatticeError,
     _linear_order,
     build_hasse,
-    gaussian,
     join,
     meet,
-    rank_sizes,
 )
 from stableorders.monomials import Monomial
 from stableorders.orders import (
@@ -30,10 +27,13 @@ from stableorders.orders import (
     relation,
 )
 from stableorders.verify import (
+    NotGradedError,
     _meet_join_tables,
     check_distributive,
     find_n5,
+    gaussian,
     height_width,
+    rank_sizes,
     reachability_oracle,
 )
 

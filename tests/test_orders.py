@@ -22,10 +22,9 @@ from stableorders.orders import (
     ground_monomials,
     leq,
     monomial_from_partial_sums,
-    partial_sums,
     relation,
 )
-from stableorders.verify import borel_moves_up, reachability_oracle, stable_moves_up
+from stableorders.verify import borel_moves_up, partial_sums, reachability_oracle, stable_moves_up
 
 M = Monomial.parse
 

@@ -16,12 +16,11 @@ from stableorders.termorders import (
     GREATER,
     LESS,
     TermOrder,
-    random_weight_vector,
     refines_borel,
     separating_witnesses,
     weight_vectors_by_total,
 )
-from stableorders.verify import ordinal_sum_leq
+from stableorders.verify import ordinal_sum_leq, random_weight_vector
 
 M = Monomial.parse
 

@@ -15,10 +15,8 @@ from hypothesis import seed as fixed_seed
 
 from stableorders.filters import (
     borel_closure,
-    interior,
     is_borel_ideal,
     is_filter,
-    is_filter_by_layers,
     is_stable_ideal,
     stable_closure,
 )
@@ -32,6 +30,7 @@ from stableorders.orders import (
     ground_monomials,
     leq,
 )
+from stableorders.verify import interior, is_filter_by_layers
 
 FAMILIES = list(Family)
 

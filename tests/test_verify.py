@@ -62,15 +62,25 @@ def test_library_does_not_import_cli():
     assert (done.returncode, done.stdout) == (0, "False\n")
 
 
-# The brute-force oracles, which live in verify only, and the helpers that
-# nothing in the package called, now gone from it or kept in the tests.
+# The brute-force oracles and the paper's constructions that only re-check
+# an answer, which live in verify only, and the helpers that nothing in the
+# package called, now gone from it or kept in the tests.
 ORACLES = {
     "borel_moves_up", "stable_moves_up", "reachability_oracle", "_meet_join_tables",
     "check_distributive", "find_n5", "height_width", "_filter_poly", "pivot_filter_counts",
     "ordinal_sum_leq",
+    "partial_sums",
+    "NotGradedError", "_iter_bits", "_longest_path_ranks", "rank_sizes", "gaussian",
+    "_is_up_closed", "_interior", "interior", "boundary", "is_filter_by_layers",
+    "enumerate_filters", "filter_count_three_vars",
+    "young_contains", "remove_first_column", "enumerate_walks", "Fountain", "iter_fountains",
+    "count_fountains", "limit_filter_count", "PlanarPartition", "_strict_partitions",
+    "_fits_under", "iter_filter_level_stacks", "planar_partition_filter_count",
+    "planar_partition_from_levels",
+    "random_weight_vector",
 }
 GONE = {"index_weight", "antitone_dual_sequence", "ideal_contains", "is_strictly_decreasing"}
-ANSWERING = ("monomials", "orders", "lattice", "filters", "termorders")
+ANSWERING = ("monomials", "orders", "lattice", "filters", "bijections", "termorders")
 
 
 def _imported_modules(module):
@@ -99,3 +109,61 @@ def test_oracles_live_only_in_verify():
     # cli renders every output format; the diagram renders none
     assert not {"to_dot", "to_json_dict"} & vars(HasseDiagram).keys()
 
+
+# The top-level names of the answering modules that no command reaches, each
+# with the reason it stays where it is.
+UNREACHED = {
+    # the walk table by weight: closed_form_counts(by_size=True) is to read
+    # the counts by size of D[n=2,d] and B[n=3,d] from it, so it stays here
+    ("filters", "_walk_weights"),
+    ("filters", "weighted_walk_count"),
+    ("filters", "stable_filter_counts"),
+    # the documented middle value of TermOrder.compare, beside LESS and GREATER
+    ("termorders", "EQUAL"),
+}
+
+
+def _top_level_definitions(tree):
+    """(name, node) for each name a module binds at top level by def, class
+    or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((t.id, node) for t in targets if isinstance(t, ast.Name))
+
+
+def _names_used(node):
+    """Every name and attribute name that a node's source mentions."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_answering_modules_hold_only_what_cli_reaches():
+    """Walk the call graph from every top-level definition of cli over the
+    sources, never importing them, through every module but verify.  A
+    name counts as reached when any definition of that name is, so the
+    walk can only overcount.  What it does not reach belongs in verify."""
+    package = Path(__file__).resolve().parents[1] / "src" / "stableorders"
+    definitions = {}
+    for path in sorted(package.glob("*.py")):
+        if path.stem != "verify":
+            for name, node in _top_level_definitions(ast.parse(path.read_text())):
+                # module metadata such as __version__ is read, not called
+                if not (name.startswith("__") and name.endswith("__")):
+                    definitions.setdefault(name, []).append((path.stem, node))
+    todo = [name for name, sites in definitions.items() if any(m == "cli" for m, _ in sites)]
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(used for _, node in definitions[name] for used in _names_used(node)
+                        if used in definitions)
+    unreached = {(module, name) for name, sites in definitions.items() if name not in reached
+                 for module, _ in sites}
+    assert unreached == UNREACHED
