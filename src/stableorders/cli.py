@@ -19,6 +19,7 @@ from . import verify
 from .monomials import Monomial, graded_lex_key
 from .orders import Family, PosetId, relation
 from .lattice import (
+    SLOT_BUDGET,
     VERTEX_CAP,
     CapExceededError,
     NotLatticeError,
@@ -62,42 +63,46 @@ _RELATION_SYMBOL = {"lt": "<", "gt": ">", "eq": "=", "incomparable": "||"}
 # small input/output helpers
 
 
+def _monomial_set(entries):
+    """The monomials named by entries, monomial strings or exponent arrays,
+    refused as soon as their tuples, each as long as its last variable,
+    hold more than SLOT_BUDGET slots together."""
+    out, slots = set(), 0
+    for count, entry in enumerate(entries, 1):
+        if isinstance(entry, str):
+            m = Monomial.parse(entry)
+        elif isinstance(entry, list):
+            m = Monomial(entry)
+        else:
+            raise ValueError("filter entries must be exponent arrays or monomial strings")
+        slots += len(m.exps)
+        if slots > SLOT_BUDGET:
+            raise ValueError(f"the first {count} monomials hold {slots} exponent slots, "
+                             f"over the budget of {SLOT_BUDGET} slots")
+        out.add(m)
+    return frozenset(out)
+
+
 def _parse_elements(text):
     """Comma separated monomials, e.g. 'x1^2,x1*x2' (empty string allowed)."""
-    text = text.strip()
-    if not text:
-        return frozenset()
-    return frozenset(Monomial.parse(tok) for tok in text.split(","))
+    return _monomial_set(text.split(",")) if text.strip() else frozenset()
 
 
-def _elements_from_json(data):
-    """Decode a filter record: {"elements": [...]} or a bare list, entries
-    being exponent arrays or monomial strings."""
+def _json_elements(load, source):
+    """The elements of the filter record load(source) decodes, {"elements":
+    [...]} or a bare list, refusing JSON nested deeper than the decoder's
+    recursion allows."""
+    try:
+        data = load(source)
+    except RecursionError:
+        raise ValueError("the filter JSON is nested too deeply") from None
     if isinstance(data, dict):
         if "elements" not in data:
             raise ValueError('a filter record needs an "elements" list')
         data = data["elements"]
     if not isinstance(data, list):
         raise ValueError("filter elements must be a JSON list")
-    out = set()
-    for entry in data:
-        if isinstance(entry, str):
-            out.add(Monomial.parse(entry))
-        elif isinstance(entry, list):
-            out.add(Monomial(entry))
-        else:
-            raise ValueError("filter entries must be exponent arrays or monomial strings")
-    return frozenset(out)
-
-
-def _json_elements(load, source):
-    """_elements_from_json of load(source), refusing JSON nested deeper
-    than the decoder's recursion allows."""
-    try:
-        data = load(source)
-    except RecursionError:
-        raise ValueError("the filter JSON is nested too deeply") from None
-    return _elements_from_json(data)
+    return _monomial_set(data)
 
 
 def _filter_payload(text):
@@ -259,44 +264,30 @@ def _cmd_bound(args):
     except NotLatticeError as exc:
         print(f"no {args.operation}: {exc}", file=sys.stderr)
         return 1
-    _emit(
-        args,
-        {
-            "poset": str(poset),
-            "left": str(m),
-            "right": str(mp),
-            args.operation: str(result),
-            "exponents": list(result.exps),
-        },
-        result,
-    )
+    payload = {"poset": str(poset), "left": str(m), "right": str(mp),
+               args.operation: str(result), "exponents": list(result.exps)}
+    _emit(args, payload, result)
     return 0
 
 
 def _cmd_count(args):
     poset = PosetId.parse(args.poset)
     # the diagram's refusals come first, whether or not it is built
-    _capped("--cap", diagram_size, poset, cap=args.cap, max_degree=args.max_degree)
-    by_size = args.by_cardinality or args.cardinality is not None
-    known = closed_form_counts(poset, args.max_degree, by_size)
-    h = None if known is not None else build_hasse(poset, args.cap, args.max_degree)
+    size = _capped("--cap", diagram_size, poset, cap=args.cap, max_degree=args.max_degree)
+    k = args.cardinality  # no filter has a size outside 0..size
+    by_size = args.by_cardinality or k is not None and 0 <= k <= size
+    counts = closed_form_counts(poset, args.max_degree, by_size)
+    if counts is None:
+        h = build_hasse(poset, args.cap, args.max_degree)
+        counts = filter_counts_by_size(h) if by_size else count_filters(h, k)
     if args.by_cardinality:
-        counts = list(known if h is None else filter_counts_by_size(h))
-        _emit(
-            args,
-            {"poset": str(poset), "counts": counts},
-            *(f"{v} {cnt}" for v, cnt in enumerate(counts)),
-        )
+        lines = (f"{v} {cnt}" for v, cnt in enumerate(counts))
+        _emit(args, {"poset": str(poset), "counts": list(counts)}, *lines)
         return 0
-    if h is not None:
-        total = count_filters(h, args.cardinality)
-    elif args.cardinality is None:
-        total = known
-    else:
-        total = known[args.cardinality] if 0 <= args.cardinality < len(known) else 0
+    total = counts[k] if by_size else counts if k is None else 0
     payload = {"poset": str(poset), "count": total}
-    if args.cardinality is not None:
-        payload["cardinality"] = args.cardinality
+    if k is not None:
+        payload["cardinality"] = k
     _emit(args, payload, total)
     return 0
 
@@ -434,15 +425,9 @@ def _cmd_ideal(args):
         return 0
     mingens = minimal_generators(gens)
     ok = is_closed(gens)
-    _emit(
-        args,
-        {
-            "closed": ok,
-            "minimal_generators": [str(m) for m in _sorted_elements(mingens)],
-        },
-        f"minimal generators: {_format_filter(mingens)}",
-        f"closed under exchange moves: {'yes' if ok else 'no'}",
-    )
+    payload = {"closed": ok, "minimal_generators": [str(m) for m in _sorted_elements(mingens)]}
+    _emit(args, payload, f"minimal generators: {_format_filter(mingens)}",
+          f"closed under exchange moves: {'yes' if ok else 'no'}")
     return 0 if ok else 1
 
 
@@ -462,19 +447,9 @@ def _cmd_verify(args):
             lines += [f"  - {f}" for f in r.failures[:10]]
         else:
             lines.append(f"{r.suite}: PASS ({r.passed} checks)")
-    _emit(
-        args,
-        [
-            {
-                "suite": r.suite,
-                "passed": r.passed,
-                "failed": r.failed,
-                "failures": r.failures,
-            }
-            for r in reports
-        ],
-        *lines,
-    )
+    payload = [{"suite": r.suite, "passed": r.passed, "failed": r.failed, "failures": r.failures}
+               for r in reports]
+    _emit(args, payload, *lines)
     for r in reports:
         print(f"[{r.suite} took {r.runtime_ms:.0f} ms]", file=sys.stderr)
     return 1 if any(r.failed for r in reports) else 0

@@ -19,15 +19,15 @@ verify.
 
 Also here: closed_form_counts, which counts the filters of the posets the
 paper counts in closed form (chains, A and C of side 2, D[n=2,d], B[n=3,d])
-without a diagram; the weighted-walk table behind the stable-order counts;
+without a diagram, in total and by size; the weighted-walk table and the
+layer recursion that give the sizes of the last two, under a work budget;
 and the strongly-stable/stable ideal closures and tests.  The three-variable
-recurrence, the layerwise filter test and filters listed as monomial sets,
-which only re-check these, live in verify.
+recurrence, the walk counts one at a time, the layerwise filter test and
+filters listed as monomial sets, which only re-check these, live in verify.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 
 from .monomials import Monomial, graded_lex_key
@@ -174,7 +174,7 @@ def _filter_masks(h, cardinality=None, cap=FILTER_CAP):
     paper gives one (a glued D as D truncated at its top degree, as
     build_hasse truncated it), else from one plain frontier sweep.  Only
     when it exceeds the cap and a cardinality was asked is that size
-    counted, by count_filters, to decide and to report.
+    counted the same way (count_filters sweeps), to decide and to report.
 
     The walk splits on a pivot: a branch (mask, chosen) stands for the
     filters `chosen | F` with F a filter of the subposet induced on `mask`.
@@ -187,14 +187,14 @@ def _filter_masks(h, cardinality=None, cap=FILTER_CAP):
     (N + 1) * cap pivot steps on N vertices.
 
     Raises CapExceededError when more than `cap` filters would be produced,
-    and SweepBudgetError when counting them overruns SWEEP_BUDGET_BYTES.
+    SweepBudgetError when counting them overruns SWEEP_BUDGET_BYTES, and
+    ValueError when a closed form by size would pass TABLE_BUDGET.
     """
     top = h.vertices[-1].degree() if h.vertices else -1
-    total = closed_form_counts(h.poset, top)
-    if total is None:
-        total = _frontier_sweep(h, 0)
+    total = closed_form_counts(h.poset, top) or _frontier_sweep(h, 0)
     if total > cap and cardinality is not None:
-        total = count_filters(h, cardinality)
+        counts = 0 <= cardinality <= len(h) and closed_form_counts(h.poset, top, by_size=True)
+        total = counts[cardinality] if counts else count_filters(h, cardinality)
     if total > cap:
         raise CapExceededError(f"{total} filters exceed the cap of {cap}")
     up, down = h.up_masks(), h.down_masks()
@@ -231,10 +231,17 @@ def catalan(n):
     return comb(2 * n, n) // (n + 1)
 
 
-@lru_cache(maxsize=16)
+#: Most weights the walk tables of one size profile may hold: it admits
+#: D[n=2,d=218] (22 s, 203 MB on a 2-core host) and B[n=3,d=101] (19 s).
+#: No flag raises it.
+TABLE_BUDGET = 200_000_000
+
+
 def _walk_weights(d, b):
     """Row b >= 1 of the walk table of degree d: entry a, for a = 0 .. d+2-b,
-    lists by weight w the walks that weighted_walk_count(d, a, b, w) counts.
+    lists by weight w the monotone lattice walks from (a, b) down-right to
+    (d+2, 0) inside x+y <= d+2 whose vertical steps, labelled d+2-x-y at the
+    step's upper end, sum to w.
 
     Built bottom-up from row 1, where the walk from (a, 1) that steps down
     at column j >= a has weight d+1-j, one walk of each weight 0 .. d+1-a.
@@ -257,31 +264,13 @@ def _walk_weights(d, b):
     return tuple(row)
 
 
-def weighted_walk_count(d, a, b, w):
-    """Number of monotone lattice walks from (a, b) down-right to (d+2, 0)
-    inside x+y <= d+2 whose vertical steps, labelled d+2-x-y at the step's
-    upper end, sum to w: entry w of _walk_weights(d, b)[a].
-
-    The b=0 base row is the displayed boundary convention; the table starts
-    at b=1, so that row is reachable only by direct call.
-    """
-    if d < 0 or a < 0 or b < 0 or a + b > d + 2:
-        raise ValueError("walk endpoint out of range")
-    if b == 0:
-        return 1 if w == d - a + 1 else 0
-    weights = _walk_weights(d, b)[a]
-    return weights[w] if 0 <= w < len(weights) else 0
-
-
 def stable_filter_counts(d):
     """(total, by-cardinality) filter counts of the degree-d stable order in
     three variables, via the layer recursion GG(d,v) = GG(d-1,v) + CC(d-1,v-d-1)."""
     if d < 0:
         raise ValueError("degree must be non-negative")
-    if d == 0:
-        return 2, (1, 1)
-    gg = [1, 1, 1, 1]
-    for e in range(2, d + 1):
+    gg = [1, 1]  # the one vertex of degree 0
+    for e in range(1, d + 1):
         # CC(e-1, w): the filters of weight w of the two-variable staircase
         # of degree e-1, that is its weighted walks across the full region
         gg += [0] * ((e + 1) * (e + 2) // 2 + 1 - len(gg))
@@ -290,15 +279,30 @@ def stable_filter_counts(d):
     return sum(gg), tuple(gg)
 
 
+def _charge_tables(d, shift):
+    """Refuse with ValueError, before any is built, walk tables of more than
+    TABLE_BUDGET weights: the rows of _walk_weights(d, d + 2) for shift 0,
+    and for shift 1 those stable_filter_counts(d) builds, the former summed
+    over degrees 0 .. d-1.  With t = d+2, entry a of row b holds
+    b*(t-a) - b*(b+1)/2 + 1 weights (the walk stepping down at once weighs
+    most); over 1 <= b <= t-a <= t that is C(t,1) + 3C(t,2) + 4C(t,3) +
+    2C(t,4), and over t = 2 .. d+1, by the hockey stick, the same with
+    C(d+2,k+1) for C(t,k), less the 1 of t = 1."""
+    entries = sum(c * comb(d + 2, k + shift) for k, c in enumerate((1, 3, 4, 2), 1)) - shift
+    if entries > TABLE_BUDGET:
+        raise ValueError(f"counting by size at degree {d} needs a walk table of {entries} "
+                         f"entries, over the budget of {TABLE_BUDGET}")
+
+
 def closed_form_counts(poset, max_degree=None, by_size=False):
     """The number of filters of a poset that the paper counts in closed
     form, found without its diagram; with by_size, the counts by size, as
-    filter_counts_by_size gives them.  None for every other poset, and with
-    by_size for D[n=2,d] and B[n=3,d] past their chains, whose sizes have no
-    closed form here.  max_degree truncates a glued poset as in build_hasse.
-    Of the glued posets only D is covered: D[n] truncated at degree d is
-    D[n=n,d=d], the same monomials with the covers _generating_moves bounds
-    at degree d.  The size checks are diagram_size's, made by the caller.
+    filter_counts_by_size gives them.  None for every other poset.
+    max_degree truncates a glued poset as in build_hasse.  Of the glued
+    posets only D is covered: D[n] truncated at degree d is D[n=n,d=d], the
+    same monomials with the covers _generating_moves bounds at degree d.
+    The size checks are diagram_size's, made by the caller; the counts by
+    size of D[n=2,d] and B[n=3,d] raise ValueError past TABLE_BUDGET.
 
     - Chains: A, B and C with min(n-1, d) <= 1, and D with n = 1 or d <= 0.
       One variable or degree 0 leaves one vertex (D truncated below degree
@@ -322,15 +326,23 @@ def closed_form_counts(poset, max_degree=None, by_size=False):
         so A[n,d] is isomorphic to A[d+1,n-1]: A[n,2] counts as A[3,n-1].
       * dual_rename is an isomorphism of A[n,d] onto C[n,d], as it sends
         the cover x_(k+1) -> x_k of A to the cover x_(n-k) -> x_(n+1-k) of C.
-    - D[n=2,d]: Catalan(d+2) filters.  filter_to_walk maps them one to one
-      onto the walks of region d+2 (walk_to_filter is its inverse): down
-      and right steps from (0, d+2) to (d+2, 0), the rights never ahead of
-      the downs, that is the Dyck paths of semilength d+2.
-    - B[n=3,d]: the sum of Catalan(i) over i = 0..d+1.  The paper's layer
-      recursion (stable_filter_counts) obtains B[n=3,d] from B[n=3,d-1] by
-      adding the filters of D[n=2,d-1], counted by walk weight, so the
-      total grows by Catalan(d+1), from the 4 filters of the chain
-      B[n=3,d=1].
+    - D[n=2,d]: Catalan(d+2) filters, by size entry 0 of _walk_weights(d,
+      d+2).  filter_to_walk maps the filters one to one onto the walks of
+      region t = d+2 (walk_to_filter is its inverse), the Dyck paths of
+      semilength t, and a walk's weight is its filter's size: the column
+      heights never rise, so the walk steps down from row b+1 to row b in
+      the first column x whose cells in the filter reach row b, and that
+      step's label t-x-(b+1) counts the cells (a, b), x <= a <= d-b, of row
+      b in the filter.
+    - B[n=3,d]: the sum of Catalan(i) over i = 0..d+1, by size the layer
+      recursion of stable_filter_counts from the one vertex of d = 0.  By
+      _stable_leq the monomials below x2^d are the d+1 without x1.  A
+      filter without x2^d is one of the up-set of monomials with x1, which
+      x1 * B[n=3,d-1] is, as multiplying by x1 keeps the last variable.  A
+      filter with x2^d holds the chain of d+1 monomials without x3 above
+      it, and any filter of those with x3, on which the order is
+      divisibility of u in u*x3^a: D[n=2,d-1].  So GG(d,v) = GG(d-1,v) +
+      CC(d-1,v-d-1), with CC the size profile of D[n=2,d-1].
     """
     family, n, d = poset.family, poset.nvars, poset.degree
     if d is None and family is Family.DIVISIBILITY:
@@ -350,12 +362,16 @@ def closed_form_counts(poset, max_degree=None, by_size=False):
         for i in range(1, m + 1):
             counts = [a + b for a, b in zip(counts + [0] * i, [0] * i + counts)]
         return tuple(counts)
-    if by_size:
-        return None
     if family is Family.DIVISIBILITY and n == 2:
-        return catalan(d + 2)
+        if not by_size:
+            return catalan(d + 2)
+        _charge_tables(d, 0)
+        return _walk_weights(d, d + 2)[0]
     if family is Family.STABLE and n == 3:
-        return sum(catalan(i) for i in range(d + 2))
+        if not by_size:
+            return sum(catalan(i) for i in range(d + 2))
+        _charge_tables(d, 1)
+        return stable_filter_counts(d)[1]
     return None
 
 

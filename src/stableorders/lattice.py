@@ -3,8 +3,10 @@
 Fixed-degree ground sets of the strongly-stable order form distributive
 lattices computed coordinatewise on partial sums; the stable order also
 forms a lattice but a non-modular one, whose meets and joins follow the
-same case split on the last variable as its comparisons.  The rank sizes
-of a diagram and the Gaussian polynomials they match live in verify.
+same case split on the last variable as its comparisons.  A diagram
+answers comparisons through its up masks; verify.diagram_leq reads one off
+them for the checks.  The rank sizes of a diagram and the Gaussian
+polynomials they match live in verify.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from operator import or_
 from .monomials import Monomial, _require_width, monomials_up_to_degree, stars_and_bars
 from .orders import (
     Family,
-    GroundSetError,
     PosetId,
     _generating_moves,
     _require_member,
@@ -55,20 +56,11 @@ class HasseDiagram:
     poset: PosetId
     vertices: tuple[Monomial, ...]
     covers: tuple[tuple[int, int], ...]
-    _index: dict | None = field(default=None, repr=False)
     _up: list | None = field(default=None, repr=False)
     _down: list | None = field(default=None, repr=False)
 
     def __len__(self):
         return len(self.vertices)
-
-    def index(self, m):
-        if self._index is None:
-            self._index = {v: i for i, v in enumerate(self.vertices)}
-        try:
-            return self._index[m]
-        except KeyError:
-            raise GroundSetError(f"{m} is not a vertex of this diagram") from None
 
     def up_masks(self):
         """up_masks()[i] has bit j set iff vertex i <= vertex j."""
@@ -81,12 +73,6 @@ class HasseDiagram:
         if self._down is None:
             self._down = _fill(self, False, lambda i, lows: reduce(or_, lows, 1 << i))
         return self._down
-
-    def leq_indices(self, i, j):
-        return bool(self.up_masks()[i] >> j & 1)
-
-    def leq(self, m, mp):
-        return self.leq_indices(self.index(m), self.index(mp))
 
 
 def diagram_size(poset, cap=VERTEX_CAP, max_degree=None):

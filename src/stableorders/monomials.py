@@ -11,8 +11,7 @@ the one definition of a unit move and of multiplication by a variable, and
 orders._generating_moves, the diagram build, the filter tests and the ideal
 closures take and return tuples.  A Monomial, which validates its
 exponents, is built only at the boundary: parsed input, diagram vertices
-and returned sets.  Monomial.transfer and Monomial.times_var check their
-arguments and then call _moved.
+and returned sets.
 
 A tuple as long as its largest variable index is built from sparse terms
 (a parsed product, a partition's rows or parts, a number of variables) only
@@ -171,18 +170,6 @@ class Monomial:
         if len(self.exps) > len(other.exps):
             return False
         return all(a <= b for a, b in zip(self.exps, other.exps))
-
-    def times_var(self, i):
-        """Multiply by the single variable x_i."""
-        if i < 1:
-            raise ValueError("variable indices start at 1")
-        return Monomial(_moved(self.exps, i))
-
-    def transfer(self, i, j):
-        """Replace one copy of x_j by x_i, i.e. multiply by x_i/x_j."""
-        if i < 1 or not self.exponent(j) and i != j:
-            raise ValueError(f"cannot replace x{j} by x{i} in {self}")
-        return Monomial(_moved(self.exps, i, j))
 
     def gcd(self, other):
         n = min(len(self.exps), len(other.exps))

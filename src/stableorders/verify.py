@@ -4,7 +4,8 @@ reachability, pivot counts, subset scans, brute-force meets and joins).
 
 The oracles live here, and in no module a command answers from: the
 exchange moves borel_moves_up and stable_moves_up, which
-reachability_oracle walks breadth first (the check on orders.leq); the
+reachability_oracle walks breadth first (the check on orders.leq), and
+diagram_leq, which reads the same relation off a diagram's up masks; the
 pairwise meets and joins of _meet_join_tables, and check_distributive,
 find_n5 and height_width, which read lattice facts off them; the memoized
 pivot recursion pivot_filter_counts (the check on the frontier sweep); and
@@ -13,8 +14,9 @@ ordinal_sum_leq, the intersection of the degree-compatible term orders.
 So do the paper's constructions that no command runs, each a second way
 to an answer a command finds: rank sizes and Gaussian polynomials, the
 interior and the layerwise filter test, filters listed as monomial sets,
-the three-variable recurrence, and the walk, fountain and planar-partition
-enumerations.  The tests import them from here too.
+the three-variable recurrence, the weighted walks counted one at a time,
+and the walk, fountain and planar-partition enumerations.  The tests
+import them from here too.
 
 run_suite(name, seed) runs the suite SUITES[name] and returns its report.
 """
@@ -52,8 +54,8 @@ from .filters import (
     count_filters,
     filter_counts_by_size,
     is_filter,
+    _walk_weights,
     stable_filter_counts,
-    weighted_walk_count,
 )
 from .bijections import (
     LatticeWalk,
@@ -88,7 +90,7 @@ def borel_moves_up(m):
         if m.exponent(j) == 0:
             continue
         for i in range(1, j):
-            moves.add(m.transfer(i, j))
+            moves.add(Monomial(_moved(m.exps, i, j)))
     return frozenset(moves)
 
 
@@ -101,7 +103,7 @@ def stable_moves_up(m):
     v = m.max_support()
     if v < 2:
         return frozenset()
-    return frozenset(m.transfer(i, v) for i in range(1, v))
+    return frozenset(Monomial(_moved(m.exps, i, v)) for i in range(1, v))
 
 
 def reachability_oracle(poset, m, mp):
@@ -133,7 +135,7 @@ def reachability_oracle(poset, m, mp):
         elif family is Family.STABLE:
             out.update(stable_moves_up(u))
         if allow_multiplication and u.degree() < target_degree:
-            out.update(u.times_var(i) for i in range(1, nvars + 1))
+            out.update(Monomial(_moved(u.exps, i)) for i in range(1, nvars + 1))
         return out
 
     seen = {m}
@@ -150,6 +152,13 @@ def reachability_oracle(poset, m, mp):
         frontier = nxt
     return False
 
+
+def diagram_leq(h, m, mp):
+    """Whether m <= mp in the diagram's poset, read off its up masks, that
+    is by reachability over its covers; ValueError when either is not one
+    of its vertices."""
+    index = h.vertices.index
+    return bool(h.up_masks()[index(m)] >> index(mp) & 1)
 
 def _iter_bits(mask):
     while mask:
@@ -199,15 +208,15 @@ def find_n5(h):
     """Search for a pentagon sublattice (bottom, a, b, c, top) with b < c and a
     incomparable to both; returns None when the lattice is modular."""
     meets, joins = _meet_join_tables(h)
-    n = len(h)
+    n, up = len(h), h.up_masks()
     for a in range(n):
         for b in range(n):
-            if b == a or h.leq_indices(a, b) or h.leq_indices(b, a):
+            if b == a or up[a] >> b & 1 or up[b] >> a & 1:
                 continue
             for c in range(n):
-                if c in (a, b) or not h.leq_indices(b, c):
+                if c in (a, b) or not up[b] >> c & 1:
                     continue
-                if h.leq_indices(a, c) or h.leq_indices(c, a):
+                if up[a] >> c & 1 or up[c] >> a & 1:
                     continue
                 if meets[a][b] == meets[a][c] and joins[a][b] == joins[a][c]:
                     verts = h.vertices
@@ -423,6 +432,21 @@ def filter_count_three_vars(d, v):
         return 1 if v <= 3 else 0
     return filter_count_three_vars(d - 1, v) + filter_count_three_vars(d - 1, v - (d + 1))
 
+
+def weighted_walk_count(d, a, b, w):
+    """Number of monotone lattice walks from (a, b) down-right to (d+2, 0)
+    inside x+y <= d+2 whose vertical steps, labelled d+2-x-y at the step's
+    upper end, sum to w: entry w of filters._walk_weights(d, b)[a].
+
+    The b=0 base row is the displayed boundary convention; the table starts
+    at b=1, so that row is reachable only by direct call.
+    """
+    if d < 0 or a < 0 or b < 0 or a + b > d + 2:
+        raise ValueError("walk endpoint out of range")
+    if b == 0:
+        return 1 if w == d - a + 1 else 0
+    weights = _walk_weights(d, b)[a]
+    return weights[w] if 0 <= w < len(weights) else 0
 
 def young_contains(outer, inner):
     """Diagram containment: inner fits inside outer row by row."""

@@ -16,8 +16,8 @@ differ.
 
 The `count` argv cover A/B/C/D with n 1-5 and d 0-7 (plain, --format json,
 --by-cardinality and --cardinality inside and outside the profile), glued
-posets with --max-degree, a small --cap, and the width and vertex-count
-refusals.  The `enumerate` argv cover small A/B/C/D posets, fixed-degree
+posets with --max-degree, the sizes of D[n=2,d], glued D[n=2] and B[n=3,d]
+for d 8-30, a small --cap, and the width and vertex-count refusals.  The `enumerate` argv cover small A/B/C/D posets, fixed-degree
 and glued, and the closed-form posets A[n=3,d=9], C[n=6,d=2], D[n=2,d=6]
 and B[n=3,d=6], each at every cardinality from -1 to N+1 and none, as text
 and JSON, with the default --cap and with --cap at the count less one and
@@ -114,6 +114,16 @@ def count_cases():
                 out += [glued, [*glued, "--by-cardinality"], [*glued, "--cardinality", "2"]]
         out.append(["count", "--poset", f"{family}[n=3]"])
         out.append(["count", "--poset", family, "--max-degree", "2"])
+    # the sizes of D[n=2,d] and B[n=3,d], both of C(d+2, 2) vertices, past d = 7
+    for d in range(8, 31):
+        size = comb(d + 2, 2)
+        for poset in ([f"D[n=2,d={d}]"], [f"B[n=3,d={d}]"], ["D[n=2]", "--max-degree", str(d)]):
+            count = ["count", "--poset", *poset]
+            out += [
+                [*count, "--by-cardinality", *(("--format", "json") if d % 2 else ())],
+                [*count, "--cardinality", str(size // 2)],
+                [*count, "--cardinality", str((size + 1, 3)[d % 2]), "--format", "json"],
+            ]
     for poset in ("A[n=3,d=4]", "C[n=5,d=2]", "D[n=2,d=4]", "B[n=3,d=4]", "A[n=9,d=1]",
                   "D[n=1,d=9]", "B[n=5,d=3]"):
         out.append(["count", "--poset", poset, "--cap", "3"])

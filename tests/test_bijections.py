@@ -25,7 +25,7 @@ from stableorders.bijections import (
 )
 from stableorders.filters import catalan, count_filters, is_filter
 from stableorders.lattice import CapExceededError, build_hasse
-from stableorders.monomials import ONE, Monomial, monomials_of_degree
+from stableorders.monomials import ONE, Monomial, _moved, monomials_of_degree
 from stableorders.orders import PosetId, ground_monomials, leq
 from stableorders.verify import (
     Fountain,
@@ -446,7 +446,7 @@ def chained_squarefree(parts, degree):
     """One variable multiplied in per part."""
     out = ONE
     for w in parts:
-        out = out.times_var(degree + 2 - w)
+        out = Monomial(_moved(out.exps, degree + 2 - w))
     return out
 
 

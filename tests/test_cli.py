@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from stableorders import filters, lattice
+from stableorders import cli, filters, lattice
 from stableorders.cli import _build_parser, main
 from stableorders.filters import catalan
 from stableorders.orders import PosetId
@@ -512,6 +512,58 @@ class TestCount:
         assert sum(int(line.split()[1]) for line in lines) == 2**300
         assert elapsed < 10.0
 
+    @pytest.mark.parametrize(
+        "argv, lines, total, line",
+        [
+            # the size-3 filters are three of the d+1 maximal monomials, or
+            # one of the d below two of them with both
+            (("D[n=2,d=100]",), 5152, catalan(102), f"3 {comb(101, 3) + 100}"),
+            (("B[n=3,d=60]",), 1892, sum(map(catalan, range(62))), "2 1"),
+        ],
+        ids=["D", "B"],
+    )
+    def test_layer_tables_answer_by_size(self, argv, lines, total, line):
+        # both ran two frontier sweeps: past 60 s and 3.6 s whole-process
+        done, elapsed = run_limited("count", "--poset", *argv, "--by-cardinality")
+        assert (done.returncode, done.stderr) == (0, "")
+        out = done.stdout.splitlines()
+        assert len(out) == lines and line in out
+        assert sum(int(entry.split()[1]) for entry in out) == total
+        k, count = line.split()
+        done, _ = run_limited("count", "--poset", *argv, "--cardinality", k)
+        assert (done.returncode, done.stdout, done.stderr) == (0, f"{count}\n", "")
+        assert elapsed < 20.0
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_table_budget(self, capsys, monkeypatch, fmt):
+        # the walk tables of D[n=2,d=5] hold 280 entries, those of B[n=3,d=5] 307
+        refusal = "error: counting by size at degree 5 needs a walk table of {} entries, over the budget of {}\n"
+        monkeypatch.setattr(filters, "TABLE_BUDGET", 280)
+        for argv in (("D[n=2,d=5]", "--by-cardinality"), ("D[n=2]", "--max-degree", "5", "--cardinality", "3")):
+            code, out, err = run(capsys, "count", "--poset", *argv, "--format", fmt)
+            assert (code, bool(out), err) == (0, True, "")
+        code, out, err = run(capsys, "count", "--poset", "B[n=3,d=5]", "--cardinality", "7", "--format", fmt)
+        assert (code, out, err) == (2, "", refusal.format(307, 280))
+        monkeypatch.setattr(filters, "TABLE_BUDGET", 279)
+        code, out, err = run(capsys, "count", "--poset", "D[n=2,d=5]", "--by-cardinality", "--format", fmt)
+        assert (code, out, err) == (2, "", refusal.format(280, 279))
+        # past its cap, enumerate reads the same table, and names no flag
+        code, out, err = run(capsys, "enumerate", "--poset", "D[n=2,d=5]", "--cardinality", "3",
+                             "--cap", "10", "--format", fmt)
+        assert (code, out, err) == (2, "", refusal.format(280, 279))
+        # the totals build no table
+        code, out, err = run(capsys, "count", "--poset", "D[n=2,d=5]", "--format", fmt)
+        assert (code, err) == (0, "") and str(catalan(7)) in out
+
+    def test_table_budget_default(self):
+        # B[n=3,d=314] is under the vertex cap, and its tables would hold
+        # 52,517,725,385 entries
+        done, elapsed = run_limited("count", "--poset", "B[n=3,d=314]", "--by-cardinality")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == ("error: counting by size at degree 314 needs a walk table of "
+                               "52517725385 entries, over the budget of 200000000\n")
+        assert elapsed < 5.0
+
     def test_sweep_budget(self, capsys, monkeypatch):
         monkeypatch.setattr("stableorders.filters.SWEEP_BUDGET_BYTES", 1000)
         code, out, err = run(capsys, "count", "--poset", "A[n=4,d=4]")
@@ -718,6 +770,22 @@ class TestBijections:
             Path(argument).write_text(payload)
         code, out, err = run(capsys, "bijection", kind, "--poset", poset, "--filter", argument)
         assert (code, out, err) == (2, "", "error: the filter JSON is nested too deeply\n")
+
+    @pytest.mark.parametrize(
+        "payload",
+        ["x1^2,x1*x2,x2^2", '{"elements": [[2], [1, 1], [0, 2]]}', '["x1^2", [1, 1], "x2^2"]'],
+        ids=["csv", "record", "list"],
+    )
+    def test_filter_slot_budget(self, capsys, monkeypatch, payload):
+        # the top layer of D[n=2,d=2] holds 1 + 2 + 2 exponent slots
+        argv = ("bijection", "walk", "--poset", "D[n=2,d=2]", "--filter", payload)
+        monkeypatch.setattr(cli, "SLOT_BUDGET", 5)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, "DDRDRDRR\n", "")
+        monkeypatch.setattr(cli, "SLOT_BUDGET", 4)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (
+            2, "", "error: the first 3 monomials hold 5 exponent slots, over the budget of 4 slots\n")
 
     @pytest.mark.parametrize("payload", ['{"foo":1}', '{"elements": 3}'])
     def test_walk_rejects_malformed_records(self, capsys, payload):
@@ -971,6 +1039,29 @@ class TestIdeals:
         code, out, err = run(capsys, "ideal", "check", "--order", "A", "--gens", ",".join(gens))
         assert (code, out, err) == (
             2, "", "error: 1415 generators make 1000405 pairs, over the budget of 1000000\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_gens_slot_budget(self, capsys, monkeypatch, fmt):
+        # a parsed tuple is as long as its largest variable index: these
+        # three generators hold 2 + 4 + 5 exponent slots
+        argv = ("ideal", "check", "--order", "A", "--gens", "x1*x2,x3*x4,x5", "--format", fmt)
+        monkeypatch.setattr(cli, "SLOT_BUDGET", 11)
+        code, out, err = run(capsys, *argv)
+        assert (code, bool(out), err) == (1, True, "")
+        monkeypatch.setattr(cli, "SLOT_BUDGET", 10)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (
+            2, "", "error: the first 3 monomials hold 11 exponent slots, over the budget of 10 slots\n")
+
+    def test_gens_slot_budget_default(self):
+        # twenty generators near x999000 ran 6-7 s whole-process, building
+        # and printing 10^6-slot tuples; the fifth passes 4,000,000 slots
+        gens = ",".join(f"x{999000 + 2 * i}*x{999001 + 2 * i}" for i in range(20))
+        done, elapsed = run_limited("ideal", "check", "--order", "A", "--gens", gens)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == ("error: the first 5 monomials hold 4995025 exponent slots, "
+                               "over the budget of 4000000 slots\n")
+        assert elapsed < 5.0
 
     def test_needs_generators(self, capsys):
         code, _, err = run(capsys, "ideal", "check", "--order", "A", "--gens", "")

@@ -27,7 +27,6 @@ from stableorders.filters import (
     stable_closure,
     stable_filter_counts,
     SweepBudgetError,
-    weighted_walk_count,
 )
 from stableorders.lattice import CapExceededError, _linear_order, build_hasse
 from stableorders.monomials import ONE, Monomial
@@ -41,6 +40,7 @@ from stableorders.verify import (
     is_filter_by_layers,
     pivot_filter_counts,
     stable_moves_up,
+    weighted_walk_count,
 )
 
 M = Monomial.parse
@@ -385,7 +385,7 @@ class TestEnumerationCap:
         [("A[n=3,d=9]", None), ("C[n=6,d=2]", None), ("D[n=2,d=6]", None),
          ("B[n=3,d=6]", None), ("D[n=2]", 5), ("D[n=2]", -1), ("A[n=9,d=1]", None)],
     )
-    def test_closed_forms_need_no_sweep(self, monkeypatch, poset_text, max_degree):
+    def test_closed_forms_need_no_sweep(self, monkeypatch, capsys, poset_text, max_degree):
         h = build_hasse(PosetId.parse(poset_text), max_degree=max_degree)
         profile = filter_counts_by_size(h)
 
@@ -396,6 +396,24 @@ class TestEnumerationCap:
         assert len(list(_filter_masks(h))) == sum(profile)
         for cardinality in range(len(h) + 1):
             assert len(list(_filter_masks(h, cardinality))) == profile[cardinality]
+        # below the total, the cap is checked against the closed form by size
+        cap = sum(profile) - 1
+        for cardinality in range(-1, len(h) + 2):
+            count = profile[cardinality] if 0 <= cardinality <= len(h) else 0
+            if count > cap:
+                with pytest.raises(CapExceededError, match=f"^{count} filters exceed"):
+                    _filter_masks(h, cardinality, cap)
+            else:
+                assert len(list(_filter_masks(h, cardinality, cap))) == count
+        # and so are count's sizes
+        poset = ["--poset", poset_text] + ([] if max_degree is None else ["--max-degree", str(max_degree)])
+        assert cli.main(["count", *poset, "--by-cardinality"]) == 0
+        lines = [f"{k} {c}" for k, c in enumerate(profile)]
+        assert capsys.readouterr().out.splitlines() == lines
+        for cardinality in (0, len(h) // 2, len(h), len(h) + 1):
+            assert cli.main(["count", *poset, "--cardinality", str(cardinality)]) == 0
+            count = profile[cardinality] if cardinality <= len(h) else 0
+            assert capsys.readouterr().out == f"{count}\n"
 
     def test_one_plain_sweep_elsewhere(self, monkeypatch):
         h = build_hasse(PosetId.parse("C[n=4,d=4]"))
@@ -560,15 +578,8 @@ class TestClosedFormCounts:
         poset, max_degree = case
         profile = filter_counts_by_size(build_hasse(poset, max_degree=max_degree))
         assert closed_form_counts(poset, max_degree) == sum(profile)
-        by_size = closed_form_counts(poset, max_degree, by_size=True)
-        assert by_size is None or by_size == profile
-        # only D[n=2] and B[n=3] past their chains give the total alone
-        degree = poset.degree if max_degree is None else max_degree
-        total_alone = (
-            poset.family is Family.DIVISIBILITY and poset.nvars == 2 and degree >= 1
-            or poset.family is Family.STABLE and poset.nvars == 3 and degree >= 2
-        )
-        assert (by_size is None) == total_alone
+        # every poset with a closed-form total has its counts by size too
+        assert closed_form_counts(poset, max_degree, by_size=True) == profile
 
     @pytest.mark.parametrize(
         "poset_text, max_degree",
@@ -580,9 +591,49 @@ class TestClosedFormCounts:
         poset = PosetId.parse(poset_text)
         by_size = closed_form_counts(poset, max_degree, by_size=True)
         if poset_text == "B[n=3,d=2]":
-            assert by_size is None and closed_form_counts(poset) == 9
+            # the first stable order past its chain: the layer table counts it
+            assert by_size == (1, 1, 1, 2, 2, 1, 1) and closed_form_counts(poset) == 9
         else:
             assert by_size is None and closed_form_counts(poset, max_degree) is None
+
+    @pytest.mark.parametrize(
+        "poset_text, max_degree",
+        [*((f"D[n=2,d={d}]", None) for d in range(13)),
+         *(("D[n=2]", d) for d in range(-1, 13)),
+         *((f"B[n=3,d={d}]", None) for d in range(12))],
+    )
+    def test_layer_tables_are_the_size_profiles(self, poset_text, max_degree):
+        poset = PosetId.parse(poset_text)
+        profile = filter_counts_by_size(build_hasse(poset, max_degree=max_degree))
+        assert closed_form_counts(poset, max_degree, by_size=True) == profile
+
+    @pytest.mark.parametrize("d", range(9))
+    def test_table_charge_is_exact(self, monkeypatch, d):
+        # every row of the walk table of each degree the profile builds
+        def rows(e):
+            return sum(len(entry) for b in range(1, e + 3) for entry in filters._walk_weights(e, b))
+
+        for shift, entries in ((0, rows(d)), (1, sum(rows(e) for e in range(d)))):
+            monkeypatch.setattr(filters, "TABLE_BUDGET", entries)
+            filters._charge_tables(d, shift)
+            monkeypatch.setattr(filters, "TABLE_BUDGET", entries - 1)
+            with pytest.raises(ValueError, match=f"table of {entries} entries"):
+                filters._charge_tables(d, shift)
+
+    def test_table_budget(self, monkeypatch):
+        # the walk tables of D[n=2,d=5] hold 280 entries, those of B[n=3,d=5] 307
+        monkeypatch.setattr(filters, "TABLE_BUDGET", 307)
+        assert sum(closed_form_counts(PosetId.parse("B[n=3,d=5]"), by_size=True)) == 197
+        assert sum(closed_form_counts(PosetId.parse("D[n=2]"), 5, by_size=True)) == catalan(7)
+        monkeypatch.setattr(filters, "TABLE_BUDGET", 279)
+        for poset, max_degree, entries in (("B[n=3,d=5]", None, 307), ("D[n=2,d=5]", None, 280),
+                                           ("D[n=2]", 5, 280)):
+            with pytest.raises(ValueError) as excinfo:
+                closed_form_counts(PosetId.parse(poset), max_degree, by_size=True)
+            assert str(excinfo.value) == (f"counting by size at degree 5 needs a walk table of "
+                                          f"{entries} entries, over the budget of 279")
+        # the totals build no table
+        assert closed_form_counts(PosetId.parse("B[n=3,d=5]")) == 197
 
     def test_large_sides(self):
         assert closed_form_counts(PosetId.parse("A[n=3,d=300]")) == 2**301

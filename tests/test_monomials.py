@@ -132,16 +132,6 @@ class TestArithmetic:
         assert d.divides(m)
         assert not m.divides(d)
 
-    def test_times_var(self):
-        assert Monomial((1,)).times_var(3) == Monomial((1, 0, 1))
-        with pytest.raises(ValueError):
-            Monomial((1,)).times_var(0)
-
-    def test_transfer(self):
-        assert Monomial((0, 1, 1)).transfer(1, 3) == Monomial((1, 1))
-        with pytest.raises(ValueError):
-            Monomial((1,)).transfer(0, 1)
-
     def test_gcd_lcm(self):
         a, b = Monomial((2, 0, 1)), Monomial((1, 3))
         assert a.gcd(b) == Monomial((1,))

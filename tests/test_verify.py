@@ -17,6 +17,7 @@ import stableorders
 from stableorders import verify
 from stableorders.cli import _build_parser
 from stableorders.lattice import HasseDiagram
+from stableorders.monomials import Monomial
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -78,6 +79,7 @@ ORACLES = {
     "_fits_under", "iter_filter_level_stacks", "planar_partition_filter_count",
     "planar_partition_from_levels",
     "random_weight_vector",
+    "weighted_walk_count", "diagram_leq",
 }
 GONE = {"index_weight", "antitone_dual_sequence", "ideal_contains", "is_strictly_decreasing"}
 ANSWERING = ("monomials", "orders", "lattice", "filters", "bijections", "termorders")
@@ -106,64 +108,82 @@ def test_oracles_live_only_in_verify():
     for info in pkgutil.iter_modules(stableorders.__path__):
         module = importlib.import_module(f"stableorders.{info.name}")
         assert not GONE & vars(module).keys(), info.name
-    # cli renders every output format; the diagram renders none
-    assert not {"to_dot", "to_json_dict"} & vars(HasseDiagram).keys()
+    # cli renders every output format; the diagram renders none, and
+    # compares nothing: diagram_leq reads its up masks
+    assert not {"to_dot", "to_json_dict", "index", "leq", "leq_indices"} & vars(HasseDiagram).keys()
+    assert not {"transfer", "times_var"} & vars(Monomial).keys()
 
 
-# The top-level names of the answering modules that no command reaches, each
-# with the reason it stays where it is.
+# The top-level names and methods of the answering modules that no command
+# reaches, each with the reason it stays where it is.
 UNREACHED = {
-    # the walk table by weight: closed_form_counts(by_size=True) is to read
-    # the counts by size of D[n=2,d] and B[n=3,d] from it, so it stays here
-    ("filters", "_walk_weights"),
-    ("filters", "weighted_walk_count"),
-    ("filters", "stable_filter_counts"),
     # the documented middle value of TermOrder.compare, beside LESS and GREATER
     ("termorders", "EQUAL"),
 }
 
 
-def _top_level_definitions(tree):
-    """(name, node) for each name a module binds at top level by def, class
-    or assignment."""
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(tree):
+    """(name, nodes, is_method) for each name a module binds at top level by
+    def, class or assignment, with the nodes its source spans, and for each
+    method other than a dunder, named Class.method.  A class's own nodes
+    leave those methods out: reaching it reaches its dunders and the rest
+    of its body only."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, [node], False
+        elif isinstance(node, ast.ClassDef):
+            methods = [sub for sub in node.body if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                       and not _is_dunder(sub.name)]
+            yield from ((f"{node.name}.{sub.name}", [sub], True) for sub in methods)
+            yield node.name, [sub for sub in ast.iter_child_nodes(node) if sub not in methods], False
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            yield from ((t.id, node) for t in targets if isinstance(t, ast.Name))
+            yield from ((t.id, [node], False) for t in targets if isinstance(t, ast.Name))
 
 
-def _names_used(node):
-    """Every name and attribute name that a node's source mentions."""
-    for sub in ast.walk(node):
+def _names_used(nodes):
+    """(name, is_attribute) for every name and attribute name that the
+    nodes' source mentions."""
+    for sub in (sub for node in nodes for sub in ast.walk(node)):
         if isinstance(sub, ast.Name):
-            yield sub.id
+            yield sub.id, False
         elif isinstance(sub, ast.Attribute):
-            yield sub.attr
+            yield sub.attr, True
 
 
 def test_answering_modules_hold_only_what_cli_reaches():
     """Walk the call graph from every top-level definition of cli over the
     sources, never importing them, through every module but verify.  A
-    name counts as reached when any definition of that name is, so the
+    top-level name counts as reached when reached code names it or reads it
+    as an attribute, and a method when reached code reads its name as an
+    attribute of any object; any definition of a reached name is, so the
     walk can only overcount.  What it does not reach belongs in verify."""
     package = Path(__file__).resolve().parents[1] / "src" / "stableorders"
-    definitions = {}
+    definitions, methods = {}, {}
     for path in sorted(package.glob("*.py")):
         if path.stem != "verify":
-            for name, node in _top_level_definitions(ast.parse(path.read_text())):
+            for name, nodes, is_method in _definitions(ast.parse(path.read_text())):
                 # module metadata such as __version__ is read, not called
-                if not (name.startswith("__") and name.endswith("__")):
-                    definitions.setdefault(name, []).append((path.stem, node))
-    todo = [name for name, sites in definitions.items() if any(m == "cli" for m, _ in sites)]
-    reached = set()
+                if is_method:
+                    methods.setdefault(name.rpartition(".")[2], []).append((path.stem, name, nodes))
+                elif not _is_dunder(name):
+                    definitions.setdefault(name, []).append((path.stem, name, nodes))
+    todo = [(name, False) for name, sites in definitions.items() if any(m == "cli" for m, _, _ in sites)]
+    seen, reached = set(), set()
     while todo:
-        name = todo.pop()
-        if name not in reached:
-            reached.add(name)
-            todo.extend(used for _, node in definitions[name] for used in _names_used(node)
-                        if used in definitions)
-    unreached = {(module, name) for name, sites in definitions.items() if name not in reached
-                 for module, _ in sites}
+        used = todo.pop()
+        if used not in seen:
+            seen.add(used)
+            name, is_attribute = used
+            sites = definitions.get(name, []) + (methods.get(name, []) if is_attribute else [])
+            for module, full, nodes in sites:
+                if (module, full) not in reached:
+                    reached.add((module, full))
+                    todo.extend(_names_used(nodes))
+    unreached = {(module, full) for table in (definitions, methods) for sites in table.values()
+                 for module, full, _ in sites} - reached
     assert unreached == UNREACHED
