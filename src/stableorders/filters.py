@@ -18,17 +18,22 @@ The same split, memoized, counts filters as the independent oracle in
 verify.
 
 Also here: closed_form_counts, which counts the filters of the posets the
-paper counts in closed form (chains, A and C of side 2, D[n=2,d], B[n=3,d])
-without a diagram, in total and by size; the weighted-walk table and the
-layer recursion that give the sizes of the last two, under a work budget;
-and the strongly-stable/stable ideal closures and tests.  The three-variable
+paper counts in closed form (chains, A and C of sides 2 and 3, glued A, C
+and D as fixed-degree ones, D[n=2,d], B[n=3,d]) without a diagram, in total
+and by size; the product tables of sides 2 and 3 (q-TSPP for side 3), and
+the weighted-walk table and the layer recursion that give the sizes of the
+last two, under a work budget; and the strongly-stable/stable ideal
+closures and tests.  The three-variable
 recurrence, the walk counts one at a time, the layerwise filter test and
 filters listed as monomial sets, which only re-check these, live in verify.
 """
 
 from __future__ import annotations
 
-from math import comb
+from collections import Counter
+from itertools import accumulate
+from math import comb, prod
+from operator import sub
 
 from .monomials import Monomial, graded_lex_key
 from .orders import Family, PosetId, _generating_moves, _require_member
@@ -171,7 +176,7 @@ def _filter_masks(h, cardinality=None, cap=FILTER_CAP):
 
     The cap needs a bound, not the count: no size has more filters than
     all sizes together.  The total comes from closed_form_counts where the
-    paper gives one (a glued D as D truncated at its top degree, as
+    paper gives one (a glued A, C or D as truncated at its top degree, as
     build_hasse truncated it), else from one plain frontier sweep.  Only
     when it exceeds the cap and a cardinality was asked is that size
     counted the same way (count_filters sweeps), to decide and to report.
@@ -279,6 +284,14 @@ def stable_filter_counts(d):
     return sum(gg), tuple(gg)
 
 
+def _charge(entries, table):
+    """Refuse with one ValueError line, before it is built, a table of more
+    than TABLE_BUDGET entries."""
+    if entries > TABLE_BUDGET:
+        raise ValueError(f"counting by size {table} of {entries} entries, "
+                         f"over the budget of {TABLE_BUDGET}")
+
+
 def _charge_tables(d, shift):
     """Refuse with ValueError, before any is built, walk tables of more than
     TABLE_BUDGET weights: the rows of _walk_weights(d, d + 2) for shift 0,
@@ -289,21 +302,74 @@ def _charge_tables(d, shift):
     2C(t,4), and over t = 2 .. d+1, by the hockey stick, the same with
     C(d+2,k+1) for C(t,k), less the 1 of t = 1."""
     entries = sum(c * comb(d + 2, k + shift) for k, c in enumerate((1, 3, 4, 2), 1)) - shift
-    if entries > TABLE_BUDGET:
-        raise ValueError(f"counting by size at degree {d} needs a walk table of {entries} "
-                         f"entries, over the budget of {TABLE_BUDGET}")
+    _charge(entries, f"at degree {d} needs a walk table")
+
+
+def _q_product(exponents, top):
+    """Coefficients 0 .. top of the power series of the product of
+    (1 - q^t)^e over the items (t, e) of exponents, t >= 1.  Multiplying
+    by 1 - q^t subtracts the series shifted by t; dividing by it is the
+    prefix sum of stride t, as 1/(1 - q^t) is the sum of q^(jt) over j >= 0.
+    Both commute with truncation at q^top, so the order does not matter."""
+    series = [1] + [0] * top
+    for t, e in exponents.items():
+        for _ in range(e):
+            series[t:] = map(sub, series[t:], series[:-t])
+        for _ in range(-e):
+            for r in range(min(t, top + 1)):
+                series[r::t] = accumulate(series[r::t])
+    return series
+
+
+def _tspp_exponents(side):
+    """The net exponent of each t = 1 .. 3*side-1 in the product of
+    (i+j+k-1)/(i+j+k-2) over 1 <= i <= j <= k <= side: with c(s) the
+    triples of sum s, it is c(t+1) - c(t+2).  Less 1 in each coordinate, the
+    triples of sum s are the partitions of s-3 into at most 3 parts of at
+    most side-1, counted by the Gaussian binomial [side+2 choose 3]_q, the
+    product of (1 - q^(side-1+i))/(1 - q^i) over i = 1, 2, 3."""
+    gaussian = Counter((side, side + 1, side + 2))
+    gaussian.subtract((1, 2, 3))
+    c = [0, 0, 0, *_q_product(gaussian, 3 * side - 3), 0, 0]
+    return {t: c[t + 1] - c[t + 2] for t in range(1, 3 * side)}
+
+
+def _tspp(side):
+    """Stembridge's product TSPP(side), by the prime exponents of the net
+    exponents of _tspp_exponents: those of an integer are never negative,
+    so the product needs no division."""
+    primes = Counter()
+    for t, e in _tspp_exponents(side).items():
+        p = 2
+        while p * p <= t:
+            while t % p == 0:
+                primes[p] += e
+                t //= p
+            p += 1
+        if t > 1:
+            primes[t] += e
+    return prod(p**e for p, e in primes.items())
 
 
 def closed_form_counts(poset, max_degree=None, by_size=False):
     """The number of filters of a poset that the paper counts in closed
     form, found without its diagram; with by_size, the counts by size, as
     filter_counts_by_size gives them.  None for every other poset.
-    max_degree truncates a glued poset as in build_hasse.  Of the glued
-    posets only D is covered: D[n] truncated at degree d is D[n=n,d=d], the
-    same monomials with the covers _generating_moves bounds at degree d.
-    The size checks are diagram_size's, made by the caller; the counts by
-    size of D[n=2,d] and B[n=3,d] raise ValueError past TABLE_BUDGET.
+    max_degree truncates a glued poset as in build_hasse; of the glued
+    posets, B is left to the sweep.  The size checks are diagram_size's,
+    made by the caller; the counts by size of A and C of side 2 and 3,
+    D[n=2,d] and B[n=3,d] raise ValueError past TABLE_BUDGET.
 
+    - Glued posets.  D[n] truncated at degree d is D[n=n,d=d], the same
+      monomials with the covers _generating_moves bounds at degree d.
+      A[n] truncated at degree d is isomorphic to A[n=n+1,d=d] under
+      u -> u * x_(n+1)^(d - deg u), a bijection of the monomials of degree
+      at most d in x1..xn onto those of degree d in x1..x_(n+1): a move
+      x_(k+1) -> x_k with k < n maps to the same move, and multiplication
+      by x_n below degree d to the move x_(n+1) -> x_n, which are all the
+      covers of either side.  dual_rename carries C[n], which multiplies
+      by x1, onto A[n], so glued A and C count as A[n=n+1,d=d] below; the
+      empty truncation, d = -1, has its one filter.
     - Chains: A, B and C with min(n-1, d) <= 1, and D with n = 1 or d <= 0.
       One variable or degree 0 leaves one vertex (D truncated below degree
       0 has none).  Otherwise the covers of _generating_moves are one path:
@@ -311,21 +377,43 @@ def closed_form_counts(poset, max_degree=None, by_size=False):
       x_(k+1) -> x_k (x_k -> x_(k+1) in C; in B it is the one move when
       e_v = 1), and D[n=1] multiplies by x1.  A chain of N vertices has one
       filter of each size 0..N: its top elements.
-    - A and C with min(n-1, d) = 2: the product of 1 + q^i over i = 1..m,
-      m = max(n-1, d) + 1, so 2^m filters.
-      * A[n=3,d]: filter_to_distinct_partition maps the filters one to one
-        onto the partitions into distinct parts of at most d + 1 (the
+    - A and C, isomorphic by dual_rename, which sends the cover x_(k+1) ->
+      x_k of A[n,d] to the cover x_(n-k) -> x_(n+1-k) of C[n,d].  A[n,d] is
+      the lattice of partitions in an (n-1) x d box: a degree-d monomial is
+      its running sums 0 <= s_1 <= ... <= s_(n-1) <= d, any such sequence,
+      and m <= m' iff each s_k(m) <= s_k(m') (_borel_leq).  Conjugating a
+      partition is an isomorphism onto the d x (n-1) box, so A[n,d] is
+      isomorphic to A[d+1,n-1]: both count by the box's side min(n-1, d)
+      and by m = max(n-1, d) + 1, its length plus one.  The box is
+      self-dual: s -> (d - s_(n-1), ..., d - s_1) reverses the order, so it
+      maps a filter onto an ideal of the same size, whose complement is a
+      filter of the complementary size, and the counts by size are
+      symmetric.
+      * Side 2: the product of 1 + q^i over i = 1..m, so 2^m filters.
+        filter_to_distinct_partition maps the filters of A[n=3,d=m-1] one
+        to one onto the partitions into distinct parts of at most m (the
         inverse is distinct_partition_to_filter), each part the size of an
         x3-layer, so a filter's size is the sum of its parts.  Each part
-        1..d+1 occurs or not, whence the product; its factor 1 + q^(d+1) is
-        the recurrence of verify.filter_count_three_vars.
-      * A[n,d] is the lattice of partitions in an (n-1) x d box: a degree-d
-        monomial is its running sums 0 <= s_1 <= ... <= s_(n-1) <= d, any
-        such sequence, and m <= m' iff each s_k(m) <= s_k(m') (_borel_leq).
-        Conjugating a partition is an isomorphism onto the d x (n-1) box,
-        so A[n,d] is isomorphic to A[d+1,n-1]: A[n,2] counts as A[3,n-1].
-      * dual_rename is an isomorphism of A[n,d] onto C[n,d], as it sends
-        the cover x_(k+1) -> x_k of A to the cover x_(n-k) -> x_(n+1-k) of C.
+        1..m occurs or not, whence the product; its factor 1 + q^m is the
+        recurrence of verify.filter_count_three_vars.
+      * Side 3: Stembridge's TSPP(m), the product of (i+j+k-1)/(i+j+k-2)
+        over 1 <= i <= j <= k <= m ("The enumeration of totally symmetric
+        plane partitions", Adv. Math. 111, 1995), and by size the q-TSPP
+        product of (1 - q^(i+j+k-1))/(1 - q^(i+j+k-2)) (Koutschan, Kauers
+        and Zeilberger, "Proof of George Andrews's and David Robbins's
+        q-TSPP conjecture", PNAS 108, 2011).  The running sums of A[4,m-1],
+        plus one, are the triples 1 <= i <= j <= k <= m in the
+        componentwise order: the sorted points of the cube [m]^3.  A
+        totally symmetric plane partition there is an S3-stable order ideal
+        of the cube; it is fixed by its sorted points, an ideal J of the
+        triples, and conversely any such J gives the stable ideal {x :
+        sort(x) in J}, as the k-th smallest coordinate is monotone in x.
+        So the ideals of A[4,m-1], the complements of its filters, are the
+        TSPPs, an ideal's size the number of S3-orbits of the cubes, which
+        is the statistic the q-TSPP product counts; by the symmetry above,
+        it counts the filters by size as well.  The product is a
+        polynomial of degree C(m+2,3), the vertex count, so its series is
+        built up to half that degree and mirrored.
     - D[n=2,d]: Catalan(d+2) filters, by size entry 0 of _walk_weights(d,
       d+2).  filter_to_walk maps the filters one to one onto the walks of
       region t = d+2 (walk_to_filter is its inverse), the Dyck paths of
@@ -343,25 +431,39 @@ def closed_form_counts(poset, max_degree=None, by_size=False):
       it, and any filter of those with x3, on which the order is
       divisibility of u in u*x3^a: D[n=2,d-1].  So GG(d,v) = GG(d-1,v) +
       CC(d-1,v-d-1), with CC the size profile of D[n=2,d-1].
+
+    Work: side 2 by size adds lists of i(i+1)/2 + 1 entries for i = 1..m,
+    C(m+2,3) + m in all; side 3 by size makes a pass over the half series
+    per unit of each net exponent; both are charged against TABLE_BUDGET.
     """
     family, n, d = poset.family, poset.nvars, poset.degree
-    if d is None and family is Family.DIVISIBILITY:
-        d = max_degree
-    if n is None or d is None:
+    if n is None or d is None and (max_degree is None or family is Family.STABLE):
         return None
+    if d is None:
+        n, d = (n, max_degree) if family is Family.DIVISIBILITY else (n + 1, max_degree)
     side = min(n - 1, d)
     if side <= (0 if family is Family.DIVISIBILITY else 1):
         bars = n if family is Family.DIVISIBILITY else n - 1
         size = comb(bars + d, bars) if d >= 0 else 0
         return (1,) * (size + 1) if by_size else size + 1
+    m = max(n - 1, d) + 1
     if family in (Family.BOREL, Family.DUAL_BOREL) and side == 2:
-        m = max(n - 1, d) + 1
         if not by_size:
             return 2**m
+        _charge(comb(m + 2, 3) + m, f"on a 2 x {m - 1} box needs a product table")
         counts = [1]
         for i in range(1, m + 1):
             counts = [a + b for a, b in zip(counts + [0] * i, [0] * i + counts)]
         return tuple(counts)
+    if family in (Family.BOREL, Family.DUAL_BOREL) and side == 3:
+        if not by_size:
+            return _tspp(m)
+        exponents, size = _tspp_exponents(m), comb(m + 2, 3)
+        half = size // 2
+        _charge(sum(map(abs, exponents.values())) * (half + 1),
+                f"on a 3 x {m - 1} box needs a product table")
+        low = _q_product(exponents, half)
+        return tuple(low + low[size - half - 1::-1])
     if family is Family.DIVISIBILITY and n == 2:
         if not by_size:
             return catalan(d + 2)

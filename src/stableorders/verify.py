@@ -800,6 +800,13 @@ def _suite_filter_counts(c, rng):
                   ("C[n=5,d=2]", None))
     c.check("side-2 closed forms match the sweep and pivot counts on A[n,2] and C",
             _closed_forms_match(conjugates))
+    side_three = (("A[n=4,d=3]", None), ("A[n=4,d=4]", None), ("C[n=4,d=3]", None),
+                  ("A[n=5,d=3]", None))
+    c.check("side-3 closed forms match the sweep and pivot counts on A[n=4,d], A[n,3] and C",
+            _closed_forms_match(side_three))
+    glued = (("A[n=3]", 3), ("C[n=2]", 4), ("A[n=1]", 4), ("C[n=3]", -1))
+    c.check("glued A and C closed forms match the sweep and pivot counts as A[n+1,d]",
+            _closed_forms_match(glued))
     h = build_hasse(PosetId(Family.BOREL, 3, 3))
     c.check(
         "enumeration agrees with counting on the degree-3 three-variable order",

@@ -17,7 +17,9 @@ differ.
 The `count` argv cover A/B/C/D with n 1-5 and d 0-7 (plain, --format json,
 --by-cardinality and --cardinality inside and outside the profile), glued
 posets with --max-degree, the sizes of D[n=2,d], glued D[n=2] and B[n=3,d]
-for d 8-30, a small --cap, and the width and vertex-count refusals.  The `enumerate` argv cover small A/B/C/D posets, fixed-degree
+for d 8-30, side 3 past them (A and C[n=4,d] and glued A and C[n=3] to
+degree d for d 8-12, A and C[n,3] for n 5-9), a small --cap, and the width
+and vertex-count refusals.  The `enumerate` argv cover small A/B/C/D posets, fixed-degree
 and glued, and the closed-form posets A[n=3,d=9], C[n=6,d=2], D[n=2,d=6]
 and B[n=3,d=6], each at every cardinality from -1 to N+1 and none, as text
 and JSON, with the default --cap and with --cap at the count less one and
@@ -124,6 +126,15 @@ def count_cases():
                 [*count, "--cardinality", str(size // 2)],
                 [*count, "--cardinality", str((size + 1, 3)[d % 2]), "--format", "json"],
             ]
+    # side 3 past d = 7: A and C[n=4,d] and glued A and C[n=3] (A[n=4,d]) to
+    # d = 12, the largest whose two sweeps take seconds, and A and C[n,3]
+    side_three = [([f"{f}[n=4,d={d}]"], comb(d + 3, 3)) for f in "AC" for d in range(8, 13)]
+    side_three += [([f"{f}[n={n},d=3]"], comb(n + 2, 3)) for f in "AC" for n in range(5, 10)]
+    side_three += [([f"{f}[n=3]", "--max-degree", str(d)], comb(d + 3, 3))
+                   for f in "AC" for d in range(8, 13)]
+    for poset, size in side_three:
+        count = ["count", "--poset", *poset]
+        out += [count, [*count, "--by-cardinality"], [*count, "--cardinality", str(size // 3)]]
     for poset in ("A[n=3,d=4]", "C[n=5,d=2]", "D[n=2,d=4]", "B[n=3,d=4]", "A[n=9,d=1]",
                   "D[n=1,d=9]", "B[n=5,d=3]"):
         out.append(["count", "--poset", poset, "--cap", "3"])

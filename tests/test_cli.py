@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -555,6 +556,72 @@ class TestCount:
         code, out, err = run(capsys, "count", "--poset", "D[n=2,d=5]", "--format", fmt)
         assert (code, err) == (0, "") and str(catalan(7)) in out
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_product_budget(self, capsys, monkeypatch, fmt):
+        # by size, the side-3 product of A[n=4,d=4] charges 180 entries, the
+        # side-2 one of A[n=3,d=5] 62
+        refusal = ("error: counting by size on a {} box needs a product table of {} entries, "
+                   "over the budget of {}\n")
+        monkeypatch.setattr(filters, "TABLE_BUDGET", 180)
+        for argv in (("A[n=4,d=4]", "--by-cardinality"), ("C[n=3]", "--max-degree", "4", "--cardinality", "3")):
+            code, out, err = run(capsys, "count", "--poset", *argv, "--format", fmt)
+            assert (code, bool(out), err) == (0, True, "")
+        monkeypatch.setattr(filters, "TABLE_BUDGET", 179)
+        for argv in (("A[n=4,d=4]", "--by-cardinality"), ("C[n=4,d=4]", "--cardinality", "3"),
+                     ("A[n=3]", "--max-degree", "4", "--cardinality", "3")):
+            code, out, err = run(capsys, "count", "--poset", *argv, "--format", fmt)
+            assert (code, out, err) == (2, "", refusal.format("3 x 4", 180, 179))
+        monkeypatch.setattr(filters, "TABLE_BUDGET", 61)
+        for argv in (("A[n=3,d=5]", "--cardinality", "2"), ("C[n=2]", "--max-degree", "5", "--by-cardinality")):
+            code, out, err = run(capsys, "count", "--poset", *argv, "--format", fmt)
+            assert (code, out, err) == (2, "", refusal.format("2 x 5", 62, 61))
+        # past its cap, enumerate reads the same product, and names no flag
+        code, out, err = run(capsys, "enumerate", "--poset", "C[n=4,d=4]", "--cardinality", "3",
+                             "--cap", "10", "--format", fmt)
+        assert (code, out, err) == (2, "", refusal.format("3 x 4", 180, 61))
+        # the totals build no table
+        code, out, err = run(capsys, "count", "--poset", "A[n=4,d=4]", "--format", fmt)
+        assert (code, err) == (0, "") and "352" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("A[n=4,d=4]",), ("C[n=5,d=3]",), ("A[n=3]", "--max-degree", "4"),
+         ("C[n=2]", "--max-degree", "7"), ("A[n=2]", "--max-degree", "-1")],
+    )
+    def test_every_cardinality(self, capsys, argv):
+        max_degree = int(argv[2]) if len(argv) > 1 else None
+        h = lattice.build_hasse(PosetId.parse(argv[0]), max_degree=max_degree)
+        profile = filters.filter_counts_by_size(h)
+        for k in range(-1, len(h) + 2):
+            code, out, err = run(capsys, "count", "--poset", *argv, "--cardinality", str(k))
+            assert (code, out, err) == (0, f"{profile[k] if 0 <= k <= len(h) else 0}\n", "")
+
+    def test_side_three_answers_at_once(self):
+        # the two sweeps took 6.2 s to print 1, and the sweep of A[n=40,d=3]
+        # exited 2 at its memory budget after 11.7 s
+        done, elapsed = run_limited("count", "--poset", "A[n=4,d=12]", "--cardinality", "2")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "1\n", "")
+        assert elapsed < 5.0
+        expected = Fraction(1)
+        for i in range(1, 41):
+            for j in range(i, 41):
+                for k in range(j, 41):
+                    expected *= Fraction(i + j + k - 1, i + j + k - 2)
+        done, elapsed = run_limited("count", "--poset", "A[n=40,d=3]")
+        assert (done.returncode, done.stdout, done.stderr) == (0, f"{expected}\n", "")
+        assert elapsed < 5.0
+
+    def test_product_budget_default(self):
+        # A[n=3,d=5000] by size would build 20,858,347,502 entries; the
+        # 167,669,502 of A[n=3,d=1000] are admitted
+        done, elapsed = run_limited("count", "--poset", "A[n=3,d=5000]", "--cap", "1000000000",
+                                    "--by-cardinality")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == ("error: counting by size on a 2 x 5000 box needs a product table of "
+                               "20858347502 entries, over the budget of 200000000\n")
+        assert elapsed < 5.0
+        assert comb(1003, 3) + 1001 == 167_669_502 <= filters.TABLE_BUDGET
+
     def test_table_budget_default(self):
         # B[n=3,d=314] is under the vertex cap, and its tables would hold
         # 52,517,725,385 entries
@@ -565,13 +632,14 @@ class TestCount:
         assert elapsed < 5.0
 
     def test_sweep_budget(self, capsys, monkeypatch):
+        # B[n=4,d=4] has no closed form, so count sweeps it
         monkeypatch.setattr("stableorders.filters.SWEEP_BUDGET_BYTES", 1000)
-        code, out, err = run(capsys, "count", "--poset", "A[n=4,d=4]")
+        code, out, err = run(capsys, "count", "--poset", "B[n=4,d=4]")
         assert (code, out) == (2, "")
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "live states" in err and "budget" in err
         # enumerate counts under the same budget, which --cap does not raise
-        code, out, err = run(capsys, "enumerate", "--poset", "A[n=4,d=4]")
+        code, out, err = run(capsys, "enumerate", "--poset", "B[n=4,d=4]")
         assert (code, out) == (2, "")
         assert err.startswith("error: filter counting needs") and err.endswith(" MiB\n")
 

@@ -4,8 +4,10 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -383,7 +385,9 @@ class TestEnumerationCap:
     @pytest.mark.parametrize(
         "poset_text, max_degree",
         [("A[n=3,d=9]", None), ("C[n=6,d=2]", None), ("D[n=2,d=6]", None),
-         ("B[n=3,d=6]", None), ("D[n=2]", 5), ("D[n=2]", -1), ("A[n=9,d=1]", None)],
+         ("B[n=3,d=6]", None), ("D[n=2]", 5), ("D[n=2]", -1), ("A[n=9,d=1]", None),
+         ("C[n=4,d=4]", None), ("A[n=5,d=3]", None), ("A[n=3]", 4), ("C[n=3]", 3), ("A[n=2]", 6),
+         ("C[n=1]", 5), ("C[n=4]", -1)],
     )
     def test_closed_forms_need_no_sweep(self, monkeypatch, capsys, poset_text, max_degree):
         h = build_hasse(PosetId.parse(poset_text), max_degree=max_degree)
@@ -416,7 +420,7 @@ class TestEnumerationCap:
             assert capsys.readouterr().out == f"{count}\n"
 
     def test_one_plain_sweep_elsewhere(self, monkeypatch):
-        h = build_hasse(PosetId.parse("C[n=4,d=4]"))
+        h = build_hasse(PosetId.parse("B[n=4,d=4]"))
         expected = filter_counts_by_size(h)[17]
         widths, sweep = [], filters._frontier_sweep
 
@@ -551,8 +555,8 @@ class TestWalkTable:
 
 def closed_form_cases():
     """(poset, max_degree) of every kind closed_form_counts covers, at small
-    random sizes: chains, A and C of side 2 and their conjugates, D[n=2],
-    B[n=3] and glued D."""
+    random sizes: chains, A and C of sides 2 and 3 and their conjugates,
+    D[n=2], B[n=3], and glued A, C and D."""
     small = st.integers(min_value=0, max_value=7)
     fixed = st.one_of(
         st.builds(lambda f, n, d: (f, n, d), st.sampled_from("ABC"), st.integers(1, 2), small),
@@ -563,9 +567,16 @@ def closed_form_cases():
         st.builds(lambda n, d: ("D", n, d), st.integers(1, 2), small),
         st.builds(lambda n: ("D", n, 0), st.integers(1, 6)),
         st.builds(lambda d: ("B", 3, d), st.integers(0, 6)),
+        st.builds(lambda f, d: (f, 4, d), st.sampled_from("AC"), st.integers(3, 6)),
+        st.builds(lambda f, n: (f, n, 3), st.sampled_from("AC"), st.integers(5, 7)),
     )
-    glued = st.builds(lambda n, d: (PosetId(Family.DIVISIBILITY, n), d),
-                      st.integers(1, 2), st.integers(-1, 7))
+    glued = st.one_of(
+        st.builds(lambda n, d: (PosetId(Family.DIVISIBILITY, n), d),
+                  st.integers(1, 2), st.integers(-1, 7)),
+        st.builds(lambda f, n, d: (PosetId(Family(f), n), d),
+                  st.sampled_from("AC"), st.integers(1, 3), st.integers(-1, 6)),
+        st.builds(lambda f, d: (PosetId(Family(f), 4), d), st.sampled_from("AC"), st.integers(-1, 3)),
+    )
     return st.one_of(
         fixed.map(lambda t: (PosetId(Family(t[0]), t[1], t[2]), None)), glued
     )
@@ -593,6 +604,11 @@ class TestClosedFormCounts:
         if poset_text == "B[n=3,d=2]":
             # the first stable order past its chain: the layer table counts it
             assert by_size == (1, 1, 1, 2, 2, 1, 1) and closed_form_counts(poset) == 9
+        elif poset_text in ("A[n=4,d=3]", "C[n=4,d=3]", "A[n=2]", "C[n=2]"):
+            # side 3 is TSPP(4), and glued A or C[n=2] to degree 3 is A[n=3,d=3]
+            profile = filter_counts_by_size(build_hasse(poset, max_degree=max_degree))
+            assert by_size == profile and closed_form_counts(poset, max_degree) == sum(profile)
+            assert sum(profile) == (66 if "d=3" in poset_text else 16)
         else:
             assert by_size is None and closed_form_counts(poset, max_degree) is None
 
@@ -635,6 +651,56 @@ class TestClosedFormCounts:
         # the totals build no table
         assert closed_form_counts(PosetId.parse("B[n=3,d=5]")) == 197
 
+    @pytest.mark.parametrize(
+        "poset_text, max_degree",
+        [*((f"A[n=4,d={d}]", None) for d in range(8)),
+         *((f"C[n=4,d={d}]", None) for d in range(7)),
+         *((f"A[n={n},d=3]", None) for n in range(1, 9)),
+         *((f"C[n={n},d=3]", None) for n in range(1, 8)),
+         *((f"{f}[n={n}]", d) for f in "AC" for n in range(1, 5) for d in range(-1, 12)
+           if d <= (11, 11, 9, 3)[n - 1])],
+    )
+    def test_side_three_and_glued_are_the_size_profiles(self, poset_text, max_degree):
+        poset = PosetId.parse(poset_text)
+        profile = filter_counts_by_size(build_hasse(poset, max_degree=max_degree))
+        assert closed_form_counts(poset, max_degree) == sum(profile)
+        assert closed_form_counts(poset, max_degree, by_size=True) == profile
+
+    def test_side_three_is_stembridges_product(self):
+        expected = Fraction(1)
+        for side in range(1, 31):
+            # the triples i <= j <= k = side join those of side - 1
+            for i in range(1, side + 1):
+                for j in range(i, side + 1):
+                    expected *= Fraction(i + j + side - 1, i + j + side - 2)
+            assert closed_form_counts(PosetId.parse(f"A[n=4,d={side - 1}]")) == expected
+            assert closed_form_counts(PosetId.parse("C[n=3]"), side - 1) == expected
+            if side >= 4:
+                assert closed_form_counts(PosetId.parse(f"C[n={side},d=3]")) == expected
+
+    @pytest.mark.parametrize("length", range(3, 9))
+    def test_product_charges_are_exact(self, monkeypatch, length):
+        # side 2: the lists of the product of 1 + q^i built for i = 1 .. length+1
+        two = sum(i * (i + 1) // 2 + 1 for i in range(1, length + 2))
+        # side 3: one pass over the half series per unit of each net exponent
+        sums = Counter(map(sum, combinations_with_replacement(range(1, length + 2), 3)))
+        passes = sum(abs(sums[t + 1] - sums[t + 2]) for t in range(1, 3 * length + 3))
+        three = passes * (comb(length + 3, 3) // 2 + 1)
+        for text, side, entries in ((f"A[n=3,d={length}]", 2, two), (f"C[n=4,d={length}]", 3, three)):
+            poset = PosetId.parse(text)
+            monkeypatch.setattr(filters, "TABLE_BUDGET", entries)
+            profile = closed_form_counts(poset, by_size=True)
+            assert profile == filter_counts_by_size(build_hasse(poset))
+            monkeypatch.setattr(filters, "TABLE_BUDGET", entries - 1)
+            with pytest.raises(ValueError) as excinfo:
+                closed_form_counts(poset, by_size=True)
+            assert str(excinfo.value) == (f"counting by size on a {side} x {length} box needs a "
+                                          f"product table of {entries} entries, over the budget "
+                                          f"of {entries - 1}")
+            # the totals build no table
+            monkeypatch.setattr(filters, "TABLE_BUDGET", 0)
+            assert closed_form_counts(poset) == sum(profile)
+
     def test_large_sides(self):
         assert closed_form_counts(PosetId.parse("A[n=3,d=300]")) == 2**301
         assert closed_form_counts(PosetId.parse("C[n=301,d=2]")) == 2**301
@@ -644,6 +710,13 @@ class TestClosedFormCounts:
         profile = closed_form_counts(PosetId.parse("A[n=300,d=2]"), by_size=True)
         assert len(profile) == 300 * 301 // 2 + 1 and sum(profile) == 2**300
         assert profile == profile[::-1] and profile[:8] == (1, 1, 1, 2, 2, 3, 4, 5)
+        # side 3 at the vertex cap: C(67, 3) = 47,905 vertices
+        assert closed_form_counts(PosetId.parse("A[n=65,d=3]")) == closed_form_counts(
+            PosetId.parse("C[n=64]"), 3) == closed_form_counts(PosetId.parse("C[n=4,d=64]"))
+        profile = closed_form_counts(PosetId.parse("A[n=3]"), 40, by_size=True)
+        assert len(profile) == comb(43, 3) + 1 and sum(profile) == closed_form_counts(
+            PosetId.parse("A[n=41,d=3]"))
+        assert profile == profile[::-1] and profile[:8] == (1, 1, 1, 2, 3, 4, 6, 9)
 
 
 class TestSweepOnLargePosets:
