@@ -304,16 +304,19 @@ def _cmd_enumerate(args):
     # A filter lists its vertices by descending graded-lex rank, the order
     # of _sorted_elements.  build_hasse lists the vertices in graded-lex
     # order, so a mask's bits read from the highest down give that order.
-    width = f"0{len(h)}b"
-
+    # Only the bits from vertex N-1 down to the lowest member are spelt, as
+    # compress stops at the shorter input; the empty filter, with no lowest
+    # member, spells all N.
     def members(table, mask):
-        return compress(table, format(mask, width).encode().translate(_BIT_BYTES))
+        low = max((mask & -mask).bit_length() - 1, 0)
+        return compress(table, format(mask >> low, f"0{len(h) - low}b").encode().translate(_BIT_BYTES))
 
     # each vertex is rendered once, and each format only when asked for
     if args.format == "json":
-        # the layout of json.dumps(payload, indent=2), record by record,
-        # around each exponent list laid out by json.dumps at its depth
-        table = [json.dumps(list(m.exps), indent=2).replace("\n", _JSON_INDENT)
+        # the layout of json.dumps(payload, indent=2), record by record: an
+        # exponent list's items two deeper than its brackets
+        item = _JSON_INDENT + "  "
+        table = [f"[{item}{(',' + item).join(map(str, m.exps))}{_JSON_INDENT}]" if m.exps else "[]"
                  for m in reversed(h.vertices)]
         sep = "," + _JSON_INDENT
 

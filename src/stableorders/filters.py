@@ -181,15 +181,41 @@ def _filter_masks(h, cardinality=None, cap=FILTER_CAP):
     when it exceeds the cap and a cardinality was asked is that size
     counted the same way (count_filters sweeps), to decide and to report.
 
-    The walk splits on a pivot: a branch (mask, chosen) stands for the
-    filters `chosen | F` with F a filter of the subposet induced on `mask`.
-    A finite poset has a filter of every size from 0 to its own size (the
-    top k elements of a linear extension), so a branch holds a filter of
-    the wanted cardinality exactly when `0 <= cardinality - |chosen| <=
-    |mask|`; no counting is needed to prune.  Hence every node pushed on
-    the stack leads to at least one yielded filter, and as each pivot step
-    removes at least the pivot from the mask, the walk takes at most
-    (N + 1) * cap pivot steps on N vertices.
+    The walk splits on a pivot, a minimal element of the mask (see _pivot):
+    a branch (mask, chosen, r) stands for the filters `chosen | F` with F a
+    filter of the subposet induced on `mask` of r elements.  The filters
+    avoiding the pivot are those of the mask minus the pivot, and those
+    containing it are its up-set in the mask joined to the filters of the
+    rest.  A finite poset has a filter of every size from 0 to its own size
+    (the top k elements of a linear extension), so a branch holds a filter
+    exactly when 0 <= r <= |mask|; no counting is needed to prune.  It
+    closes in O(1) when r is 0 (only `chosen`) or |mask| (only `chosen |
+    mask`).  Between those ends the branch avoiding the pivot always holds
+    a filter, and the one containing it does when the pivot's up-set has at
+    most r elements.  The full listing runs the same walk with r = N + 1,
+    more than any mask holds: no branch closes before its mask is empty
+    and none is pruned.
+
+    Listing by size k, every vertex whose up-set has more than k elements
+    is dropped before walking.  Those vertices form a down-set, and the
+    walk would strip them one avoid step at a time with nothing yielded:
+    while one is in the mask, the pivot, having the largest up-set, is one
+    of them; its contain branch is too large for r, still k, and taking a
+    minimal element out of the mask leaves every other up-set in it
+    unchanged.  Once they are gone, each survivor's up-set lies among the
+    survivors, so the walk goes on from exactly the mask it starts from
+    here, and the listing and its order are the same.  The survivors'
+    masks are then shifted right by the lowest survivor's index, and each
+    yielded mask shifted back: an order-preserving renumbering, under which
+    _pivot picks the same pivots, while the masks lose the dropped low
+    bits.
+
+    Hence every pushed branch yields a filter.  The full listing takes one
+    pivot step fewer than it lists filters, as each step pushes both
+    branches.  By size, a step avoiding the pivot lowers |mask| - r by one
+    and one containing it keeps it, so from K survivors a path to a filter
+    avoids at most K - k pivots: at most (K - k + 1) pivot steps per
+    filter listed.
 
     Raises CapExceededError when more than `cap` filters would be produced,
     SweepBudgetError when counting them overruns SWEEP_BUDGET_BYTES, and
@@ -202,29 +228,32 @@ def _filter_masks(h, cardinality=None, cap=FILTER_CAP):
         total = counts[cardinality] if counts else count_filters(h, cardinality)
     if total > cap:
         raise CapExceededError(f"{total} filters exceed the cap of {cap}")
+    if cardinality is not None and not 0 <= cardinality <= len(h):
+        return iter(())
+    k = len(h) + 1 if cardinality is None else cardinality
     up, down = h.up_masks(), h.down_masks()
-
-    def viable(mask, chosen):
-        return cardinality is None or 0 <= cardinality - chosen.bit_count() <= mask.bit_count()
+    keep = sum(1 << i for i, u in enumerate(up) if u.bit_count() <= k)
+    low = max((keep & -keep).bit_length() - 1, 0)
+    up, down = [u >> low for u in up[low:]], [v >> low for v in down[low:]]
 
     def walk():
         # depth first on an explicit stack: the filters avoiding the pivot
         # come before those containing it
-        full = (1 << len(h)) - 1
-        stack = [(full, 0)] if viable(full, 0) else []
+        stack = [(keep >> low, 0, k)]
         while stack:
-            mask, chosen = stack.pop()
-            if mask == 0:
-                yield chosen
+            mask, chosen, r = stack.pop()
+            if r == 0:
+                yield chosen << low
+                continue
+            if r == mask.bit_count() or not mask:
+                yield (chosen | mask) << low
                 continue
             pivot = _pivot(up, down, mask)
             principal = up[pivot] & mask
-            for branch, picked in (
-                (mask & ~principal, chosen | principal),
-                (mask & ~(down[pivot] & mask), chosen),
-            ):
-                if viable(branch, picked):
-                    stack.append((branch, picked))
+            size = principal.bit_count()
+            if size <= r:
+                stack.append((mask ^ principal, chosen | principal, r - size))
+            stack.append((mask ^ (1 << pivot), chosen, r))
 
     return walk()
 

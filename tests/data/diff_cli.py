@@ -24,6 +24,8 @@ and glued, and the closed-form posets A[n=3,d=9], C[n=6,d=2], D[n=2,d=6]
 and B[n=3,d=6], each at every cardinality from -1 to N+1 and none, as text
 and JSON, with the default --cap and with --cap at the count less one and
 at the count; the counts come from this tree's `filter_counts_by_size`.
+They also list D[n=2,d=30], A[n=4,d=6], B[n=4,d=5] and C[n=4,d=6] at the
+cardinalities 0-3 and N-3..N, as text and JSON.
 The `gf fountains` argv ask for 0..400 and 1500 terms, and 10^9.
 
 The `hasse` argv cover A/B/C/D with n 1-4 and d 0-4, and the glued posets
@@ -194,6 +196,14 @@ def enumerate_cases():
             for fmt in ((), ("--format", "json")):
                 for cap in ((), ("--cap", str(count - 1)), ("--cap", str(count))):
                     out.append([*argv, *fmt, *cap])
+    # the smallest and largest sizes of larger posets, where the walk drops
+    # the vertices whose up-sets do not fit
+    for family, n, d in (("D", 2, 30), ("A", 4, 6), ("B", 4, 5), ("C", 4, 6)):
+        size = _vertices(family, n, d)
+        for cardinality in (*range(4), *range(size - 3, size + 1)):
+            for fmt in ((), ("--format", "json")):
+                out.append(["enumerate", "--poset", f"{family}[n={n},d={d}]",
+                            "--cardinality", str(cardinality), *fmt])
     return out
 
 

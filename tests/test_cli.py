@@ -19,6 +19,7 @@ import pytest
 from stableorders import cli, filters, lattice
 from stableorders.cli import _build_parser, main
 from stableorders.filters import catalan
+from stableorders.monomials import Monomial
 from stableorders.orders import PosetId
 
 WALK_FILTER_CSV = "x2^4,x2^5,x2^6,x1*x2^4,x1*x2^5,x1^2*x2^4,x1^3*x2^3,x1^6"
@@ -698,6 +699,30 @@ class TestEnumerate:
         )
         assert code == 2
         assert err == "error: 10 vertices exceed the cap of 9; raise it with --hasse-cap\n"
+
+    @pytest.mark.parametrize(
+        "poset_text, cardinality, listing",
+        [
+            # the empty filter, whose mask has no lowest member
+            ("B[n=3,d=2]", 0, [[]]),
+            # the full filter, which holds vertex 0
+            ("B[n=3,d=2]", 6, [[(2,), (1, 1), (1, 0, 1), (0, 2), (0, 1, 1), (0, 0, 2)]]),
+            # the unit vertex, whose exponents are []
+            ("A[n=3,d=0]", None, [[], [()]]),
+            ("D[n=2,d=1]", 3, [[(1,), (0, 1), ()]]),
+            # exponents of two digits
+            ("A[n=2,d=12]", 3, [[(12,), (11, 1), (10, 2)]]),
+            ("D[n=1,d=11]", 2, [[(11,), (10,)]]),
+        ],
+    )
+    def test_rendering_edge_cases(self, capsys, poset_text, cardinality, listing):
+        sized = [] if cardinality is None else ["--cardinality", str(cardinality)]
+        code, out, _ = run(capsys, "enumerate", "--poset", poset_text, *sized)
+        texts = ("{" + ", ".join(str(Monomial(e)) for e in f) + "}\n" for f in listing)
+        assert (code, out) == (0, "".join(texts))
+        code, out, _ = run(capsys, "enumerate", "--poset", poset_text, *sized, "--format", "json")
+        payload = {"poset": poset_text, "filters": [{"elements": [list(e) for e in f]} for f in listing]}
+        assert (code, out) == (0, json.dumps(payload, indent=2) + "\n")
 
     def test_cardinality_on_a_large_poset(self, capsys):
         # 1081 elements: pruning by size must not recurse through the poset
