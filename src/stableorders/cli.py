@@ -274,17 +274,17 @@ def _cmd_count(args):
     poset = PosetId.parse(args.poset)
     # the diagram's refusals come first, whether or not it is built
     size = _capped("--cap", diagram_size, poset, cap=args.cap, max_degree=args.max_degree)
-    k = args.cardinality  # no filter has a size outside 0..size
-    by_size = args.by_cardinality or k is not None and 0 <= k <= size
-    counts = closed_form_counts(poset, args.max_degree, by_size)
+    k = args.cardinality  # the profile is cut at top, the largest size asked in 0..size
+    top = size if args.by_cardinality else k if k is not None and 0 <= k <= size else None
+    counts = 0 if k is not None and top is None else closed_form_counts(poset, args.max_degree, top)
     if counts is None:
         h = build_hasse(poset, args.cap, args.max_degree)
-        counts = filter_counts_by_size(h) if by_size else count_filters(h, k)
+        counts = count_filters(h) if top is None else filter_counts_by_size(h, top)
     if args.by_cardinality:
         lines = (f"{v} {cnt}" for v, cnt in enumerate(counts))
         _emit(args, {"poset": str(poset), "counts": list(counts)}, *lines)
         return 0
-    total = counts[k] if by_size else counts if k is None else 0
+    total = counts if top is None else counts[k]
     payload = {"poset": str(poset), "count": total}
     if k is not None:
         payload["cardinality"] = k

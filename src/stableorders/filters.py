@@ -14,18 +14,15 @@ states bounds the work.  Counting the filters of an arbitrary poset is
 Enumeration walks the pivot tree on bitmask subposets: filters avoiding a
 pivot are filters of the poset minus the pivot's down-set, and filters
 containing it correspond to filters of the poset minus the pivot's up-set.
-The same split, memoized, counts filters as the independent oracle in
-verify.
 
-Also here: closed_form_counts, which counts the filters of the posets the
-paper counts in closed form (chains, A and C of sides 2 and 3, glued A, C
-and D as fixed-degree ones, D[n=2,d], B[n=3,d]) without a diagram, in total
-and by size; the product tables of sides 2 and 3 (q-TSPP for side 3), and
-the weighted-walk table and the layer recursion that give the sizes of the
-last two, under a work budget; and the strongly-stable/stable ideal
-closures and tests.  The three-variable
-recurrence, the walk counts one at a time, the layerwise filter test and
-filters listed as monomial sets, which only re-check these, live in verify.
+Also here: closed_form_counts, the filters of the posets the paper counts
+in closed form (chains, A and C of sides 2 and 3, glued A, C and D as
+fixed-degree ones, D[n=2,d], B[n=3,d]) without a diagram, by the product
+series of sides 2 and 3 (q-TSPP for side 3) and the weighted-walk tables
+of the last two, under a work budget; and the (strongly) stable ideal
+closures and tests.  Every count by size is a size profile cut at the
+largest size asked, `top` (the total when None), and no route builds
+past top.  The oracles that only re-check these live in verify.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import accumulate
 from math import comb, prod
-from operator import sub
+from operator import add, sub
 
 from .monomials import Monomial, graded_lex_key
 from .orders import Family, PosetId, _generating_moves, _require_member
@@ -73,7 +70,7 @@ class SweepBudgetError(CapExceededError):
     unlike the other caps, no flag raises this budget."""
 
 
-def _frontier_sweep(h, width):
+def _frontier_sweep(h, width, top=None):
     """One sweep over the diagram in _linear_order, where a vertex's upper
     covers come after it, so it may always join.
 
@@ -88,16 +85,21 @@ def _frontier_sweep(h, width):
     forced may stay out, and any vertex may join, forcing its upper covers.
 
     Each live state maps to its filter counts by size packed into one
-    integer, `width` bits per size; width 0 packs nothing and counts every
-    size together.  Returns the final packed counts.  Raises
-    SweepBudgetError when the states kept after a step would need more
-    than SWEEP_BUDGET_BYTES.
+    integer, `width` bits per size (width 0 counts all sizes together).
+    With `top`, only sizes 0 .. top count: every top + 1 steps from step
+    top on, the fields past top are cleared and a state left with none is
+    dropped, which is exact as a partial filter only grows; fewer than
+    2(top + 1) fields are carried.  Returns the packed counts, to be read
+    up to top.  Raises SweepBudgetError when the states kept after a step
+    would need more than SWEEP_BUDGET_BYTES.
     """
     position = {v: t for t, v in enumerate(_linear_order(h))}
     ups = [0] * len(h)  # the upper covers of step t, relative to step t + 1
     for lo, hi in h.covers:
         ups[position[lo]] |= 1 << (position[hi] - position[lo] - 1)
     span = max((up.bit_length() for up in ups), default=0)  # bounds every key
+    top = len(h) if top is None else top
+    keep = (1 << width * (top + 1)) - 1
     states = {0: 1}
     for t, up in enumerate(ups):
         grown = {}
@@ -108,8 +110,10 @@ def _frontier_sweep(h, width):
                 grown[rest] = get(rest, 0) + counts
             key = rest | up
             grown[key] = get(key, 0) + (counts << width)
-        # after t + 1 decisions a count has at most t + 2 bits per size field
-        state_bytes = _ENTRY_BYTES + (span + max(width, 1) * (t + 2)) // 8
+        if t >= top and (t - top) % (top + 1) == 0:
+            grown = {key: kept for key, counts in grown.items() if (kept := counts & keep)}
+        # after t + 1 decisions: t + 2 bits, or t + 2 fields, under 2(top + 1)
+        state_bytes = _ENTRY_BYTES + (span + max(width, 1) * min(t + 2, 2 * top + 1)) // 8
         if len(grown) * state_bytes > SWEEP_BUDGET_BYTES:
             raise SweepBudgetError(
                 f"filter counting needs {len(grown)} live states of up to {state_bytes} bytes "
@@ -118,14 +122,15 @@ def _frontier_sweep(h, width):
     return states[0]
 
 
-def filter_counts_by_size(h):
-    """Filter counts of the diagram by size: entry k is the number of filters
-    with k elements, for k = 0 .. len(h).  Two frontier sweeps: the first
-    counts all filters, and no count by size needs more bits than that."""
+def filter_counts_by_size(h, top=None):
+    """Filter counts of the diagram by size, entry k for k = 0 .. min(top,
+    len(h)) (all by default), from two frontier sweeps: the first counts all
+    filters, as no count by size needs more bits, the second up to top."""
+    top = len(h) if top is None else min(top, len(h))
     width = _frontier_sweep(h, 0).bit_length()
-    packed = _frontier_sweep(h, width)
+    packed = _frontier_sweep(h, width, top)
     field = (1 << width) - 1
-    return tuple(packed >> (width * k) & field for k in range(len(h) + 1))
+    return tuple(packed >> (width * k) & field for k in range(top + 1))
 
 
 def _pivot(up, down, mask):
@@ -156,18 +161,12 @@ def _pivot(up, down, mask):
 
 
 def count_filters(h, cardinality=None):
-    """Number of filters of the diagram's poset, optionally of one cardinality.
-
-    The empty poset has exactly one filter (the empty one).  Raises
-    SweepBudgetError when the frontier sweep overruns SWEEP_BUDGET_BYTES.
-    For several cardinalities of one diagram, filter_counts_by_size sweeps
-    once.
-    """
+    """Number of filters of the diagram's poset, optionally of one
+    cardinality (the empty poset has one, the empty filter).  Raises
+    SweepBudgetError when the frontier sweep overruns SWEEP_BUDGET_BYTES."""
     if cardinality is None:
         return _frontier_sweep(h, 0)
-    if 0 <= cardinality <= len(h):
-        return filter_counts_by_size(h)[cardinality]
-    return 0
+    return filter_counts_by_size(h, cardinality)[cardinality] if 0 <= cardinality <= len(h) else 0
 
 
 def _filter_masks(h, cardinality=None, cap=FILTER_CAP):
@@ -175,11 +174,10 @@ def _filter_masks(h, cardinality=None, cap=FILTER_CAP):
     bitmask of its vertex indices.
 
     The cap needs a bound, not the count: no size has more filters than
-    all sizes together.  The total comes from closed_form_counts where the
-    paper gives one (a glued A, C or D as truncated at its top degree, as
-    build_hasse truncated it), else from one plain frontier sweep.  Only
-    when it exceeds the cap and a cardinality was asked is that size
-    counted the same way (count_filters sweeps), to decide and to report.
+    all sizes together.  The total comes from closed_form_counts (a glued
+    poset as truncated at its top degree, as build_hasse truncated it),
+    else from one plain frontier sweep.  Only when it exceeds the cap and a
+    cardinality was asked is the profile cut at that size counted.
 
     The walk splits on a pivot, a minimal element of the mask (see _pivot):
     a branch (mask, chosen, r) stands for the filters `chosen | F` with F a
@@ -204,31 +202,29 @@ def _filter_masks(h, cardinality=None, cap=FILTER_CAP):
     minimal element out of the mask leaves every other up-set in it
     unchanged.  Once they are gone, each survivor's up-set lies among the
     survivors, so the walk goes on from exactly the mask it starts from
-    here, and the listing and its order are the same.  The survivors'
-    masks are then shifted right by the lowest survivor's index, and each
-    yielded mask shifted back: an order-preserving renumbering, under which
-    _pivot picks the same pivots, while the masks lose the dropped low
-    bits.
+    here, in the same order.  The masks are shifted right by the lowest
+    survivor's index, and each yielded mask shifted back: an
+    order-preserving renumbering, under which _pivot picks the same pivots.
 
     Hence every pushed branch yields a filter.  The full listing takes one
     pivot step fewer than it lists filters, as each step pushes both
     branches.  By size, a step avoiding the pivot lowers |mask| - r by one
-    and one containing it keeps it, so from K survivors a path to a filter
-    avoids at most K - k pivots: at most (K - k + 1) pivot steps per
-    filter listed.
+    and one containing it keeps it, so from K survivors there are at most
+    K - k + 1 pivot steps per filter listed.
 
     Raises CapExceededError when more than `cap` filters would be produced,
     SweepBudgetError when counting them overruns SWEEP_BUDGET_BYTES, and
     ValueError when a closed form by size would pass TABLE_BUDGET.
     """
-    top = h.vertices[-1].degree() if h.vertices else -1
-    total = closed_form_counts(h.poset, top) or _frontier_sweep(h, 0)
+    degree = h.vertices[-1].degree() if h.vertices else -1
+    total = closed_form_counts(h.poset, degree) or _frontier_sweep(h, 0)
+    fits = cardinality is None or 0 <= cardinality <= len(h)
     if total > cap and cardinality is not None:
-        counts = 0 <= cardinality <= len(h) and closed_form_counts(h.poset, top, by_size=True)
-        total = counts[cardinality] if counts else count_filters(h, cardinality)
+        total = (closed_form_counts(h.poset, degree, cardinality)
+                 or filter_counts_by_size(h, cardinality))[cardinality] if fits else 0
     if total > cap:
         raise CapExceededError(f"{total} filters exceed the cap of {cap}")
-    if cardinality is not None and not 0 <= cardinality <= len(h):
+    if not fits:
         return iter(())
     k = len(h) + 1 if cardinality is None else cardinality
     up, down = h.up_masks(), h.down_masks()
@@ -236,9 +232,7 @@ def _filter_masks(h, cardinality=None, cap=FILTER_CAP):
     low = max((keep & -keep).bit_length() - 1, 0)
     up, down = [u >> low for u in up[low:]], [v >> low for v in down[low:]]
 
-    def walk():
-        # depth first on an explicit stack: the filters avoiding the pivot
-        # come before those containing it
+    def walk():  # depth first: the filters avoiding the pivot come first
         stack = [(keep >> low, 0, k)]
         while stack:
             mask, chosen, r = stack.pop()
@@ -271,44 +265,46 @@ def catalan(n):
 TABLE_BUDGET = 200_000_000
 
 
-def _walk_weights(d, b):
+def _walk_weights(d, b, top):
     """Row b >= 1 of the walk table of degree d: entry a, for a = 0 .. d+2-b,
     lists by weight w the monotone lattice walks from (a, b) down-right to
     (d+2, 0) inside x+y <= d+2 whose vertical steps, labelled d+2-x-y at the
-    step's upper end, sum to w.
+    step's upper end, sum to w, for w = 0 .. top.
 
     Built bottom-up from row 1, where the walk from (a, 1) that steps down
     at column j >= a has weight d+1-j, one walk of each weight 0 .. d+1-a.
     A walk from (a, b) steps down at column a, with label d+2-a-b, and goes
     on from (a, b-1), or first steps right, and is a walk from (a+1, b): so
     each row is a suffix sum over a of the row below, shifted by the label.
+    Cutting every entry at weight top commutes with both.
     """
-    top = d + 2
-    row = [(1,) * (top - a) for a in range(top)]
+    t, cut = d + 2, top + 1  # cut: the weights an entry keeps
+    row = [(1,) * min(t - a, cut) for a in range(t)]
     for level in range(2, b + 1):
-        upper = [()] * (top - level + 1)
+        upper = [()] * (t - level + 1)
         acc = []
-        for a in range(top - level, -1, -1):
-            label, lower = top - a - level, row[a]
-            acc = acc + [0] * (label + len(lower) - len(acc))
-            for w, count in enumerate(lower, label):
-                acc[w] += count
+        for a in range(t - level, -1, -1):
+            label, lower = t - a - level, row[a]
+            end = min(label + len(lower), cut)
+            acc += [0] * (end - len(acc))
+            acc[label:end] = map(add, acc[label:end], lower)
             upper[a] = tuple(acc)
         row = upper
     return tuple(row)
 
 
-def stable_filter_counts(d):
+def stable_filter_counts(d, top=None):
     """(total, by-cardinality) filter counts of the degree-d stable order in
-    three variables, via the layer recursion GG(d,v) = GG(d-1,v) + CC(d-1,v-d-1)."""
+    three variables, via the layer recursion GG(d,v) = GG(d-1,v) + CC(d-1,v-d-1);
+    with top, the counts of sizes 0 .. top only, and their sum."""
     if d < 0:
         raise ValueError("degree must be non-negative")
-    gg = [1, 1]  # the one vertex of degree 0
-    for e in range(1, d + 1):
-        # CC(e-1, w): the filters of weight w of the two-variable staircase
-        # of degree e-1, that is its weighted walks across the full region
-        gg += [0] * ((e + 1) * (e + 2) // 2 + 1 - len(gg))
-        for v, count in enumerate(_walk_weights(e - 1, e + 1)[0], e + 1):
+    top = (d + 1) * (d + 2) // 2 if top is None else top  # the vertex count by default
+    gg = [1, 1][:top + 1]  # the one vertex of degree 0
+    for e in range(1, min(d, top - 1) + 1):
+        # CC(e-1, w), the weighted walks of degree e-1, land at size w + e + 1
+        gg += [0] * (min((e + 1) * (e + 2) // 2, top) + 1 - len(gg))
+        for v, count in enumerate(_walk_weights(e - 1, e + 1, top - e - 1)[0], e + 1):
             gg[v] += count
     return sum(gg), tuple(gg)
 
@@ -321,17 +317,16 @@ def _charge(entries, table):
                          f"over the budget of {TABLE_BUDGET}")
 
 
-def _charge_tables(d, shift):
-    """Refuse with ValueError, before any is built, walk tables of more than
-    TABLE_BUDGET weights: the rows of _walk_weights(d, d + 2) for shift 0,
-    and for shift 1 those stable_filter_counts(d) builds, the former summed
-    over degrees 0 .. d-1.  With t = d+2, entry a of row b holds
-    b*(t-a) - b*(b+1)/2 + 1 weights (the walk stepping down at once weighs
-    most); over 1 <= b <= t-a <= t that is C(t,1) + 3C(t,2) + 4C(t,3) +
-    2C(t,4), and over t = 2 .. d+1, by the hockey stick, the same with
-    C(d+2,k+1) for C(t,k), less the 1 of t = 1."""
-    entries = sum(c * comb(d + 2, k + shift) for k, c in enumerate((1, 3, 4, 2), 1)) - shift
-    _charge(entries, f"at degree {d} needs a walk table")
+def _table_entries(t, cut):
+    """The weights _walk_weights(t - 2, b, cut - 1) holds over rows b = 1 .. t.
+    Entry a of row b holds b*(t-a) - b*(b+1)/2 + 1 weights, up to cut: over
+    a = t-b .. 0 a run from b*(b-1)/2 + 1 in steps of b, k under the cut."""
+    entries = 0
+    for b in range(1, t + 1):
+        first, n = b * (b - 1) // 2 + 1, t - b + 1
+        k = min(max((cut - first) // b + 1, 0), n)
+        entries += k * first + b * k * (k - 1) // 2 + (n - k) * cut
+    return entries
 
 
 def _q_product(exponents, top):
@@ -380,10 +375,11 @@ def _tspp(side):
     return prod(p**e for p, e in primes.items())
 
 
-def closed_form_counts(poset, max_degree=None, by_size=False):
+def closed_form_counts(poset, max_degree=None, top=None):
     """The number of filters of a poset that the paper counts in closed
-    form, found without its diagram; with by_size, the counts by size, as
-    filter_counts_by_size gives them.  None for every other poset.
+    form, found without its diagram; with an integer top, its counts by
+    size 0 .. min(top, N) for N vertices, as filter_counts_by_size(h, top)
+    gives them.  None for every other poset.
     max_degree truncates a glued poset as in build_hasse; of the glued
     posets, B is left to the sweep.  The size checks are diagram_size's,
     made by the caller; the counts by size of A and C of side 2 and 3,
@@ -441,8 +437,9 @@ def closed_form_counts(poset, max_degree=None, by_size=False):
         TSPPs, an ideal's size the number of S3-orbits of the cubes, which
         is the statistic the q-TSPP product counts; by the symmetry above,
         it counts the filters by size as well.  The product is a
-        polynomial of degree C(m+2,3), the vertex count, so its series is
-        built up to half that degree and mirrored.
+        polynomial of degree C(m+2,3), the vertex count.
+      By size, both sides build their series only up to min(top, N // 2)
+      for N vertices, and read entry k past the half as entry N - k.
     - D[n=2,d]: Catalan(d+2) filters, by size entry 0 of _walk_weights(d,
       d+2).  filter_to_walk maps the filters one to one onto the walks of
       region t = d+2 (walk_to_filter is its inverse), the Dyck paths of
@@ -451,7 +448,8 @@ def closed_form_counts(poset, max_degree=None, by_size=False):
       the first column x whose cells in the filter reach row b, and that
       step's label t-x-(b+1) counts the cells (a, b), x <= a <= d-b, of row
       b in the filter.
-    - B[n=3,d]: the sum of Catalan(i) over i = 0..d+1, by size the layer
+    - B[n=3,d]: the sum of Catalan(i) over i = 0..d+1, each the last times
+      2(2i-1)/(i+1), and by size the layer
       recursion of stable_filter_counts from the one vertex of d = 0.  By
       _stable_leq the monomials below x2^d are the d+1 without x1.  A
       filter without x2^d is one of the up-set of monomials with x1, which
@@ -461,9 +459,10 @@ def closed_form_counts(poset, max_degree=None, by_size=False):
       divisibility of u in u*x3^a: D[n=2,d-1].  So GG(d,v) = GG(d-1,v) +
       CC(d-1,v-d-1), with CC the size profile of D[n=2,d-1].
 
-    Work: side 2 by size adds lists of i(i+1)/2 + 1 entries for i = 1..m,
-    C(m+2,3) + m in all; side 3 by size makes a pass over the half series
-    per unit of each net exponent; both are charged against TABLE_BUDGET.
+    Work, charged against TABLE_BUDGET before any is built: with h =
+    min(top, N // 2), side 2 adds lists of min(i(i+1)/2, h) + 1 entries for
+    i = 1..min(m, h); side 3 passes over h + 1 entries once per unit of each
+    net exponent t <= h; the walk tables cut each entry at weight top.
     """
     family, n, d = poset.family, poset.nvars, poset.degree
     if n is None or d is None and (max_degree is None or family is Family.STABLE):
@@ -474,35 +473,36 @@ def closed_form_counts(poset, max_degree=None, by_size=False):
     if side <= (0 if family is Family.DIVISIBILITY else 1):
         bars = n if family is Family.DIVISIBILITY else n - 1
         size = comb(bars + d, bars) if d >= 0 else 0
-        return (1,) * (size + 1) if by_size else size + 1
+        return size + 1 if top is None else (1,) * (min(top, size) + 1)
     m = max(n - 1, d) + 1
-    if family in (Family.BOREL, Family.DUAL_BOREL) and side == 2:
-        if not by_size:
-            return 2**m
-        _charge(comb(m + 2, 3) + m, f"on a 2 x {m - 1} box needs a product table")
-        counts = [1]
-        for i in range(1, m + 1):
-            counts = [a + b for a, b in zip(counts + [0] * i, [0] * i + counts)]
-        return tuple(counts)
-    if family in (Family.BOREL, Family.DUAL_BOREL) and side == 3:
-        if not by_size:
-            return _tspp(m)
-        exponents, size = _tspp_exponents(m), comb(m + 2, 3)
-        half = size // 2
-        _charge(sum(map(abs, exponents.values())) * (half + 1),
-                f"on a 3 x {m - 1} box needs a product table")
-        low = _q_product(exponents, half)
-        return tuple(low + low[size - half - 1::-1])
+    if family in (Family.BOREL, Family.DUAL_BOREL) and side in (2, 3):
+        if top is None:
+            return 2**m if side == 2 else _tspp(m)
+        size, table = comb(m + side - 1, side), f"on a {side} x {m - 1} box needs a product table"
+        top = min(top, size)
+        half = min(top, size // 2)
+        if side == 2:
+            _charge(sum(min(i * (i + 1) // 2, half) + 1 for i in range(1, min(m, half) + 1)), table)
+            low = [1]
+            for i in range(1, min(m, half) + 1):
+                low = [a + b for a, b in zip(low + [0] * i, [0] * i + low[:half + 1 - i])]
+        else:
+            exponents = {t: e for t, e in _tspp_exponents(m).items() if t <= half}
+            _charge(sum(map(abs, exponents.values())) * (half + 1), table)
+            low = _q_product(exponents, half)
+        # the mirror: past the half, entry k is entry size - k
+        return tuple(low) + tuple(low[size - top:size - half][::-1])
     if family is Family.DIVISIBILITY and n == 2:
-        if not by_size:
+        if top is None:
             return catalan(d + 2)
-        _charge_tables(d, 0)
-        return _walk_weights(d, d + 2)[0]
+        _charge(_table_entries(d + 2, top + 1), f"at degree {d} needs a walk table")
+        return _walk_weights(d, d + 2, top)[0]
     if family is Family.STABLE and n == 3:
-        if not by_size:
-            return sum(catalan(i) for i in range(d + 2))
-        _charge_tables(d, 1)
-        return stable_filter_counts(d)[1]
+        if top is None:  # Catalan(i+1) = Catalan(i) * 2(2i+1)/(i+2)
+            return sum(accumulate(range(d + 1), lambda c, i: c * (4 * i + 2) // (i + 2), initial=1))
+        entries = sum(_table_entries(e + 1, top - e) for e in range(1, min(d, top - 1) + 1))
+        _charge(entries, f"at degree {d} needs a walk table")  # as stable_filter_counts cuts them
+        return stable_filter_counts(d, top)[1]
     return None
 
 

@@ -95,6 +95,15 @@ def cases():
         ("count", "--poset", "D[n=2]", "--max-degree", "3"),
         ("count", "--poset", "C[n=3,d=3]", "--by-cardinality"),
         ("count", "--poset", "A[n=3,d=30]"),
+        # one size on the sweep, fixed-degree and glued
+        ("count", "--poset", "B[n=4,d=4]", "--cardinality", "2"),
+        ("count", "--poset", "B[n=3]", "--max-degree", "4", "--cardinality", "30"),
+        # one size of each closed form past its half, and of a chain
+        ("count", "--poset", "A[n=4,d=5]", "--cardinality", "30"),
+        ("count", "--poset", "A[n=3,d=9]", "--cardinality", "40"),
+        ("count", "--poset", "D[n=2,d=6]", "--cardinality", "20"),
+        ("count", "--poset", "B[n=3,d=5]", "--cardinality", "15"),
+        ("count", "--poset", "A[n=6,d=1]", "--cardinality", "4"),
     ):
         out += _both(*argv)
     out += [

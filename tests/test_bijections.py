@@ -23,7 +23,7 @@ from stableorders.bijections import (
     walk_weight,
     young_to_monomial,
 )
-from stableorders.filters import catalan, count_filters, is_filter
+from stableorders.filters import catalan, closed_form_counts, count_filters, is_filter
 from stableorders.lattice import CapExceededError, build_hasse
 from stableorders.monomials import ONE, Monomial, _moved, monomials_of_degree
 from stableorders.orders import PosetId, ground_monomials, leq
@@ -36,7 +36,6 @@ from stableorders.verify import (
     iter_filter_level_stacks,
     iter_fountains,
     limit_filter_count,
-    planar_partition_filter_count,
     planar_partition_from_levels,
     remove_first_column,
     young_contains,
@@ -363,7 +362,7 @@ class TestPlanarPartitions:
     @pytest.mark.parametrize("d", [0, 1, 2, 3])
     def test_counts_match_four_variable_filters(self, d):
         expected = [2, 5, 16, 66][d]
-        assert planar_partition_filter_count(d) == expected
+        assert closed_form_counts(PosetId.parse(f"A[n=4,d={d}]")) == expected
         assert count_filters(build_hasse(PosetId.parse(f"A[n=4,d={d}]"))) == expected
         stacks = list(iter_filter_level_stacks(d))
         assert len(stacks) == len(set(stacks)) == expected
@@ -389,10 +388,6 @@ class TestPlanarPartitions:
             rebuilt.add(frozenset(members))
         expected = set(enumerate_filters(build_hasse(poset)))
         assert rebuilt == expected
-
-    def test_rejects_negative_degree(self):
-        with pytest.raises(ValueError):
-            planar_partition_filter_count(-1)
 
 
 # ---------------------------------------------------------------------------

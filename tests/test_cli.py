@@ -538,29 +538,35 @@ class TestCount:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_table_budget(self, capsys, monkeypatch, fmt):
-        # the walk tables of D[n=2,d=5] hold 280 entries, those of B[n=3,d=5] 307
+        # the walk tables of D[n=2,d=5] hold 280 entries, those of B[n=3,d=5]
+        # 307; cut at size 3 and at size 7 they hold 104 and 135
         refusal = "error: counting by size at degree 5 needs a walk table of {} entries, over the budget of {}\n"
         monkeypatch.setattr(filters, "TABLE_BUDGET", 280)
-        for argv in (("D[n=2,d=5]", "--by-cardinality"), ("D[n=2]", "--max-degree", "5", "--cardinality", "3")):
+        for argv in (("D[n=2,d=5]", "--by-cardinality"), ("D[n=2]", "--max-degree", "5", "--cardinality", "3"),
+                     ("B[n=3,d=5]", "--cardinality", "7")):
             code, out, err = run(capsys, "count", "--poset", *argv, "--format", fmt)
             assert (code, bool(out), err) == (0, True, "")
-        code, out, err = run(capsys, "count", "--poset", "B[n=3,d=5]", "--cardinality", "7", "--format", fmt)
+        code, out, err = run(capsys, "count", "--poset", "B[n=3,d=5]", "--by-cardinality", "--format", fmt)
         assert (code, out, err) == (2, "", refusal.format(307, 280))
         monkeypatch.setattr(filters, "TABLE_BUDGET", 279)
         code, out, err = run(capsys, "count", "--poset", "D[n=2,d=5]", "--by-cardinality", "--format", fmt)
         assert (code, out, err) == (2, "", refusal.format(280, 279))
-        # past its cap, enumerate reads the same table, and names no flag
+        monkeypatch.setattr(filters, "TABLE_BUDGET", 134)
+        code, out, err = run(capsys, "count", "--poset", "B[n=3,d=5]", "--cardinality", "7", "--format", fmt)
+        assert (code, out, err) == (2, "", refusal.format(135, 134))
+        # past its cap, enumerate reads the same table cut at its size, and names no flag
+        monkeypatch.setattr(filters, "TABLE_BUDGET", 103)
         code, out, err = run(capsys, "enumerate", "--poset", "D[n=2,d=5]", "--cardinality", "3",
                              "--cap", "10", "--format", fmt)
-        assert (code, out, err) == (2, "", refusal.format(280, 279))
+        assert (code, out, err) == (2, "", refusal.format(104, 103))
         # the totals build no table
         code, out, err = run(capsys, "count", "--poset", "D[n=2,d=5]", "--format", fmt)
         assert (code, err) == (0, "") and str(catalan(7)) in out
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_product_budget(self, capsys, monkeypatch, fmt):
-        # by size, the side-3 product of A[n=4,d=4] charges 180 entries, the
-        # side-2 one of A[n=3,d=5] 62
+        # by size, the side-3 product of A[n=4,d=4] charges 180 entries, 8 cut
+        # at size 3; the side-2 one of A[n=3,d=5] 46, 5 cut at size 2
         refusal = ("error: counting by size on a {} box needs a product table of {} entries, "
                    "over the budget of {}\n")
         monkeypatch.setattr(filters, "TABLE_BUDGET", 180)
@@ -568,18 +574,24 @@ class TestCount:
             code, out, err = run(capsys, "count", "--poset", *argv, "--format", fmt)
             assert (code, bool(out), err) == (0, True, "")
         monkeypatch.setattr(filters, "TABLE_BUDGET", 179)
-        for argv in (("A[n=4,d=4]", "--by-cardinality"), ("C[n=4,d=4]", "--cardinality", "3"),
-                     ("A[n=3]", "--max-degree", "4", "--cardinality", "3")):
+        code, out, err = run(capsys, "count", "--poset", "A[n=4,d=4]", "--by-cardinality", "--format", fmt)
+        assert (code, out, err) == (2, "", refusal.format("3 x 4", 180, 179))
+        monkeypatch.setattr(filters, "TABLE_BUDGET", 7)
+        for argv in (("C[n=4,d=4]", "--cardinality", "3"), ("A[n=3]", "--max-degree", "4", "--cardinality", "3")):
             code, out, err = run(capsys, "count", "--poset", *argv, "--format", fmt)
-            assert (code, out, err) == (2, "", refusal.format("3 x 4", 180, 179))
-        monkeypatch.setattr(filters, "TABLE_BUDGET", 61)
-        for argv in (("A[n=3,d=5]", "--cardinality", "2"), ("C[n=2]", "--max-degree", "5", "--by-cardinality")):
-            code, out, err = run(capsys, "count", "--poset", *argv, "--format", fmt)
-            assert (code, out, err) == (2, "", refusal.format("2 x 5", 62, 61))
-        # past its cap, enumerate reads the same product, and names no flag
+            assert (code, out, err) == (2, "", refusal.format("3 x 4", 8, 7))
+        monkeypatch.setattr(filters, "TABLE_BUDGET", 45)
+        code, out, err = run(capsys, "count", "--poset", "C[n=2]", "--max-degree", "5", "--by-cardinality",
+                             "--format", fmt)
+        assert (code, out, err) == (2, "", refusal.format("2 x 5", 46, 45))
+        monkeypatch.setattr(filters, "TABLE_BUDGET", 4)
+        code, out, err = run(capsys, "count", "--poset", "A[n=3,d=5]", "--cardinality", "2", "--format", fmt)
+        assert (code, out, err) == (2, "", refusal.format("2 x 5", 5, 4))
+        # past its cap, enumerate reads the same product cut at its size, and names no flag
+        monkeypatch.setattr(filters, "TABLE_BUDGET", 7)
         code, out, err = run(capsys, "enumerate", "--poset", "C[n=4,d=4]", "--cardinality", "3",
                              "--cap", "10", "--format", fmt)
-        assert (code, out, err) == (2, "", refusal.format("3 x 4", 180, 61))
+        assert (code, out, err) == (2, "", refusal.format("3 x 4", 8, 7))
         # the totals build no table
         code, out, err = run(capsys, "count", "--poset", "A[n=4,d=4]", "--format", fmt)
         assert (code, err) == (0, "") and "352" in out
@@ -613,15 +625,18 @@ class TestCount:
         assert elapsed < 5.0
 
     def test_product_budget_default(self):
-        # A[n=3,d=5000] by size would build 20,858,347,502 entries; the
-        # 167,669,502 of A[n=3,d=1000] are admitted
+        # A[n=3,d=5000] by size would build 16,536,610,687 entries up to
+        # half its 12,507,501 vertices; the 132,870,535 of A[n=3,d=1000] are
+        # admitted
         done, elapsed = run_limited("count", "--poset", "A[n=3,d=5000]", "--cap", "1000000000",
                                     "--by-cardinality")
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == ("error: counting by size on a 2 x 5000 box needs a product table of "
-                               "20858347502 entries, over the budget of 200000000\n")
+                               "16536610687 entries, over the budget of 200000000\n")
         assert elapsed < 5.0
-        assert comb(1003, 3) + 1001 == 167_669_502 <= filters.TABLE_BUDGET
+        half = 1001 * 1002 // 4
+        entries = sum(min(i * (i + 1) // 2, half) + 1 for i in range(1, 1002))
+        assert entries == 132_870_535 <= filters.TABLE_BUDGET
 
     def test_table_budget_default(self):
         # B[n=3,d=314] is under the vertex cap, and its tables would hold

@@ -393,7 +393,7 @@ class TestEnumerationCap:
         h = build_hasse(PosetId.parse(poset_text), max_degree=max_degree)
         profile = filter_counts_by_size(h)
 
-        def sweep(h, width):
+        def sweep(h, width, top=None):
             raise AssertionError("the enumeration of a closed-form poset swept")
 
         monkeypatch.setattr(filters, "_frontier_sweep", sweep)
@@ -422,15 +422,28 @@ class TestEnumerationCap:
     def test_one_plain_sweep_elsewhere(self, monkeypatch):
         h = build_hasse(PosetId.parse("B[n=4,d=4]"))
         expected = filter_counts_by_size(h)[17]
-        widths, sweep = [], filters._frontier_sweep
+        calls, sweep = [], filters._frontier_sweep
 
-        def recorded(h, width):
-            widths.append(width)
-            return sweep(h, width)
+        def recorded(h, width, top=None):
+            calls.append((width, top))
+            return sweep(h, width, top)
 
         monkeypatch.setattr(filters, "_frontier_sweep", recorded)
         assert len(list(_filter_masks(h, 17))) == expected
-        assert widths == [0]
+        assert calls == [(0, None)]
+
+    def test_one_size_is_counted_by_a_cut_sweep(self, monkeypatch, capsys):
+        # one plain sweep for the field width, then one keeping sizes 0 .. 2
+        calls, sweep = [], filters._frontier_sweep
+
+        def recorded(h, width, top=None):
+            calls.append((width, top))
+            return sweep(h, width, top)
+
+        monkeypatch.setattr(filters, "_frontier_sweep", recorded)
+        assert cli.main(["count", "--poset", "B[n=4,d=4]", "--cardinality", "2"]) == 0
+        assert capsys.readouterr().out == "1\n"
+        assert [top for _, top in calls] == [None, 2] and calls[0][0] == 0 < calls[1][0]
 
 
 def unstripped_walk(h, cardinality=None):
@@ -643,6 +656,33 @@ def closed_form_cases():
 
 
 class TestClosedFormCounts:
+    @fixed_seed(20262)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        family=st.sampled_from("ABCD"),
+        nvars=st.integers(min_value=1, max_value=5),
+        degree=st.integers(min_value=-1, max_value=7),
+        glued=st.booleans(),
+    )
+    def test_profile_cut_at_every_top(self, family, nvars, degree, glued):
+        # past half the vertices, A and C read their series mirrored
+        assume(glued or degree >= 0)
+        if glued:
+            poset, max_degree = PosetId.parse(f"{family}[n={nvars}]"), degree
+        else:
+            poset, max_degree = PosetId.parse(f"{family}[n={nvars},d={degree}]"), None
+        h = build_hasse(poset, max_degree=max_degree)
+        assume(len(h) <= 40)
+        profile = filter_counts_by_size(h)
+        for top in range(len(h) + 1):
+            assert filter_counts_by_size(h, top) == profile[:top + 1]
+            assert closed_form_counts(poset, max_degree, top) in (None, profile[:top + 1])
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(d=st.integers(min_value=0, max_value=600))
+    def test_stable_total_is_the_catalan_sum(self, d):
+        assert closed_form_counts(PosetId(Family.STABLE, 3, d)) == sum(map(catalan, range(d + 2)))
+
     @settings(max_examples=150, deadline=None, database=None)
     @given(case=closed_form_cases())
     def test_matches_the_sweep(self, case):
@@ -650,7 +690,7 @@ class TestClosedFormCounts:
         profile = filter_counts_by_size(build_hasse(poset, max_degree=max_degree))
         assert closed_form_counts(poset, max_degree) == sum(profile)
         # every poset with a closed-form total has its counts by size too
-        assert closed_form_counts(poset, max_degree, by_size=True) == profile
+        assert closed_form_counts(poset, max_degree, len(profile) - 1) == profile
 
     @pytest.mark.parametrize(
         "poset_text, max_degree",
@@ -660,7 +700,7 @@ class TestClosedFormCounts:
     )
     def test_others_are_left_to_the_sweep(self, poset_text, max_degree):
         poset = PosetId.parse(poset_text)
-        by_size = closed_form_counts(poset, max_degree, by_size=True)
+        by_size = closed_form_counts(poset, max_degree, 20)  # no vertex count here passes 20
         if poset_text == "B[n=3,d=2]":
             # the first stable order past its chain: the layer table counts it
             assert by_size == (1, 1, 1, 2, 2, 1, 1) and closed_form_counts(poset) == 9
@@ -681,31 +721,39 @@ class TestClosedFormCounts:
     def test_layer_tables_are_the_size_profiles(self, poset_text, max_degree):
         poset = PosetId.parse(poset_text)
         profile = filter_counts_by_size(build_hasse(poset, max_degree=max_degree))
-        assert closed_form_counts(poset, max_degree, by_size=True) == profile
+        assert closed_form_counts(poset, max_degree, len(profile) - 1) == profile
 
     @pytest.mark.parametrize("d", range(9))
     def test_table_charge_is_exact(self, monkeypatch, d):
-        # every row of the walk table of each degree the profile builds
-        def rows(e):
-            return sum(len(entry) for b in range(1, e + 3) for entry in filters._walk_weights(e, b))
+        # every row of the walk table of each degree the profile builds, each
+        # entry cut at weight top; D[n=2,d] and B[n=3,d] have (d+1)(d+2)/2
+        # vertices, and are chains, with no table, below degrees 1 and 2
+        def rows(e, top):
+            return sum(len(entry) for b in range(1, e + 3) for entry in filters._walk_weights(e, b, top))
 
-        for shift, entries in ((0, rows(d)), (1, sum(rows(e) for e in range(d)))):
-            monkeypatch.setattr(filters, "TABLE_BUDGET", entries)
-            filters._charge_tables(d, shift)
-            monkeypatch.setattr(filters, "TABLE_BUDGET", entries - 1)
-            with pytest.raises(ValueError, match=f"table of {entries} entries"):
-                filters._charge_tables(d, shift)
+        for top in range((d + 1) * (d + 2) // 2 + 1):
+            assert filters._table_entries(d + 2, top + 1) == rows(d, top)
+            stable = sum(rows(e, top - e - 2) for e in range(min(d, top - 1)))
+            for text, entries in ((f"D[n=2,d={d}]", rows(d, top)), (f"B[n=3,d={d}]", stable)):
+                if d < (1 if text[0] == "D" else 2):
+                    continue
+                monkeypatch.setattr(filters, "TABLE_BUDGET", entries)
+                assert closed_form_counts(PosetId.parse(text), top=top)
+                monkeypatch.setattr(filters, "TABLE_BUDGET", entries - 1)
+                with pytest.raises(ValueError, match=f"table of {entries} entries"):
+                    closed_form_counts(PosetId.parse(text), top=top)
 
     def test_table_budget(self, monkeypatch):
-        # the walk tables of D[n=2,d=5] hold 280 entries, those of B[n=3,d=5] 307
+        # the walk tables of D[n=2,d=5] hold 280 entries, those of B[n=3,d=5]
+        # 307; both posets have 21 vertices
         monkeypatch.setattr(filters, "TABLE_BUDGET", 307)
-        assert sum(closed_form_counts(PosetId.parse("B[n=3,d=5]"), by_size=True)) == 197
-        assert sum(closed_form_counts(PosetId.parse("D[n=2]"), 5, by_size=True)) == catalan(7)
+        assert sum(closed_form_counts(PosetId.parse("B[n=3,d=5]"), top=21)) == 197
+        assert sum(closed_form_counts(PosetId.parse("D[n=2]"), 5, 21)) == catalan(7)
         monkeypatch.setattr(filters, "TABLE_BUDGET", 279)
         for poset, max_degree, entries in (("B[n=3,d=5]", None, 307), ("D[n=2,d=5]", None, 280),
                                            ("D[n=2]", 5, 280)):
             with pytest.raises(ValueError) as excinfo:
-                closed_form_counts(PosetId.parse(poset), max_degree, by_size=True)
+                closed_form_counts(PosetId.parse(poset), max_degree, 21)
             assert str(excinfo.value) == (f"counting by size at degree 5 needs a walk table of "
                                           f"{entries} entries, over the budget of 279")
         # the totals build no table
@@ -724,7 +772,7 @@ class TestClosedFormCounts:
         poset = PosetId.parse(poset_text)
         profile = filter_counts_by_size(build_hasse(poset, max_degree=max_degree))
         assert closed_form_counts(poset, max_degree) == sum(profile)
-        assert closed_form_counts(poset, max_degree, by_size=True) == profile
+        assert closed_form_counts(poset, max_degree, len(profile) - 1) == profile
 
     def test_side_three_is_stembridges_product(self):
         expected = Fraction(1)
@@ -740,20 +788,25 @@ class TestClosedFormCounts:
 
     @pytest.mark.parametrize("length", range(3, 9))
     def test_product_charges_are_exact(self, monkeypatch, length):
-        # side 2: the lists of the product of 1 + q^i built for i = 1 .. length+1
-        two = sum(i * (i + 1) // 2 + 1 for i in range(1, length + 2))
+        # side 2: the lists of the product of 1 + q^i built for i = 1 ..
+        # length+1, each cut after half the (length+1)(length+2)/2 vertices
+        half = (length + 1) * (length + 2) // 4
+        two = sum(min(i * (i + 1) // 2, half) + 1 for i in range(1, length + 2))
         # side 3: one pass over the half series per unit of each net exponent
+        # of a factor 1 - q^t with t inside the half
         sums = Counter(map(sum, combinations_with_replacement(range(1, length + 2), 3)))
-        passes = sum(abs(sums[t + 1] - sums[t + 2]) for t in range(1, 3 * length + 3))
-        three = passes * (comb(length + 3, 3) // 2 + 1)
+        half = comb(length + 3, 3) // 2
+        passes = sum(abs(sums[t + 1] - sums[t + 2]) for t in range(1, min(3 * length + 3, half + 1)))
+        three = passes * (half + 1)
         for text, side, entries in ((f"A[n=3,d={length}]", 2, two), (f"C[n=4,d={length}]", 3, three)):
             poset = PosetId.parse(text)
+            h = build_hasse(poset)
             monkeypatch.setattr(filters, "TABLE_BUDGET", entries)
-            profile = closed_form_counts(poset, by_size=True)
-            assert profile == filter_counts_by_size(build_hasse(poset))
+            profile = closed_form_counts(poset, top=len(h))
+            assert profile == filter_counts_by_size(h)
             monkeypatch.setattr(filters, "TABLE_BUDGET", entries - 1)
             with pytest.raises(ValueError) as excinfo:
-                closed_form_counts(poset, by_size=True)
+                closed_form_counts(poset, top=len(h))
             assert str(excinfo.value) == (f"counting by size on a {side} x {length} box needs a "
                                           f"product table of {entries} entries, over the budget "
                                           f"of {entries - 1}")
@@ -767,13 +820,13 @@ class TestClosedFormCounts:
         assert closed_form_counts(PosetId.parse("D[n=2,d=300]")) == catalan(302)
         assert closed_form_counts(PosetId.parse("B[n=3,d=300]")) == sum(map(catalan, range(302)))
         assert closed_form_counts(PosetId.parse("A[n=20000,d=1]")) == 20001
-        profile = closed_form_counts(PosetId.parse("A[n=300,d=2]"), by_size=True)
+        profile = closed_form_counts(PosetId.parse("A[n=300,d=2]"), top=300 * 301 // 2)
         assert len(profile) == 300 * 301 // 2 + 1 and sum(profile) == 2**300
         assert profile == profile[::-1] and profile[:8] == (1, 1, 1, 2, 2, 3, 4, 5)
         # side 3 at the vertex cap: C(67, 3) = 47,905 vertices
         assert closed_form_counts(PosetId.parse("A[n=65,d=3]")) == closed_form_counts(
             PosetId.parse("C[n=64]"), 3) == closed_form_counts(PosetId.parse("C[n=4,d=64]"))
-        profile = closed_form_counts(PosetId.parse("A[n=3]"), 40, by_size=True)
+        profile = closed_form_counts(PosetId.parse("A[n=3]"), 40, comb(43, 3))
         assert len(profile) == comb(43, 3) + 1 and sum(profile) == closed_form_counts(
             PosetId.parse("A[n=41,d=3]"))
         assert profile == profile[::-1] and profile[:8] == (1, 1, 1, 2, 3, 4, 6, 9)
