@@ -12,8 +12,8 @@ states bounds the work.  Counting the filters of an arbitrary poset is
 #P-complete, so that layering is where the speed comes from.
 
 Enumeration walks the pivot tree on bitmask subposets: filters avoiding a
-pivot are filters of the poset minus the pivot's down-set, and filters
-containing it correspond to filters of the poset minus the pivot's up-set.
+minimal pivot are filters of the rest, and filters containing it hold its
+up-set; each branch carries its minimal elements down, so none is sought.
 
 Also here: closed_form_counts, the filters of the posets the paper counts
 in closed form (chains, A and C of sides 2 and 3, glued A, C and D as
@@ -122,41 +122,31 @@ def _frontier_sweep(h, width, top=None):
     return states[0]
 
 
-def filter_counts_by_size(h, top=None):
+def filter_counts_by_size(h, top=None, total=None):
     """Filter counts of the diagram by size, entry k for k = 0 .. min(top,
     len(h)) (all by default), from two frontier sweeps: the first counts all
-    filters, as no count by size needs more bits, the second up to top."""
+    filters (unless their `total` is given), as no count by size needs more
+    bits, the second up to top."""
     top = len(h) if top is None else min(top, len(h))
-    width = _frontier_sweep(h, 0).bit_length()
+    width = (total or _frontier_sweep(h, 0)).bit_length()
     packed = _frontier_sweep(h, width, top)
     field = (1 << width) - 1
     return tuple(packed >> (width * k) & field for k in range(top + 1))
 
 
-def _pivot(up, down, mask):
-    """The lowest-indexed element of the mask with the largest up-set in it.
-
-    That element is minimal in the mask, as an element above another has a
-    strictly smaller up-set, so only the minimal elements are weighed.  Each
-    is found by walking down from the lowest-indexed element of the mask not
-    above one found already, always to the highest-indexed element below:
-    no step when the vertex indices rise along the order, one when they
-    fall.  Every element visited is then dropped with the up-set of the
-    minimal element it led to, so the search touches each element once.
-    """
+def _pivot(up, candidates, mask):
+    """The lowest-indexed candidate with the largest up-set in the mask.
+    An element above another has a strictly smaller up-set, so never ties
+    for the largest: any candidates between the mask's minimal elements and
+    the mask give the same pivot, the one the whole mask gives."""
     pivot, best = -1, -1
-    probe = mask
-    while probe:
-        i = (probe & -probe).bit_length() - 1
-        below = (down[i] & mask) ^ (1 << i)
-        while below:
-            i = below.bit_length() - 1
-            below = (down[i] & mask) ^ (1 << i)
-        principal = up[i] & mask
-        size = principal.bit_count()
-        if size > best or size == best and i < pivot:
+    while candidates:
+        low = candidates & -candidates
+        i = low.bit_length() - 1
+        size = (up[i] & mask).bit_count()
+        if size > best:
             pivot, best = i, size
-        probe &= ~principal
+        candidates ^= low
     return pivot
 
 
@@ -177,40 +167,45 @@ def _filter_masks(h, cardinality=None, cap=FILTER_CAP):
     all sizes together.  The total comes from closed_form_counts (a glued
     poset as truncated at its top degree, as build_hasse truncated it),
     else from one plain frontier sweep.  Only when it exceeds the cap and a
-    cardinality was asked is the profile cut at that size counted.
+    cardinality was asked is the profile cut at that size counted, its
+    field width read off the total.
 
-    The walk splits on a pivot, a minimal element of the mask (see _pivot):
-    a branch (mask, chosen, r) stands for the filters `chosen | F` with F a
-    filter of the subposet induced on `mask` of r elements.  The filters
-    avoiding the pivot are those of the mask minus the pivot, and those
-    containing it are its up-set in the mask joined to the filters of the
-    rest.  A finite poset has a filter of every size from 0 to its own size
-    (the top k elements of a linear extension), so a branch holds a filter
-    exactly when 0 <= r <= |mask|; no counting is needed to prune.  It
-    closes in O(1) when r is 0 (only `chosen`) or |mask| (only `chosen |
-    mask`).  Between those ends the branch avoiding the pivot always holds
-    a filter, and the one containing it does when the pivot's up-set has at
-    most r elements.  The full listing runs the same walk with r = N + 1,
-    more than any mask holds: no branch closes before its mask is empty
-    and none is pruned.
+    The walk splits on a pivot, the lowest-indexed element of the mask with
+    the largest up-set in it: a branch (mask, least, chosen, r) stands for
+    the filters `chosen | F`, F a filter of r elements of the subposet on
+    the mask.  Those avoiding the pivot are the filters of the mask minus
+    the pivot, those containing it its up-set in the mask joined to the
+    filters of the rest.  A finite poset has a filter of every size up to
+    its own (the top k elements of a linear extension), so a branch holds
+    one exactly when 0 <= r <= |mask|: no counting prunes.  It closes in
+    O(1) when r is 0 (only `chosen`) or |mask| (only `chosen | mask`);
+    between, the avoid branch always holds a filter, and the contain branch
+    does when the up-set has at most r elements.  The full listing takes
+    r = N + 1: no branch closes before its mask is empty, none is pruned.
 
-    Listing by size k, every vertex whose up-set has more than k elements
-    is dropped before walking.  Those vertices form a down-set, and the
-    walk would strip them one avoid step at a time with nothing yielded:
-    while one is in the mask, the pivot, having the largest up-set, is one
-    of them; its contain branch is too large for r, still k, and taking a
-    minimal element out of the mask leaves every other up-set in it
-    unchanged.  Once they are gone, each survivor's up-set lies among the
-    survivors, so the walk goes on from exactly the mask it starts from
-    here, in the same order.  The masks are shifted right by the lowest
-    survivor's index, and each yielded mask shifted back: an
+    `least` lies in the mask and holds its minimal elements, exactly so at
+    the root; the pivot is one of them, as an element above another has a
+    smaller up-set.  Every mask is order-convex: the start is a filter, and
+    a step takes out an up-set or a minimal element.  Taking out an up-set
+    makes no element minimal, so the contain branch keeps `least` less the
+    up-set.  Taking out the pivot makes minimal only elements with nothing
+    else below them in the mask, which by convexity cover it: the avoid
+    branch adds the pivot's upper covers in the rest.
+
+    Listing by size k, the vertices whose up-sets have more than k elements
+    are dropped first.  They form a down-set, which the walk would strip one
+    avoid step at a time, yielding nothing: while one is in the mask, the
+    pivot, with the largest up-set, is one of them, its contain branch is
+    too large for r, still k, and taking out a minimal element leaves every
+    other up-set in the mask unchanged.  The survivors form a filter, from
+    which the walk goes on in the same order.  The masks are shifted right
+    by the lowest survivor's index and each yielded mask back: an
     order-preserving renumbering, under which _pivot picks the same pivots.
 
     Hence every pushed branch yields a filter.  The full listing takes one
-    pivot step fewer than it lists filters, as each step pushes both
-    branches.  By size, a step avoiding the pivot lowers |mask| - r by one
-    and one containing it keeps it, so from K survivors there are at most
-    K - k + 1 pivot steps per filter listed.
+    pivot step fewer than it lists filters, each step pushing both
+    branches; by size, an avoid step lowers |mask| - r by one and a contain
+    step keeps it, so K survivors take at most K - k + 1 steps per filter.
 
     Raises CapExceededError when more than `cap` filters would be produced,
     SweepBudgetError when counting them overruns SWEEP_BUDGET_BYTES, and
@@ -221,33 +216,37 @@ def _filter_masks(h, cardinality=None, cap=FILTER_CAP):
     fits = cardinality is None or 0 <= cardinality <= len(h)
     if total > cap and cardinality is not None:
         total = (closed_form_counts(h.poset, degree, cardinality)
-                 or filter_counts_by_size(h, cardinality))[cardinality] if fits else 0
+                 or filter_counts_by_size(h, cardinality, total))[cardinality] if fits else 0
     if total > cap:
         raise CapExceededError(f"{total} filters exceed the cap of {cap}")
     if not fits:
         return iter(())
     k = len(h) + 1 if cardinality is None else cardinality
-    up, down = h.up_masks(), h.down_masks()
+    up, covers = h.up_masks(), [0] * len(h)
+    for lo, hi in h.covers:
+        covers[lo] |= 1 << hi
     keep = sum(1 << i for i, u in enumerate(up) if u.bit_count() <= k)
     low = max((keep & -keep).bit_length() - 1, 0)
-    up, down = [u >> low for u in up[low:]], [v >> low for v in down[low:]]
+    up, covers = [u >> low for u in up[low:]], [c >> low for c in covers[low:]]
+    least = sum(1 << i for i, v in enumerate(h.down_masks()) if v & keep == 1 << i) >> low
+    stack = [(keep >> low, least, 0, k)]
 
     def walk():  # depth first: the filters avoiding the pivot come first
-        stack = [(keep >> low, 0, k)]
         while stack:
-            mask, chosen, r = stack.pop()
+            mask, least, chosen, r = stack.pop()
             if r == 0:
                 yield chosen << low
                 continue
             if r == mask.bit_count() or not mask:
                 yield (chosen | mask) << low
                 continue
-            pivot = _pivot(up, down, mask)
+            pivot = _pivot(up, least, mask)
             principal = up[pivot] & mask
             size = principal.bit_count()
             if size <= r:
-                stack.append((mask ^ principal, chosen | principal, r - size))
-            stack.append((mask ^ (1 << pivot), chosen, r))
+                stack.append((mask ^ principal, least & ~principal, chosen | principal, r - size))
+            rest = mask ^ (1 << pivot)
+            stack.append((rest, (least | covers[pivot]) & rest, chosen, r))
 
     return walk()
 

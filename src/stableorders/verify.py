@@ -253,8 +253,8 @@ def height_width(h):
 
 
 def _filter_poly(h, mask, memo, rng=None):
-    """Filter counts of the bitmask subposet, indexed by filter cardinality
-    (the pivot recursion behind the oracle pivot_filter_counts)."""
+    """Filter counts of the bitmask subposet by cardinality, the recursion
+    behind pivot_filter_counts; every element of the mask is a candidate."""
     out = memo.get(mask)
     if out is not None:
         return out
@@ -264,7 +264,7 @@ def _filter_poly(h, mask, memo, rng=None):
     up = h.up_masks()
     down = h.down_masks()
     if rng is None:
-        pivot = _pivot(up, down, mask)
+        pivot = _pivot(up, mask, mask)
     else:
         candidates = [i for i in range(len(h)) if mask >> i & 1]
         pivot = rng.choice(candidates)
@@ -284,8 +284,8 @@ def _filter_poly(h, mask, memo, rng=None):
 
 def pivot_filter_counts(h, rng=None):
     """Filter counts by size from the pivot recursion with a fresh memo: the
-    oracle for filter_counts_by_size.  The largest up-set is the pivot, or a
-    random element when rng is given (the counts do not depend on the
+    oracle for filter_counts_by_size.  The pivot is _pivot's over the whole
+    mask, or a random element given rng (the counts do not depend on the
     pivot).  Recursive and unbounded, so only for small diagrams."""
     return _filter_poly(h, (1 << len(h)) - 1, {}, rng)
 

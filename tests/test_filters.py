@@ -431,6 +431,11 @@ class TestEnumerationCap:
         monkeypatch.setattr(filters, "_frontier_sweep", recorded)
         assert len(list(_filter_masks(h, 17))) == expected
         assert calls == [(0, None)]
+        # past the cap, size 17 is counted by a cut sweep as wide as the total
+        calls.clear()
+        total = sweep(h, 0)
+        assert len(list(_filter_masks(h, 17, total - 1))) == expected
+        assert calls == [(0, None), (total.bit_length(), 17)]
 
     def test_one_size_is_counted_by_a_cut_sweep(self, monkeypatch, capsys):
         # one plain sweep for the field width, then one keeping sizes 0 .. 2
@@ -444,6 +449,13 @@ class TestEnumerationCap:
         assert cli.main(["count", "--poset", "B[n=4,d=4]", "--cardinality", "2"]) == 0
         assert capsys.readouterr().out == "1\n"
         assert [top for _, top in calls] == [None, 2] and calls[0][0] == 0 < calls[1][0]
+
+
+def largest_up_set(up, mask):
+    """The lowest-indexed element of the mask with the largest up-set in it,
+    weighing every bit of the mask."""
+    bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
+    return max(bits, key=lambda i: ((up[i] & mask).bit_count(), -i))
 
 
 def unstripped_walk(h, cardinality=None):
@@ -463,7 +475,7 @@ def unstripped_walk(h, cardinality=None):
         if mask == 0:
             yield chosen
             continue
-        pivot = filters._pivot(up, down, mask)
+        pivot = largest_up_set(up, mask)
         principal = up[pivot] & mask
         for branch, picked in ((mask & ~principal, chosen | principal),
                                (mask & ~(down[pivot] & mask), chosen)):
@@ -491,6 +503,30 @@ class TestPivotWalk:
         for cardinality in [None, *range(-1, len(h) + 2)]:
             expected = list(unstripped_walk(h, cardinality))
             assert list(_filter_masks(h, cardinality, cap=len(expected))) == expected
+
+    @fixed_seed(20271)
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(
+        family=st.sampled_from("ABCD"),
+        nvars=st.integers(min_value=1, max_value=5),
+        degree=st.integers(min_value=-1, max_value=7),
+        glued=st.booleans(),
+        data=st.data(),
+    )
+    def test_pivot_weighs_any_candidates(self, family, nvars, degree, glued, data):
+        assume(glued or degree >= 0)
+        if glued:
+            poset, max_degree = PosetId.parse(f"{family}[n={nvars}]"), degree
+        else:
+            poset, max_degree = PosetId.parse(f"{family}[n={nvars},d={degree}]"), None
+        h = build_hasse(poset, max_degree=max_degree)
+        assume(0 < len(h) <= 40)
+        up, down = h.up_masks(), h.down_masks()
+        for _ in range(10):
+            mask = data.draw(st.integers(min_value=1, max_value=(1 << len(h)) - 1))
+            least = sum(1 << i for i in range(len(h)) if down[i] & mask == 1 << i)
+            candidates = least | mask & data.draw(st.integers(min_value=0, max_value=mask))
+            assert filters._pivot(up, candidates, mask) == largest_up_set(up, mask)
 
     def test_pivot_steps_follow_the_listing(self, monkeypatch):
         # the unstripped walk took 38,194 pivot steps for these 4,525 filters
