@@ -9,15 +9,12 @@ is the coin-fountain generating function.  The enumerations that re-check
 these live in verify.
 """
 
-from __future__ import annotations
-
 from collections import Counter
-from dataclasses import dataclass
 from math import isqrt
 from operator import mul
 
 from .monomials import Monomial
-from .orders import Family, PosetId
+from .orders import Family, PosetId, _Record
 from .lattice import VERTEX_CAP, CapExceededError
 from .filters import is_filter
 
@@ -114,15 +111,14 @@ def squarefree_to_distinct_partition(m, degree):
 # lattice walks
 
 
-@dataclass(frozen=True)
-class LatticeWalk:
+class LatticeWalk(_Record):
     """A walk of down ('D') and right ('R') steps from (0, region) to
     (region, 0) staying inside x + y <= region."""
 
-    region: int
-    steps: tuple[str, ...]
+    __slots__ = ("region", "steps")
 
-    def __post_init__(self):
+    def __init__(self, region, steps):
+        self._init(region, steps)
         if self.region < 0:
             raise ValueError("region must be non-negative")
         downs = rights = 0

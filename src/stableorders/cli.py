@@ -6,8 +6,6 @@ Exit codes: 0 on success (or a verified property), 1 when a check or
 verification fails, 2 on bad usage or malformed input.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import json

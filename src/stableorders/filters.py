@@ -25,14 +25,12 @@ largest size asked, `top` (the total when None), and no route builds
 past top.  The oracles that only re-check these live in verify.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from itertools import accumulate
 from math import comb, prod
 from operator import add, sub
 
-from .monomials import Monomial, graded_lex_key
+from .monomials import Monomial, graded_lex_key, stars_and_bars
 from .orders import Family, PosetId, _generating_moves, _require_member
 from .lattice import VERTEX_CAP, CapExceededError, _linear_order
 
@@ -163,12 +161,14 @@ def _filter_masks(h, cardinality=None, cap=FILTER_CAP):
     """Check the cap now, then return an iterator over every filter as the
     bitmask of its vertex indices.
 
-    The cap needs a bound, not the count: no size has more filters than
-    all sizes together.  The total comes from closed_form_counts (a glued
-    poset as truncated at its top degree, as build_hasse truncated it),
-    else from one plain frontier sweep.  Only when it exceeds the cap and a
-    cardinality was asked is the profile cut at that size counted, its
-    field width read off the total.
+    The cap needs a bound, not the count.  No size k has more filters than
+    C(N, k), the k-subsets of the N vertices, and a k outside 0..N has
+    none: when that bound fits the cap, nothing is counted.  Else no size
+    has more filters than all sizes together.  The total comes from
+    closed_form_counts (a glued poset as truncated at its top degree, as
+    build_hasse truncated it), else from one plain frontier sweep.  Only
+    when it exceeds the cap and a cardinality was asked is the profile cut
+    at that size counted, its field width read off the total.
 
     The walk splits on a pivot, the lowest-indexed element of the mask with
     the largest up-set in it: a branch (mask, least, chosen, r) stands for
@@ -211,14 +211,18 @@ def _filter_masks(h, cardinality=None, cap=FILTER_CAP):
     SweepBudgetError when counting them overruns SWEEP_BUDGET_BYTES, and
     ValueError when a closed form by size would pass TABLE_BUDGET.
     """
-    degree = h.vertices[-1].degree() if h.vertices else -1
-    total = closed_form_counts(h.poset, degree) or _frontier_sweep(h, 0)
     fits = cardinality is None or 0 <= cardinality <= len(h)
-    if total > cap and cardinality is not None:
-        total = (closed_form_counts(h.poset, degree, cardinality)
-                 or filter_counts_by_size(h, cardinality, total))[cardinality] if fits else 0
-    if total > cap:
-        raise CapExceededError(f"{total} filters exceed the cap of {cap}")
+    # stars_and_bars is None when C(N, k) >= 2**min(k, N - k) > cap
+    subsets = (None if cardinality is None else 0 if not fits
+               else stars_and_bars(cardinality, len(h) - cardinality, cap))
+    if subsets is None or subsets > cap:
+        degree = h.vertices[-1].degree() if h.vertices else -1
+        total = closed_form_counts(h.poset, degree) or _frontier_sweep(h, 0)
+        if total > cap and cardinality is not None:
+            total = (closed_form_counts(h.poset, degree, cardinality)
+                     or filter_counts_by_size(h, cardinality, total))[cardinality] if fits else 0
+        if total > cap:
+            raise CapExceededError(f"{total} filters exceed the cap of {cap}")
     if not fits:
         return iter(())
     k = len(h) + 1 if cardinality is None else cardinality

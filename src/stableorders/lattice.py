@@ -9,16 +9,12 @@ them for the checks.  The rank sizes of a diagram and the Gaussian
 polynomials they match live in verify.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
 
 from .monomials import Monomial, _require_width, monomials_up_to_degree, stars_and_bars
 from .orders import (
     Family,
-    PosetId,
     _generating_moves,
     _require_member,
     _running_sums,
@@ -45,19 +41,22 @@ class NotLatticeError(ValueError):
     """Some pair of vertices lacks a unique meet or join."""
 
 
-@dataclass(eq=False)
 class HasseDiagram:
     """A finite poset given by its vertices and covering pairs.
 
     Vertices are in graded-lex order; covers are (lower, upper) index pairs.
-    Reachability bitmasks are computed lazily and cached.
+    Reachability bitmasks are computed lazily and cached.  A diagram equals
+    only itself.
     """
 
-    poset: PosetId
-    vertices: tuple[Monomial, ...]
-    covers: tuple[tuple[int, int], ...]
-    _up: list | None = field(default=None, repr=False)
-    _down: list | None = field(default=None, repr=False)
+    __slots__ = ("poset", "vertices", "covers", "_up", "_down")
+
+    def __init__(self, poset, vertices, covers):
+        self.poset, self.vertices, self.covers = poset, vertices, covers
+        self._up = self._down = None
+
+    def __repr__(self):
+        return f"HasseDiagram(poset={self.poset!r}, vertices={self.vertices!r}, covers={self.covers!r})"
 
     def __len__(self):
         return len(self.vertices)

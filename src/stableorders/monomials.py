@@ -18,10 +18,7 @@ A tuple as long as its largest variable index is built from sparse terms
 up to MAX_VARIABLES variables: x300000000 alone would take gigabytes.
 """
 
-from __future__ import annotations
-
 import re
-from ast import literal_eval
 from itertools import combinations_with_replacement
 from math import comb
 from operator import sub
@@ -64,16 +61,21 @@ def _moved(exps, i, j=0):
     return tuple(out)
 
 
+def _check_exponents(values):
+    for e in values:
+        if not isinstance(e, int) or isinstance(e, bool) or e < 0:
+            raise ValueError(f"exponents must be non-negative integers, got {e!r}")
+
+
 class Monomial:
     """An exponent vector, canonicalized by stripping trailing zeros."""
 
     __slots__ = ("exps", "_hash")
 
-    def __init__(self, exponents=()):
+    def __init__(self, exponents=(), _checked=False):
         exps = tuple(exponents)
-        for e in exps:
-            if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-                raise ValueError(f"exponents must be non-negative integers, got {e!r}")
+        if not _checked:
+            _check_exponents(exps)
         exps = _stripped(exps)
         object.__setattr__(self, "exps", exps)
         object.__setattr__(self, "_hash", hash(exps))
@@ -105,13 +107,15 @@ class Monomial:
     def from_terms(cls, terms):
         """The monomial with exponent terms[i] on x_i, from a dict of
         variable indices (>= 1) to exponents: the one way sparse terms
-        become an exponent tuple, refused above MAX_VARIABLES variables."""
+        become an exponent tuple, refused above MAX_VARIABLES variables.
+        Only the given exponents are checked, not the zeros between them."""
         width = max(terms, default=0)
         _require_width(width)
+        _check_exponents(terms.values())
         exps = [0] * width
         for i, e in terms.items():
             exps[i - 1] = e
-        return cls(exps)
+        return cls(exps, _checked=True)
 
     @classmethod
     def parse(cls, text):
@@ -125,6 +129,8 @@ class Monomial:
         if text == "1":
             return cls()
         if text.startswith("["):
+            from ast import literal_eval  # about 3 ms to import, so only here
+
             try:
                 vec = literal_eval(text)
             except (SyntaxError, ValueError, TypeError, MemoryError, RecursionError):

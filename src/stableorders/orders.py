@@ -12,10 +12,7 @@ the last variable, and its glued order by one fixed-degree comparison with
 the lex-greatest divisor of matching degree.
 """
 
-from __future__ import annotations
-
 import re
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from operator import le, sub
@@ -44,8 +41,35 @@ class Family(Enum):
 _POSET_RE = re.compile(r"^([ABCD])(?:\[(.*)\])?$")
 
 
-@dataclass(frozen=True)
-class PosetId:
+class _Record:
+    """A value compared, hashed and shown by its __slots__, in order, and
+    never assigned after __init__ sets them through _init: what a frozen
+    dataclass gives, without the cost of importing dataclasses."""
+
+    __slots__ = ()
+
+    def _init(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+
+class PosetId(_Record):
     """A family code plus optional bounds: nvars/degree of None mean unbounded.
 
     For families A, B, C a finite degree restricts the ground set to monomials
@@ -53,11 +77,10 @@ class PosetId:
     (a staircase region).
     """
 
-    family: Family
-    nvars: int | None = None
-    degree: int | None = None
+    __slots__ = ("family", "nvars", "degree")
 
-    def __post_init__(self):
+    def __init__(self, family, nvars=None, degree=None):
+        self._init(family, nvars, degree)
         if self.nvars is not None and self.nvars < 1:
             raise ValueError("nvars must be at least 1")
         if self.degree is not None and self.degree < 0:

@@ -6,14 +6,11 @@ intersection of all degree-compatible term orders is the ordinal sum of the
 fixed-degree strongly-stable orders.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from operator import le
 
 from .lattice import CapExceededError
 from .monomials import _require_width, monomials_up_to_degree, stars_and_bars
-from .orders import Family, PosetId, _running_sums, relation
+from .orders import Family, PosetId, _Record, _running_sums, relation
 
 LESS = -1
 EQUAL = 0
@@ -22,8 +19,7 @@ GREATER = 1
 _KINDS = ("lex", "deglex", "degrevlex", "weighted")
 
 
-@dataclass(frozen=True)
-class TermOrder:
+class TermOrder(_Record):
     """A total order on monomials.
 
     kind 'weighted' compares weighted exponent sums (breaking ties
@@ -31,24 +27,23 @@ class TermOrder:
     weighted sums, making the order degree-compatible regardless of weights.
     """
 
-    kind: str
-    weights: tuple[int, ...] | None = None
-    degree_first: bool = False
+    __slots__ = ("kind", "weights", "degree_first")
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown term order kind {self.kind!r}")
-        if self.kind == "weighted":
-            object.__setattr__(self, "weights", tuple(self.weights or ()))
-            if not self.weights:
+    def __init__(self, kind, weights=None, degree_first=False):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown term order kind {kind!r}")
+        if kind == "weighted":
+            weights = tuple(weights or ())
+            if not weights:
                 raise ValueError("a weighted order needs a weight vector")
-            if not all(isinstance(w, int) and w > 0 for w in self.weights):
+            if not all(isinstance(w, int) and w > 0 for w in weights):
                 raise ValueError("weights must be positive integers")
         else:
-            if self.weights is not None:
-                raise ValueError(f"{self.kind} does not take weights")
-            if self.degree_first:
+            if weights is not None:
+                raise ValueError(f"{kind} does not take weights")
+            if degree_first:
                 raise ValueError("degree_first applies only to weighted orders")
+        self._init(kind, weights, degree_first)
 
     def compare(self, m, mp):
         """LESS, EQUAL, or GREATER for m against mp."""

@@ -21,11 +21,7 @@ import them from here too.
 run_suite(name, seed) runs the suite SUITES[name] and returns its report.
 """
 
-from __future__ import annotations
-
-import random
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
@@ -34,6 +30,7 @@ from .orders import (
     Family,
     GroundSetError,
     PosetId,
+    _Record,
     _borel_leq,
     _generating_moves,
     _require_member,
@@ -478,15 +475,15 @@ def enumerate_walks(region):
     yield from rec(0, 0, ())
 
 
-@dataclass(frozen=True)
-class Fountain:
+class Fountain(_Record):
     """Rows of coin positions: the base row is contiguous from 0, and every
     higher coin rests on two adjacent coins of the row below.  Rows above the
     base need not be contiguous."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
+    def __init__(self, rows):
+        self._init(rows)
         for r, row in enumerate(self.rows):
             if not row:
                 raise ValueError("fountain rows must be nonempty")
@@ -543,13 +540,13 @@ def limit_filter_count(weight):
     return count_filters(h, weight)
 
 
-@dataclass(frozen=True)
-class PlanarPartition:
+class PlanarPartition(_Record):
     """A matrix of stack heights, weakly decreasing along rows and columns."""
 
-    heights: tuple[tuple[int, ...], ...]
+    __slots__ = ("heights",)
 
-    def __post_init__(self):
+    def __init__(self, heights):
+        self._init(heights)
         for row in self.heights:
             if any(b > a for a, b in zip(row, row[1:])):
                 raise ValueError("rows must be weakly decreasing")
@@ -619,15 +616,16 @@ def random_weight_vector(nvars, rng):
 # suites
 
 
-@dataclass
-class VerifyReport:
-    """Pass/fail counts of one suite run; the suite fills it through check."""
+class VerifyReport(_Record):
+    """Pass/fail counts of one suite run; the suite fills it through check.
+    Unlike the other records it is filled in place, so it has no hash."""
 
-    suite: str
-    passed: int = 0
-    failed: int = 0
-    failures: list[str] = field(default_factory=list)
-    runtime_ms: float = 0.0
+    __slots__ = ("suite", "passed", "failed", "failures", "runtime_ms")
+    __setattr__ = object.__setattr__
+    __hash__ = None
+
+    def __init__(self, suite, passed=0, failed=0, failures=None, runtime_ms=0.0):
+        self._init(suite, passed, failed, [] if failures is None else failures, runtime_ms)
 
     def check(self, name, condition):
         if condition:
@@ -639,6 +637,8 @@ class VerifyReport:
 
 def run_suite(name, seed=0):
     """Run one verification suite and report pass/fail counts."""
+    import random  # only the suites draw random cases
+
     report = VerifyReport(name)
     start = time.perf_counter()
     SUITES[name](report, random.Random(seed))

@@ -739,6 +739,22 @@ class TestEnumerate:
         payload = {"poset": poset_text, "filters": [{"elements": [list(e) for e in f]} for f in listing]}
         assert (code, out) == (0, json.dumps(payload, indent=2) + "\n")
 
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [
+            # the sweeps for a bound on the count passed their memory budget;
+            # C(126, 2) and C(210, 1) bound the count within the cap
+            (["--poset", "D[n=5,d=4]", "--cardinality", "2"], 2415),
+            (["--poset", "D[n=4]", "--max-degree", "6", "--cardinality", "1"], 84),
+        ],
+    )
+    def test_few_subsets_are_listed_without_a_count(self, capsys, argv, lines):
+        code, out, err = run(capsys, "enumerate", *argv)
+        size = int(argv[-1])
+        listed = out.splitlines()
+        assert (code, err, len(listed), len(set(listed))) == (0, "", lines, lines)
+        assert all(line.count(", ") == size - 1 for line in listed)
+
     def test_cardinality_on_a_large_poset(self, capsys):
         # 1081 elements: pruning by size must not recurse through the poset
         code, out, _ = run(

@@ -437,6 +437,31 @@ class TestEnumerationCap:
         assert len(list(_filter_masks(h, 17, total - 1))) == expected
         assert calls == [(0, None), (total.bit_length(), 17)]
 
+    def test_few_subsets_need_no_count(self, monkeypatch):
+        # no size k holds more filters than C(N, k), and one outside 0..N
+        # holds none: while that bound fits the cap, nothing is counted
+        h = build_hasse(PosetId.parse("B[n=4,d=4]"))
+        n, profile = len(h), filter_counts_by_size(h)
+        calls = []
+        for name in ("_frontier_sweep", "closed_form_counts"):
+            def recorded(*args, name=name, real=getattr(filters, name)):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(filters, name, recorded)
+        for k in (0, 1, 2, 3, n - 2, n - 1, n):
+            assert len(list(_filter_masks(h, k, comb(n, k)))) == profile[k]
+        for k in (-1, n + 1, n + 40):
+            assert list(_filter_masks(h, k, 0)) == []
+        assert calls == []
+        # a bound past the cap takes the route through the total
+        assert len(list(_filter_masks(h, 2, comb(n, 2) - 1))) == profile[2]
+        assert calls[:2] == ["closed_form_counts", "_frontier_sweep"]
+        calls.clear()
+        with pytest.raises(CapExceededError, match="^0 filters exceed the cap of -1$"):
+            _filter_masks(h, n + 1, -1)
+        assert calls[:2] == ["closed_form_counts", "_frontier_sweep"]
+
     def test_one_size_is_counted_by_a_cut_sweep(self, monkeypatch, capsys):
         # one plain sweep for the field width, then one keeping sizes 0 .. 2
         calls, sweep = [], filters._frontier_sweep

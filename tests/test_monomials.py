@@ -4,7 +4,8 @@ from __future__ import annotations
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import seed as fixed_seed
 from hypothesis import strategies as st
 
 from stableorders.monomials import (
@@ -56,6 +57,26 @@ class TestConstruction:
 
     def test_hashable(self):
         assert len({Monomial((1, 0)), Monomial((1,)), Monomial((0, 1))}) == 2
+
+
+class TestFromTerms:
+    @fixed_seed(2028)
+    @settings(max_examples=200)
+    @given(st.dictionaries(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=4), max_size=6))
+    def test_matches_the_dense_vector(self, terms):
+        dense = [0] * max(terms, default=0)
+        for i, e in terms.items():
+            dense[i - 1] = e
+        m = Monomial.from_terms(terms)
+        assert (m, m.exps, hash(m)) == (Monomial(dense), Monomial(dense).exps, hash(Monomial(dense)))
+
+    @pytest.mark.parametrize("bad", [-1, True, False, 1.0, "2", None])
+    def test_refuses_what_the_constructor_refuses(self, bad):
+        message = f"exponents must be non-negative integers, got {bad!r}"
+        for construct in (lambda: Monomial([1, 0, bad]), lambda: Monomial.from_terms({1: 1, 3: bad})):
+            with pytest.raises(ValueError) as excinfo:
+                construct()
+            assert str(excinfo.value) == message
 
 
 class TestParsing:

@@ -7,6 +7,7 @@ import importlib
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,9 +16,12 @@ import pytest
 
 import stableorders
 from stableorders import verify
+from stableorders.bijections import LatticeWalk
 from stableorders.cli import _build_parser
-from stableorders.lattice import HasseDiagram
+from stableorders.lattice import HasseDiagram, build_hasse
 from stableorders.monomials import Monomial
+from stableorders.orders import Family, PosetId
+from stableorders.termorders import TermOrder
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -61,6 +65,87 @@ def test_library_does_not_import_cli():
         timeout=60,
     )
     assert (done.returncode, done.stdout) == (0, "False\n")
+
+
+# Each value class as (class, arguments, other arguments, repr): the repr a
+# dataclass wrote, which the plain classes keep.
+RECORDS = [
+    (PosetId, (Family.BOREL, 3, 4), (Family.BOREL, 3, 5),
+     "PosetId(family=<Family.BOREL: 'A'>, nvars=3, degree=4)"),
+    (LatticeWalk, (1, ("D", "R")), (0, ()), "LatticeWalk(region=1, steps=('D', 'R'))"),
+    (TermOrder, ("weighted", (3, 2, 1), True), ("weighted", (3, 2, 1)),
+     "TermOrder(kind='weighted', weights=(3, 2, 1), degree_first=True)"),
+    (TermOrder, ("lex",), ("deglex",), "TermOrder(kind='lex', weights=None, degree_first=False)"),
+    (verify.Fountain, (((0, 1), (0,)),), (((0, 1),),), "Fountain(rows=((0, 1), (0,)))"),
+    (verify.PlanarPartition, (((2, 1), (1, 0)),), (((1,),),), "PlanarPartition(heights=((2, 1), (1, 0)))"),
+]
+
+
+@pytest.mark.parametrize("cls, args, other, text", RECORDS)
+def test_records_compare_hash_and_show_their_fields(cls, args, other, text):
+    a, b = cls(*args), cls(*args)
+    assert a is not b and a == b and hash(a) == hash(b) and repr(a) == text
+    assert a != cls(*other) and a != args
+    for name in re.findall(r"(\w+)=", text):
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(a, name))
+    with pytest.raises(AttributeError):
+        a.note = 1
+
+
+def test_weighted_order_keeps_its_weights_as_a_tuple():
+    assert TermOrder("weighted", [2, 1]) == TermOrder("weighted", (2, 1))
+    assert TermOrder("weighted", [2, 1]).weights == (2, 1)
+
+
+def test_report_is_filled_in_place():
+    report = verify.VerifyReport("probe")
+    assert report == verify.VerifyReport("probe", 0, 0, [], 0.0)
+    assert repr(report) == "VerifyReport(suite='probe', passed=0, failed=0, failures=[], runtime_ms=0.0)"
+    assert report.failures is not verify.VerifyReport("probe").failures
+    report.runtime_ms = 1.5
+    assert report != verify.VerifyReport("probe")
+    with pytest.raises(TypeError):
+        hash(report)
+
+
+def test_diagram_equals_only_itself():
+    poset = PosetId.parse("A[n=2,d=1]")
+    h, again = build_hasse(poset), build_hasse(poset)
+    assert h == h and h != again and hash(h) != hash(again)
+    assert repr(h) == (
+        "HasseDiagram(poset=PosetId(family=<Family.BOREL: 'A'>, nvars=2, degree=1), "
+        "vertices=(Monomial([0, 1]), Monomial([1])), covers=((0, 1),))"
+    )
+    assert h.up_masks() is h.up_masks() and h.down_masks() == [0b01, 0b11]
+    with pytest.raises(AttributeError):
+        h.note = 1
+
+
+def test_a_short_call_imports_only_what_it_uses():
+    """Under -S, importing the CLI loads none of dataclasses, inspect, ast,
+    random and __future__; parsing an exponent vector loads ast, and a
+    suite random."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys\n"
+        "import stableorders.cli\n"
+        "from stableorders import verify\n"
+        "from stableorders.monomials import Monomial\n"
+        "print(*(m in sys.modules for m in ('dataclasses', 'inspect', 'ast', 'random', '__future__')))\n"
+        "Monomial.parse('[2,0,1]')\n"
+        "print('ast' in sys.modules, 'random' in sys.modules)\n"
+        "verify.run_suite('distributivity')\n"
+        "print('random' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False False False False False\nTrue False\nTrue\n", "")
 
 
 # The brute-force oracles and the paper's constructions that only re-check
