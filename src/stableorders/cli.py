@@ -216,6 +216,15 @@ def _capped(flag, fn, *args, **kwargs):
         raise CapExceededError(f"{exc}; raise it with {flag}") from None
 
 
+def _finite_poset(args):
+    """--poset, refused as diagram_size refuses a degree-unbounded poset
+    with no max degree, but naming the flag that gives one."""
+    poset = PosetId.parse(args.poset)
+    if poset.nvars is not None and poset.degree is None and args.max_degree is None:
+        raise ValueError(f"{poset} is degree-unbounded; pass --max-degree to truncate")
+    return poset
+
+
 def _write_hasse_json(h, names):
     """json.dumps(payload, indent=2) and a newline, written vertex by vertex
     and cover by cover, for payload {"poset", "vertices": [{"monomial",
@@ -233,7 +242,7 @@ def _write_hasse_json(h, names):
 
 
 def _cmd_hasse(args):
-    poset = PosetId.parse(args.poset)
+    poset = _finite_poset(args)
     h = _capped("--cap", build_hasse, poset, cap=args.cap, max_degree=args.max_degree)
     # each vertex is rendered once, and each format only when asked for:
     # large diagrams make them costly
@@ -269,7 +278,7 @@ def _cmd_bound(args):
 
 
 def _cmd_count(args):
-    poset = PosetId.parse(args.poset)
+    poset = _finite_poset(args)
     # the diagram's refusals come first, whether or not it is built
     size = _capped("--cap", diagram_size, poset, cap=args.cap, max_degree=args.max_degree)
     k = args.cardinality  # the profile is cut at top, the largest size asked in 0..size
@@ -296,7 +305,7 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 def _cmd_enumerate(args):
-    poset = PosetId.parse(args.poset)
+    poset = _finite_poset(args)
     h = _capped("--hasse-cap", build_hasse, poset, cap=args.hasse_cap, max_degree=args.max_degree)
     masks = _capped("--cap", _filter_masks, h, args.cardinality, cap=args.cap)
     # A filter lists its vertices by descending graded-lex rank, the order
@@ -460,6 +469,12 @@ def _cmd_verify(args):
 # parser
 
 
+def _subparsers(parser, dest):
+    """parser's required subcommands, whose parsers format as parser does."""
+    return parser.add_subparsers(dest=dest, required=True, parser_class=functools.partial(
+        argparse.ArgumentParser, formatter_class=parser.formatter_class))
+
+
 def _finish_subcommand(parser, handler, *, dot=False, **defaults):
     """Give a subcommand its --format option, its handler and other defaults."""
     choices = ("text", "json", "dot") if dot else ("text", "json")
@@ -504,7 +519,7 @@ def _add_enumerate(p):
 
 
 def _add_bijection(p):
-    bsub = p.add_subparsers(dest="bijection", required=True)
+    bsub = _subparsers(p, "bijection")
 
     b = bsub.add_parser("young", help="monomial <-> Young diagram")
     b.add_argument("monomial", nargs="?")
@@ -532,7 +547,7 @@ def _add_bijection(p):
 
 
 def _add_termorder(p):
-    tsub = p.add_subparsers(dest="action", required=True)
+    tsub = _subparsers(p, "action")
 
     t = tsub.add_parser("check", help="does a term order refine the strongly-stable order?")
     t.add_argument("--order", choices=("lex", "deglex", "degrevlex", "weighted"), required=True)
@@ -554,7 +569,7 @@ def _add_termorder(p):
 
 
 def _add_ideal(p):
-    isub = p.add_subparsers(dest="action", required=True)
+    isub = _subparsers(p, "action")
     for action in ("check", "close"):
         i = isub.add_parser(action)
         i.add_argument("--order", choices=("A", "B"), required=True)
@@ -563,7 +578,7 @@ def _add_ideal(p):
 
 
 def _add_gf(p):
-    gsub = p.add_subparsers(dest="series", required=True)
+    gsub = _subparsers(p, "series")
     g = gsub.add_parser("fountains", help="coin fountain counts")
     g.add_argument("--terms", type=int, required=True)
     _finish_subcommand(g, _cmd_gf)
@@ -600,41 +615,54 @@ _SUBCOMMANDS = {
 
 
 def _build_parser(command=None):
-    """The argparse parser for the subcommand named command, or for all of
-    them when command is None.  Either parses that subcommand's command
-    lines alike, with the same output, usage lines and errors."""
+    """The argparse parser of the subcommand named command, for the words
+    after that name, or of all of them (command None), for whole command
+    lines: both parse a subcommand's words alike, but for words left over,
+    which only the full parser reports.  Their formatters, nested ones too,
+    wrap at the terminal width read once here, not once per formatter."""
+    import shutil  # as argparse does, once a parser is built
+    width = shutil.get_terminal_size().columns - 2  # as each HelpFormatter reads it
+    formatter = functools.partial(argparse.HelpFormatter, width=width)
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"stableorders {command}", formatter_class=formatter)
+        parser.set_defaults(command=command)
+        _SUBCOMMANDS[command][1](parser)
+        return parser
     parser = argparse.ArgumentParser(
-        prog="stableorders",
+        prog="stableorders", formatter_class=formatter,
         description="Partial orders on monomials: lattices, filters, bijections.",
     )
-    # The top-level usage line, printed with errors such as unrecognized
-    # arguments, lists the subcommands from the metavar when one is given.
-    # The full parser leaves it unset: the metavar would also replace the
-    # name "command" in its missing and invalid command errors.
-    metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = _subparsers(parser, "command")
     for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
-        if command is None or name == command:
-            add_arguments(sub.add_parser(name, help=help_line))
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
 @functools.cache
 def _parser(command=None):
     """The parser of this process for one subcommand name (None: the full
-    parser), built on the first call of main that needs it and reused by
-    every later one; _build_parser itself builds afresh."""
+    parser), built on the first call of main that needs it, at the terminal
+    width of that moment, and reused by every later one; _build_parser
+    itself builds afresh."""
     return _build_parser(command)
+
+
+def _parse_argv(argv):
+    """argv parsed as the full parser parses it, by its subcommand's parser
+    alone unless words are left over; those, and any other first word
+    (--help, an unknown name or none), go to the full parser."""
+    if argv and argv[0] in _SUBCOMMANDS:
+        args, extra = _parser(argv[0]).parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return _parser(None).parse_args(argv)
 
 
 def main(argv=None):
     """Run one command line (sys.argv[1:] when argv is None) and return its
-    exit code.  Only the subcommand its first word names is built; any other
-    first word, such as --help, an unknown name or none, gets the full
-    parser, which prints the full help or the usage error."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    args = _parser(command).parse_args(argv)
+    exit code.  A call builds one parser, its subcommand's, unless
+    _parse_argv needs the full one."""
+    args = _parse_argv(sys.argv[1:] if argv is None else list(argv))
     try:
         code = args.handler(args)
         sys.stdout.flush()  # a reader that went away surfaces here, not at exit

@@ -1278,20 +1278,22 @@ class TestParserReuse:
         cli._parser.cache_clear()
 
     @staticmethod
-    def parsers_constructed(call):
-        """How many ArgumentParsers a fresh interpreter constructs while it
-        imports stableorders.cli and then runs call."""
+    def fresh_call(call):
+        """How many ArgumentParsers a fresh interpreter constructs, and how
+        many times it reads the terminal size, while it imports
+        stableorders.cli and then runs call."""
         src = Path(__file__).resolve().parents[1] / "src"
         probe = (
-            "import argparse, contextlib, io\n"
-            "built = []\n"
-            "init = argparse.ArgumentParser.__init__\n"
+            "import argparse, contextlib, io, shutil\n"
+            "built, reads = [], []\n"
+            "init, size = argparse.ArgumentParser.__init__, shutil.get_terminal_size\n"
             "argparse.ArgumentParser.__init__ = "
             "lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+            "shutil.get_terminal_size = lambda *a: reads.append(1) or size(*a)\n"
             "import stableorders.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    {call}\n"
-            "print(len(built))\n"
+            "print(len(built), len(reads))\n"
         )
         done = subprocess.run(
             [sys.executable, "-c", probe],
@@ -1301,15 +1303,19 @@ class TestParserReuse:
             timeout=60,
         )
         assert done.returncode == 0, done.stderr
-        return int(done.stdout)
+        return tuple(map(int, done.stdout.split()))
 
     def test_import_builds_no_parser(self):
-        assert self.parsers_constructed("pass") == 0
+        assert self.fresh_call("pass") == (0, 0)
 
     def test_one_call_builds_only_its_command(self):
-        # the top-level parser and the count subparser, not all 21
-        call = "stableorders.cli.main(['count', '--poset', 'A[n=3,d=4]'])"
-        assert self.parsers_constructed(call) == 2
+        # count alone, not the top level too nor all 21, and termorder check
+        # as the command and its two actions; each reads the terminal size
+        # once, not once per formatter (9 and 18 times)
+        count = "stableorders.cli.main(['count', '--poset', 'A[n=3,d=4]'])"
+        assert self.fresh_call(count) == (1, 1)
+        check = "stableorders.cli.main(['termorder', 'check', '--order', 'lex', '--n', '3'])"
+        assert self.fresh_call(check) == (3, 1)
 
 
 def _subcommands(parser, path=()):
@@ -1363,10 +1369,25 @@ def _parity_cases():
             yield path + valid[:i] + valid[i + 2:]
 
 
-def _parse_outcome(parser, argv, capsys):
+# command lines the generated cases miss: an abbreviated option, "--" before
+# an operand, help with a word after it, an unknown option with a required
+# one missing, and words left over before a nested action's options
+EXTRA_PARITY = [
+    ["count", "--pos", "A[n=2,d=2]"],
+    ["compare", "--poset", "A[n=2,d=2]", "--", "x1^2", "x2^2"],
+    ["compare", "--poset", "A[n=2,d=2]", "x1^2", "--", "x2^2"],
+    ["count", "-h", "extra"],
+    ["termorder", "check", "-h", "extra"],
+    ["count", "--bogus"],
+    ["bijection", "walk", "extra", "--inverse", "DR", "--region", "1"],
+    ["termorder", "check", "--bogus", "--order", "lex", "--n", "3"],
+]
+
+
+def _parse_outcome(parse, argv, capsys):
     """The parsed arguments, or the exit code, then stdout and stderr."""
     try:
-        result = vars(parser.parse_args(argv))
+        result = vars(parse(argv))
     except SystemExit as exc:
         result = exc.code
     out, err = capsys.readouterr()
@@ -1374,14 +1395,37 @@ def _parse_outcome(parser, argv, capsys):
 
 
 class TestPerCommandParser:
+    """main parses a known subcommand's words with that subcommand's parser
+    alone, and hands leftover words and any other first word to the full
+    parser: at the entry point, every command line gets what the full
+    parser makes of it, at any terminal width."""
+
     def test_every_leaf_has_a_valid_command_line(self):
         leaves = {p for p, sub in _subcommands(_build_parser()) if not _has_subcommands(sub)}
         assert leaves == set(VALID)
 
-    @pytest.mark.parametrize("argv", list(_parity_cases()), ids=" ".join)
-    def test_same_as_full_parser(self, argv, capsys):
-        full = _parse_outcome(_build_parser(), argv, capsys)
-        assert _parse_outcome(_build_parser(argv[0]), argv, capsys) == full
+    @pytest.mark.parametrize("argv", [*_parity_cases(), *EXTRA_PARITY], ids=" ".join)
+    def test_same_as_full_parser(self, argv, capsys, monkeypatch):
+        try:
+            for columns in ("60", "200"):
+                monkeypatch.setenv("COLUMNS", columns)
+                cli._parser.cache_clear()  # a parser wraps at the width read when it is built
+                full = _parse_outcome(_build_parser().parse_args, argv, capsys)
+                assert _parse_outcome(cli._parse_argv, argv, capsys) == full, columns
+        finally:
+            cli._parser.cache_clear()
+
+    @pytest.mark.parametrize("columns", ["50", "200"])
+    def test_help_wraps_as_argparse_does(self, columns, monkeypatch):
+        # the same help with argparse's own formatters, which each read the
+        # terminal width when they format
+        monkeypatch.setenv("COLUMNS", columns)
+        parsers = [_build_parser(), *map(_build_parser, cli._SUBCOMMANDS)]
+        parsers += [sub for parser in parsers for _, sub in _subcommands(parser)]
+        ours = [parser.format_help() for parser in parsers]
+        for parser in parsers:
+            parser.formatter_class = argparse.HelpFormatter
+        assert [parser.format_help() for parser in parsers] == ours
 
     @pytest.mark.parametrize(
         "argv, code, error",
@@ -1395,7 +1439,7 @@ class TestPerCommandParser:
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         outcome = (excinfo.value.code, *capsys.readouterr())
-        assert outcome == _parse_outcome(_build_parser(), argv, capsys)
+        assert outcome == _parse_outcome(_build_parser().parse_args, argv, capsys)
         assert outcome[0] == code
         # the usage line lists every command, and an error names the
         # missing or unknown word "command"
@@ -1406,6 +1450,12 @@ class TestPerCommandParser:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("command", ["hasse", "count", "enumerate"])
+    def test_unbounded_poset_names_max_degree(self, command, capsys):
+        # the flag, not the library's keyword max_degree
+        assert run(capsys, command, "--poset", "B[n=3]") == (
+            2, "", "error: B[n=3] is degree-unbounded; pass --max-degree to truncate\n")
+
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
