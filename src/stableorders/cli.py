@@ -229,11 +229,12 @@ def _write_hasse_json(h, names):
     """json.dumps(payload, indent=2) and a newline, written vertex by vertex
     and cover by cover, for payload {"poset", "vertices": [{"monomial",
     "exponents"}], "covers"} with each vertex padded to the poset's n
-    exponents."""
+    exponents.  A monomial's name holds only x, digits, ^ and *, which
+    JSON never escapes, so it is quoted as it is."""
     n, sep, write = h.poset.nvars, "," + _JSON_INDENT, sys.stdout.write
     write(f'{{\n  "poset": {json.dumps(str(h.poset))},\n  "vertices": ')
     _write_json_items(
-        f'{{\n      "monomial": {json.dumps(name)},\n      "exponents": [{_JSON_INDENT}'
+        f'{{\n      "monomial": "{name}",\n      "exponents": [{_JSON_INDENT}'
         f'{sep.join(map(str, m.exponent_vector(n)))}\n      ]\n    }}'
         for name, m in zip(names, h.vertices))
     write(',\n  "covers": ')

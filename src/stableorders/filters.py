@@ -185,8 +185,12 @@ def _filter_masks(h, cardinality=None, cap=FILTER_CAP):
 
     `least` lies in the mask and holds its minimal elements, exactly so at
     the root; the pivot is one of them, as an element above another has a
-    smaller up-set.  Every mask is order-convex: the start is a filter, and
-    a step takes out an up-set or a minimal element.  Taking out an up-set
+    smaller up-set.  The root's mask is an up-set, so a vertex in it is
+    minimal there iff none of its lower covers is in it: anything in the
+    mask below the vertex starts a chain of covers up to the vertex, all
+    in the mask, whose last step is such a lower cover.  Every mask is
+    order-convex: the start is a filter, and a step takes out an up-set or
+    a minimal element.  Taking out an up-set
     makes no element minimal, so the contain branch keeps `least` less the
     up-set.  Taking out the pivot makes minimal only elements with nothing
     else below them in the mask, which by convexity cover it: the avoid
@@ -227,13 +231,17 @@ def _filter_masks(h, cardinality=None, cap=FILTER_CAP):
         return iter(())
     k = len(h) + 1 if cardinality is None else cardinality
     up, covers = h.up_masks(), [0] * len(h)
+    kept = [u.bit_count() <= k for u in up]
+    raised = set()  # the vertices with a kept lower cover
     for lo, hi in h.covers:
         covers[lo] |= 1 << hi
-    keep = sum(1 << i for i, u in enumerate(up) if u.bit_count() <= k)
+        if kept[lo]:
+            raised.add(hi)
+    keep = sum(1 << i for i, f in enumerate(kept) if f)
+    least = sum(1 << i for i, f in enumerate(kept) if f and i not in raised)
     low = max((keep & -keep).bit_length() - 1, 0)
     up, covers = [u >> low for u in up[low:]], [c >> low for c in covers[low:]]
-    least = sum(1 << i for i, v in enumerate(h.down_masks()) if v & keep == 1 << i) >> low
-    stack = [(keep >> low, least, 0, k)]
+    stack = [(keep >> low, least >> low, 0, k)]
 
     def walk():  # depth first: the filters avoiding the pivot come first
         while stack:

@@ -45,15 +45,16 @@ class HasseDiagram:
     """A finite poset given by its vertices and covering pairs.
 
     Vertices are in graded-lex order; covers are (lower, upper) index pairs.
-    Reachability bitmasks are computed lazily and cached.  A diagram equals
-    only itself.
+    The up masks are computed lazily and cached.  A diagram equals only
+    itself.  build_hasse hands the same diagram to every caller that asks
+    for it in one process, so nothing assigns to one once it is built.
     """
 
-    __slots__ = ("poset", "vertices", "covers", "_up", "_down")
+    __slots__ = ("poset", "vertices", "covers", "_up")
 
     def __init__(self, poset, vertices, covers):
         self.poset, self.vertices, self.covers = poset, vertices, covers
-        self._up = self._down = None
+        self._up = None
 
     def __repr__(self):
         return f"HasseDiagram(poset={self.poset!r}, vertices={self.vertices!r}, covers={self.covers!r})"
@@ -66,12 +67,6 @@ class HasseDiagram:
         if self._up is None:
             self._up = _fill(self, True, lambda i, ups: reduce(or_, ups, 1 << i))
         return self._up
-
-    def down_masks(self):
-        """down_masks()[j] has bit i set iff vertex i <= vertex j."""
-        if self._down is None:
-            self._down = _fill(self, False, lambda i, lows: reduce(or_, lows, 1 << i))
-        return self._down
 
 
 def diagram_size(poset, cap=VERTEX_CAP, max_degree=None):
@@ -103,20 +98,54 @@ def diagram_size(poset, cap=VERTEX_CAP, max_degree=None):
     return size
 
 
+# The diagrams built in this process by (poset, max_degree), least recently
+# used first, and the vertices and exponent slots they hold together.
+_built, _held = {}, [0, 0]
+
+
 def build_hasse(poset, cap=VERTEX_CAP, max_degree=None):
     """Build the Hasse diagram of a finite ground set, or of the truncation
     of a degree-unbounded poset to degrees <= max_degree: every vertex's
     upper covers are the ones _generating_moves lists, found by exponent
     tuple.  Refuses, before listing any vertex, as diagram_size does, and
     then with ValueError when the vertices times the n exponent slots a
-    vertex may hold exceed SLOT_BUDGET."""
+    vertex may hold exceed SLOT_BUDGET.
+
+    Every call makes those refusals, then returns the diagram an earlier
+    call built for the same (poset, max_degree), if it is still held, with
+    whatever up masks it has filled.  The diagrams held together stay
+    within one diagram's budgets, VERTEX_CAP vertices and SLOT_BUDGET
+    slots: before a build, the least recently used are dropped until the
+    new one fits, and one past VERTEX_CAP (a raised cap) is not held.  So
+    the up masks held, about N^2 bits for N vertices, never pass those of
+    one diagram at the default cap, as the sum of the N^2 is at most the
+    square of the sum.  The held diagrams take no lock, so calls from
+    several threads at once are not safe; the package starts no thread."""
     size = diagram_size(poset, cap, max_degree)
     n = poset.nvars
     if size * n > SLOT_BUDGET:
         raise ValueError(
             f"{size} vertices of up to {n} exponent slots exceed the budget of {SLOT_BUDGET} slots")
+    key = (poset, max_degree)
+    h = _built.pop(key, None)  # put back last: the most recently used
+    if h is None:
+        if not 0 < size <= VERTEX_CAP:  # nothing to save, or too large to hold
+            return _build(poset, max_degree)
+        while _held[0] + size > VERTEX_CAP or _held[1] + size * n > SLOT_BUDGET:
+            old = _built.pop(next(iter(_built)))
+            _held[0] -= len(old)
+            _held[1] -= len(old) * old.poset.nvars
+        h = _build(poset, max_degree)
+        _held[0] += size
+        _held[1] += size * n
+    _built[key] = h
+    return h
+
+
+def _build(poset, max_degree):
+    """The diagram build_hasse returns, built anew, with no check."""
     if poset.degree is None:
-        vertices = tuple(monomials_up_to_degree(n, max_degree))
+        vertices = tuple(monomials_up_to_degree(poset.nvars, max_degree))
     else:
         vertices = tuple(ground_monomials(poset))
     index = {m.exps: i for i, m in enumerate(vertices)}
@@ -135,7 +164,9 @@ def _linear_order(h):
     to x_i with i < j, or multiplies by x_i: either way the exponent vector
     first changes at position i, where it grows.  In C the covers move x_k
     -> x_{k+1} or multiply by x_1, which index reversal turns into a move to
-    a smaller index or multiplication by x_n."""
+    a smaller index or multiplication by x_n.  The frontier sweep runs in
+    this order, which keeps few live states; _fill needs only some linear
+    extension, and takes a cheaper one."""
     n = h.poset.nvars
     step = -1 if h.poset.family is Family.DUAL_BOREL else 1
     return sorted(range(len(h)), key=lambda i: h.vertices[i].exponent_vector(n)[::step])
@@ -143,16 +174,27 @@ def _linear_order(h):
 
 def _fill(h, upward, value):
     """Entry i is value(i, the entries of i's upper covers) when upward, of
-    its lower covers otherwise.  The fill runs down _linear_order going up
-    and along it going down, so every cover neighbour's entry is ready."""
+    its lower covers otherwise, as a tuple.
+
+    The fill needs a linear extension, and index order, reversed within
+    each degree block for the dual family C, is one: by _generating_moves
+    a cover multiplies by a variable, raising the degree, or moves a unit
+    within one degree.  In A, B and D that move x_j -> x_i with i < j
+    grows the exponent vector at position i, where it first changes, so
+    raises it in lex order, and so raises the graded-lex index.  In C the
+    move x_k -> x_(k+1) shrinks it there, and lowers the index.  The fill
+    runs down that order going up and along it going down, so every cover
+    neighbour's entry is ready."""
     neighbours = [[] for _ in h.vertices]
     for lo, hi in h.covers:
         neighbours[lo if upward else hi].append(hi if upward else lo)
-    order = _linear_order(h)
+    order = range(len(h))
+    if h.poset.family is Family.DUAL_BOREL:  # runs of falling keys, reversed in place
+        order = sorted(order, key=lambda i: (h.vertices[i].degree(), -i))
     out = [0] * len(h)
     for i in reversed(order) if upward else order:
         out[i] = value(i, [out[j] for j in neighbours[i]])
-    return out
+    return tuple(out)
 
 
 def meet(poset, m, mp):

@@ -201,14 +201,16 @@ def monomials_of_degree(nvars, degree):
     Stars and bars: the running sums s_1 <= ... <= s_{nvars-1} of such an
     exponent vector are any nvars - 1 values in 0..degree, repeats allowed,
     and the exponents are their differences.  itertools lists those tuples
-    in lex order, which is the lex order of the exponent vectors.
+    in lex order, which is the lex order of the exponent vectors.  The
+    differences of a non-decreasing tuple of ints are non-negative ints,
+    so they need no check.
     """
     if nvars < 0 or degree < 0:
         raise ValueError("nvars and degree must be non-negative")
     if nvars == 0:
         return [ONE] if degree == 0 else []
     return [
-        Monomial(map(sub, sums + (degree,), (0,) + sums))
+        Monomial(map(sub, sums + (degree,), (0,) + sums), _checked=True)
         for sums in combinations_with_replacement(range(degree + 1), nvars - 1)
     ]
 

@@ -4,10 +4,11 @@ reachability, pivot counts, subset scans, brute-force meets and joins).
 
 The oracles live here, and in no module a command answers from: the
 exchange moves borel_moves_up and stable_moves_up, which
-reachability_oracle walks breadth first (the check on orders.leq), and
-diagram_leq, which reads the same relation off a diagram's up masks; the
-pairwise meets and joins of _meet_join_tables, and check_distributive,
-find_n5 and height_width, which read lattice facts off them; the memoized
+reachability_oracle walks breadth first (the check on orders.leq),
+diagram_leq, which reads the same relation off a diagram's up masks, and
+down_masks, their transpose; the pairwise meets and joins of
+_meet_join_tables, and check_distributive, find_n5 and height_width,
+which read lattice facts off them; the memoized
 pivot recursion pivot_filter_counts (the check on the frontier sweep); and
 ordinal_sum_leq, the intersection of the degree-compatible term orders.
 
@@ -22,7 +23,7 @@ run_suite(name, seed) runs the suite SUITES[name] and returns its report.
 """
 
 import time
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 
 from .monomials import Monomial, _moved, _stripped, graded_lex_key, monomials_up_to_degree
@@ -40,7 +41,7 @@ from .orders import (
     leq,
     monomial_from_partial_sums,
 )
-from .lattice import NotLatticeError, _fill, build_hasse, join, meet
+from .lattice import HasseDiagram, NotLatticeError, _fill, build_hasse, join, meet
 from .filters import (
     FILTER_CAP,
     _filter_masks,
@@ -157,6 +158,18 @@ def diagram_leq(h, m, mp):
     index = h.vertices.index
     return bool(h.up_masks()[index(m)] >> index(mp) & 1)
 
+
+def down_masks(h):
+    """down_masks(h)[j] has bit i set iff vertex i <= vertex j: the up masks'
+    transpose, which only the checks read."""
+    return _fill(h, False, lambda i, lows: reduce(int.__or__, lows, 1 << i))
+
+
+# The benchmark's tracer (perfbench/tracing.py) times the mask fills by
+# wrapping HasseDiagram.down_masks by name, so the method stays reachable.
+HasseDiagram.down_masks = down_masks
+
+
 def _iter_bits(mask):
     while mask:
         low = mask & -mask
@@ -167,7 +180,7 @@ def _iter_bits(mask):
 def _meet_join_tables(h):
     """All pairwise meets and joins by bitmask scans; raises NotLatticeError."""
     n = len(h)
-    up, down = h.up_masks(), h.down_masks()
+    up, down = h.up_masks(), down_masks(h)
     meets = [[0] * n for _ in range(n)]
     joins = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -249,7 +262,7 @@ def height_width(h):
     return height, n - matched
 
 
-def _filter_poly(h, mask, memo, rng=None):
+def _filter_poly(up, down, mask, memo, rng=None):
     """Filter counts of the bitmask subposet by cardinality, the recursion
     behind pivot_filter_counts; every element of the mask is a candidate."""
     out = memo.get(mask)
@@ -258,16 +271,14 @@ def _filter_poly(h, mask, memo, rng=None):
     if mask == 0:
         memo[mask] = (1,)
         return (1,)
-    up = h.up_masks()
-    down = h.down_masks()
     if rng is None:
         pivot = _pivot(up, mask, mask)
     else:
-        candidates = [i for i in range(len(h)) if mask >> i & 1]
+        candidates = [i for i in range(len(up)) if mask >> i & 1]
         pivot = rng.choice(candidates)
     principal = up[pivot] & mask
-    without = _filter_poly(h, mask & ~(down[pivot] & mask), memo, rng)
-    within = _filter_poly(h, mask & ~principal, memo, rng)
+    without = _filter_poly(up, down, mask & ~(down[pivot] & mask), memo, rng)
+    within = _filter_poly(up, down, mask & ~principal, memo, rng)
     shift = principal.bit_count()
     out = [0] * (mask.bit_count() + 1)
     for k, v in enumerate(without):
@@ -284,7 +295,7 @@ def pivot_filter_counts(h, rng=None):
     oracle for filter_counts_by_size.  The pivot is _pivot's over the whole
     mask, or a random element given rng (the counts do not depend on the
     pivot).  Recursive and unbounded, so only for small diagrams."""
-    return _filter_poly(h, (1 << len(h)) - 1, {}, rng)
+    return _filter_poly(h.up_masks(), down_masks(h), (1 << len(h)) - 1, {}, rng)
 
 
 def ordinal_sum_leq(m, mp):

@@ -47,6 +47,7 @@ from stableorders.verify import (
     check_distributive,
     count_fountains,
     diagram_leq,
+    down_masks,
     enumerate_filters,
     enumerate_walks,
     filter_count_three_vars,
@@ -130,7 +131,7 @@ def test_criterion_04_lattice_structure():
     for n in range(2, 5):
         for d in range(1, 6):
             h = hasse(f"B[n={n},d={d}]")
-            verts, up, down = h.vertices, h.up_masks(), h.down_masks()
+            verts, up, down = h.vertices, h.up_masks(), down_masks(h)
             for i, m in enumerate(verts):
                 for j in range(i, len(verts)):
                     lower = down[i] & down[j]

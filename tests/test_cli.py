@@ -15,6 +15,9 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import seed as fixed_seed
+from hypothesis import strategies as st
 
 from stableorders import cli, filters, lattice
 from stableorders.cli import _build_parser, main
@@ -229,6 +232,34 @@ class TestHasse:
         monkeypatch.setattr(lattice, "SLOT_BUDGET", slots - 1)
         with pytest.raises(ValueError, match=f"exceed the budget of {slots - 1} slots"):
             lattice.build_hasse(pid, max_degree=max_degree)
+
+    @fixed_seed(20302)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.lists(st.integers(min_value=0, max_value=10**6), max_size=12))
+    def test_a_name_is_its_own_json_string(self, exps):
+        # the JSON writer quotes a vertex's name as it is
+        name = str(Monomial(exps))
+        assert f'"{name}"' == json.dumps(name)
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(("hasse", "--poset", "A[n=3,d=2]"), "--cap"),
+         (("enumerate", "--poset", "A[n=3,d=2]"), "--hasse-cap"),
+         (("hasse", "--poset", "D[n=2]", "--max-degree", "2"), "--cap"),
+         (("enumerate", "--poset", "D[n=2]", "--max-degree", "2"), "--hasse-cap")],
+    )
+    def test_a_held_diagram_is_refused_as_a_new_one(self, capsys, monkeypatch, argv, flag):
+        # the same line, whether or not an earlier call built the diagram
+        monkeypatch.setattr(lattice, "_built", {})
+        monkeypatch.setattr(lattice, "_held", [0, 0])
+        cold = [run(capsys, *argv, flag, "2"), run(capsys, *argv, flag, "5")]
+        assert run(capsys, *argv)[0] == 0 and lattice._built
+        assert [run(capsys, *argv, flag, "2"), run(capsys, *argv, flag, "5")] == cold
+        assert cold[0] == (2, "", f"error: 6 vertices exceed the cap of 2; raise it with {flag}\n")
+        monkeypatch.setattr(lattice, "SLOT_BUDGET", 11)
+        assert run(capsys, *argv) == (
+            2, "", f"error: 6 vertices of up to {PosetId.parse(argv[2]).nvars} exponent slots exceed "
+                   "the budget of 11 slots\n")
 
     def test_slot_budget_comes_after_the_vertex_cap(self, capsys):
         code, _, err = run(capsys, "hasse", "--poset", "A[n=20000,d=1]", "--cap", "100")

@@ -7,6 +7,7 @@ tests/data/record_cli_golden.py.
 from __future__ import annotations
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -25,3 +26,17 @@ def test_replay(record, capsys):
         code = exc.code
     out, _ = capsys.readouterr()
     assert (code, out) == (record["code"], record["stdout"])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_replay_in_any_order(seed, capsys):
+    # diagrams built by earlier calls in the process change no output
+    records = RECORDS * 2
+    random.Random(seed).shuffle(records)
+    for record in records:
+        try:
+            code = main(list(record["argv"]))
+        except SystemExit as exc:
+            code = exc.code
+        out, _ = capsys.readouterr()
+        assert (code, out) == (record["code"], record["stdout"]), record["argv"]

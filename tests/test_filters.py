@@ -36,6 +36,7 @@ from stableorders.orders import Family, GroundSetError, PosetId, ground_monomial
 from stableorders.verify import (
     borel_moves_up,
     boundary,
+    down_masks,
     enumerate_filters,
     filter_count_three_vars,
     interior,
@@ -488,7 +489,7 @@ def unstripped_walk(h, cardinality=None):
     its masks and closing it only when its mask is empty: the walk before
     _filter_masks dropped the vertices too large to fit and closed branches
     at once, kept here as the oracle of its order."""
-    up, down = h.up_masks(), h.down_masks()
+    up, down = h.up_masks(), down_masks(h)
 
     def viable(mask, chosen):
         return cardinality is None or 0 <= cardinality - chosen.bit_count() <= mask.bit_count()
@@ -546,12 +547,49 @@ class TestPivotWalk:
             poset, max_degree = PosetId.parse(f"{family}[n={nvars},d={degree}]"), None
         h = build_hasse(poset, max_degree=max_degree)
         assume(0 < len(h) <= 40)
-        up, down = h.up_masks(), h.down_masks()
+        up, down = h.up_masks(), down_masks(h)
         for _ in range(10):
             mask = data.draw(st.integers(min_value=1, max_value=(1 << len(h)) - 1))
             least = sum(1 << i for i in range(len(h)) if down[i] & mask == 1 << i)
             candidates = least | mask & data.draw(st.integers(min_value=0, max_value=mask))
             assert filters._pivot(up, candidates, mask) == largest_up_set(up, mask)
+
+    @fixed_seed(20301)
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(
+        family=st.sampled_from("ABCD"),
+        nvars=st.integers(min_value=1, max_value=5),
+        degree=st.integers(min_value=-1, max_value=7),
+        glued=st.booleans(),
+    )
+    def test_root_least_is_the_minimal_elements(self, family, nvars, degree, glued):
+        # the walk reads its root's minimal elements off the covers; they
+        # are those of the down-mask definition, for every k
+        assume(glued or degree >= 0)
+        if glued:
+            poset, max_degree = PosetId.parse(f"{family}[n={nvars}]"), degree
+        else:
+            poset, max_degree = PosetId.parse(f"{family}[n={nvars},d={degree}]"), None
+        h = build_hasse(poset, max_degree=max_degree)
+        assume(len(h) <= 40)
+        up, down = h.up_masks(), down_masks(h)
+        for cardinality in [None, *range(len(h) + 1)]:
+            k = len(h) + 1 if cardinality is None else cardinality
+            keep = sum(1 << i for i, u in enumerate(up) if u.bit_count() <= k)
+            low = max((keep & -keep).bit_length() - 1, 0)
+            least = sum(1 << i for i, v in enumerate(down) if v & keep == 1 << i) >> low
+            first, pivot = [], filters._pivot
+
+            def recorded(up, candidates, mask):
+                first.append(candidates)
+                return pivot(up, candidates, mask)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(filters, "_pivot", recorded)
+                next(_filter_masks(h, cardinality, cap=2**len(h)), None)
+            # the root closes without a pivot when it lists one filter only
+            closes = not keep or k in (0, keep.bit_count())
+            assert first[:1] == ([] if closes else [least])
 
     def test_pivot_steps_follow_the_listing(self, monkeypatch):
         # the unstripped walk took 38,194 pivot steps for these 4,525 filters

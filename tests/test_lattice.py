@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from stableorders import lattice
 from stableorders.lattice import (
     CapExceededError,
     HasseDiagram,
     NotLatticeError,
+    _build,
     _linear_order,
     build_hasse,
     join,
@@ -31,6 +33,7 @@ from stableorders.verify import (
     _meet_join_tables,
     check_distributive,
     diagram_leq,
+    down_masks,
     find_n5,
     gaussian,
     height_width,
@@ -132,7 +135,7 @@ class TestBuildHasse:
         for poset_text, max_degree in cases:
             poset = PosetId.parse(poset_text)
             h = build_hasse(poset, max_degree=max_degree)
-            up, down = h.up_masks(), h.down_masks()
+            up, down = h.up_masks(), down_masks(h)
             for (i, m), (j, mp) in product(enumerate(h.vertices), repeat=2):
                 assert bool(up[i] >> j & 1) == leq(poset, m, mp)
                 assert down[j] >> i & 1 == up[i] >> j & 1
@@ -157,7 +160,7 @@ class TestBuildHasse:
         h = build_hasse(PosetId.parse("A[n=3,d=2]"))
         full = (1 << len(h)) - 1
         assert h.up_masks()[h.vertices.index(M("x3^2"))] == full
-        assert h.down_masks()[h.vertices.index(M("x1^2"))] == full
+        assert down_masks(h)[h.vertices.index(M("x1^2"))] == full
         d = build_hasse(PosetId.parse("D[n=2,d=1]"))
         assert d.up_masks()[d.vertices.index(Monomial(()))] == (1 << len(d)) - 1
         # two maximal vertices: each is below only itself
@@ -208,6 +211,133 @@ class TestBuildHasse:
             build_hasse(PosetId.parse("A[*,d=2]"))
         with pytest.raises(ValueError):
             build_hasse(PosetId.parse("A[n=2]"))
+
+
+def poset_of(family, nvars, degree, glued):
+    """(poset, max_degree): family's poset on nvars variables, of degree
+    `degree`, or glued and truncated there."""
+    if glued:
+        return PosetId.parse(f"{family}[n={nvars}]"), degree
+    return PosetId.parse(f"{family}[n={nvars},d={degree}]"), None
+
+
+@pytest.fixture
+def empty_cache(monkeypatch):
+    """build_hasse with nothing held, and what it holds after the test dropped."""
+    monkeypatch.setattr(lattice, "_built", {})
+    monkeypatch.setattr(lattice, "_held", [0, 0])
+
+
+def assert_held_within(vertex_cap, slot_budget):
+    """The held diagrams are within both budgets, and _held adds them up."""
+    held = list(lattice._built.values())
+    vertices = sum(len(h) for h in held)
+    slots = sum(len(h) * h.poset.nvars for h in held)
+    assert lattice._held == [vertices, slots]
+    assert vertices <= vertex_cap and slots <= slot_budget
+
+
+class TestDiagramCache:
+    @seed(20261020)
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(
+        family=st.sampled_from("ABCD"),
+        nvars=st.integers(min_value=1, max_value=5),
+        degree=st.integers(min_value=0, max_value=6),
+        glued=st.booleans(),
+        fill_first=st.booleans(),
+    )
+    def test_held_diagram_equals_a_fresh_build(self, family, nvars, degree, glued, fill_first):
+        poset, max_degree = poset_of(family, nvars, degree, glued)
+        try:
+            h = build_hasse(poset, max_degree=max_degree)
+        except CapExceededError:
+            return
+        if fill_first:
+            h.up_masks()
+        again = build_hasse(poset, max_degree=max_degree)
+        fresh = _build(poset, max_degree)
+        assert again is h and fresh is not h
+        assert (again.vertices, again.covers) == (fresh.vertices, fresh.covers)
+        assert again.up_masks() == fresh.up_masks()
+        # the fill's order is a linear extension: the masks are the order's
+        for (i, m), (j, mp) in product(enumerate(fresh.vertices), repeat=2):
+            assert bool(fresh.up_masks()[i] >> j & 1) == leq(poset, m, mp)
+
+    def test_refusals_come_before_the_lookup(self, monkeypatch):
+        poset = PosetId.parse("A[n=3,d=3]")
+        h = build_hasse(poset)
+        assert build_hasse(poset, cap=10) is h
+        with pytest.raises(CapExceededError) as excinfo:
+            build_hasse(poset, cap=9)
+        assert str(excinfo.value) == "10 vertices exceed the cap of 9"
+        monkeypatch.setattr(lattice, "SLOT_BUDGET", 29)
+        with pytest.raises(ValueError) as excinfo:
+            build_hasse(poset)
+        assert str(excinfo.value) == "10 vertices of up to 3 exponent slots exceed the budget of 29 slots"
+
+    def test_least_recently_used_goes_first(self, empty_cache, monkeypatch):
+        monkeypatch.setattr(lattice, "VERTEX_CAP", 20)
+        a, b = PosetId.parse("A[n=3,d=3]"), PosetId.parse("D[n=2,d=2]")  # 10 and 6 vertices
+        ha, hb = build_hasse(a), build_hasse(b)
+        assert build_hasse(a) is ha  # a is now the more recent
+        build_hasse(PosetId.parse("B[n=3,d=2]"))  # 6 more: 22 > 20, so b goes
+        assert list(lattice._built) == [(a, None), (PosetId.parse("B[n=3,d=2]"), None)]
+        assert build_hasse(a) is ha and build_hasse(b) is not hb
+        assert_held_within(20, lattice.SLOT_BUDGET)
+
+    def test_slots_bound_what_is_held(self, empty_cache, monkeypatch):
+        monkeypatch.setattr(lattice, "SLOT_BUDGET", 40)
+        wide, narrow = PosetId.parse("A[n=4,d=2]"), PosetId.parse("A[n=2,d=3]")  # 40 and 8 slots
+        hw = build_hasse(wide)
+        build_hasse(narrow)
+        assert list(lattice._built) == [(narrow, None)]
+        assert build_hasse(wide) is not hw
+        assert_held_within(lattice.VERTEX_CAP, 40)
+
+    def test_a_diagram_past_the_vertex_cap_is_not_held(self, empty_cache, monkeypatch):
+        monkeypatch.setattr(lattice, "VERTEX_CAP", 9)
+        small, large = PosetId.parse("D[n=2,d=2]"), PosetId.parse("A[n=3,d=3]")  # 6 and 10
+        hs = build_hasse(small)
+        hl = build_hasse(large, cap=10)
+        assert build_hasse(large, cap=10) is not hl
+        assert build_hasse(small) is hs and list(lattice._built) == [(small, None)]
+        assert_held_within(9, lattice.SLOT_BUDGET)
+
+    def test_an_empty_diagram_is_not_held(self, empty_cache):
+        poset = PosetId.parse("C[n=3]")
+        assert len(build_hasse(poset, max_degree=-1)) == 0
+        assert lattice._built == {} and lattice._held == [0, 0]
+
+    @seed(20261021)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        calls=st.lists(
+            st.tuples(st.sampled_from("ABCD"), st.integers(min_value=1, max_value=4),
+                      st.integers(min_value=0, max_value=5), st.booleans()),
+            min_size=1, max_size=25),
+        vertex_cap=st.integers(min_value=1, max_value=80),
+        slot_budget=st.integers(min_value=4, max_value=240),
+    )
+    def test_budgets_hold_over_any_calls(self, calls, vertex_cap, slot_budget):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lattice, "_built", {})
+            patch.setattr(lattice, "_held", [0, 0])
+            patch.setattr(lattice, "VERTEX_CAP", vertex_cap)
+            patch.setattr(lattice, "SLOT_BUDGET", slot_budget)
+            for family, nvars, degree, glued in calls:
+                poset, max_degree = poset_of(family, nvars, degree, glued)
+                try:
+                    h = build_hasse(poset, cap=200, max_degree=max_degree)
+                except (CapExceededError, ValueError):
+                    continue
+                fresh = _build(poset, max_degree)
+                assert (h.vertices, h.covers) == (fresh.vertices, fresh.covers)
+                assert_held_within(vertex_cap, slot_budget)
+                held = (poset, max_degree) in lattice._built
+                assert held == (0 < len(h) <= vertex_cap)
+                if held:
+                    assert list(lattice._built)[-1] == (poset, max_degree)
 
 
 class TestMeetJoin:
