@@ -46,7 +46,7 @@ def main():
     print("Last-variable-only moves give Catalan partial sums:")
     print("  d   total   catalan(0) + ... + catalan(d+1)")
     for d in range(top + 1):
-        total, _ = stable_filter_counts(d)
+        total = sum(stable_filter_counts(d))
         closed = sum(catalan(i) for i in range(d + 2))
         print(f"  {d}   {total:5}   {closed}")
     print()

@@ -28,16 +28,13 @@ from .lattice import (
 )
 from .filters import (
     FILTER_CAP,
-    SweepBudgetError,
     _filter_masks,
-    borel_closure,
     closed_form_counts,
+    closure,
     count_filters,
     filter_counts_by_size,
-    is_borel_ideal,
-    is_stable_ideal,
+    is_closed,
     minimal_generators,
-    stable_closure,
 )
 from .bijections import (
     LatticeWalk,
@@ -210,8 +207,6 @@ def _capped(flag, fn, *args, **kwargs):
     """fn(*args, **kwargs), with a cap refusal naming the flag that raises the cap."""
     try:
         return fn(*args, **kwargs)
-    except SweepBudgetError:
-        raise  # no flag raises the sweep's budget
     except CapExceededError as exc:
         raise CapExceededError(f"{exc}; raise it with {flag}") from None
 
@@ -429,13 +424,12 @@ def _cmd_ideal(args):
     gens = _parse_elements(args.gens)
     if not gens:
         raise ValueError("--gens must name at least one monomial")
-    close = borel_closure if args.order == "A" else stable_closure
-    is_closed = is_borel_ideal if args.order == "A" else is_stable_ideal
+    family = Family(args.order)
     if args.action == "close":
-        _emit_filter(args, close(gens))
+        _emit_filter(args, closure(gens, family))
         return 0
     mingens = minimal_generators(gens)
-    ok = is_closed(gens)
+    ok = is_closed(gens, family)
     payload = {"closed": ok, "minimal_generators": [str(m) for m in _sorted_elements(mingens)]}
     _emit(args, payload, f"minimal generators: {_format_filter(mingens)}",
           f"closed under exchange moves: {'yes' if ok else 'no'}")

@@ -63,9 +63,9 @@ SWEEP_BUDGET_BYTES = 1 << 27
 _ENTRY_BYTES = 120
 
 
-class SweepBudgetError(CapExceededError):
+class SweepBudgetError(ValueError):
     """The frontier sweep would keep more than SWEEP_BUDGET_BYTES of states;
-    unlike the other caps, no flag raises this budget."""
+    no flag raises this budget, so it is no CapExceededError."""
 
 
 def _frontier_sweep(h, width, top=None):
@@ -305,9 +305,9 @@ def _walk_weights(d, b, top):
 
 
 def stable_filter_counts(d, top=None):
-    """(total, by-cardinality) filter counts of the degree-d stable order in
-    three variables, via the layer recursion GG(d,v) = GG(d-1,v) + CC(d-1,v-d-1);
-    with top, the counts of sizes 0 .. top only, and their sum."""
+    """The filter counts by cardinality of the degree-d stable order in three
+    variables, via the layer recursion GG(d,v) = GG(d-1,v) + CC(d-1,v-d-1);
+    with top, the counts of sizes 0 .. top only."""
     if d < 0:
         raise ValueError("degree must be non-negative")
     top = (d + 1) * (d + 2) // 2 if top is None else top  # the vertex count by default
@@ -317,7 +317,7 @@ def stable_filter_counts(d, top=None):
         gg += [0] * (min((e + 1) * (e + 2) // 2, top) + 1 - len(gg))
         for v, count in enumerate(_walk_weights(e - 1, e + 1, top - e - 1)[0], e + 1):
             gg[v] += count
-    return sum(gg), tuple(gg)
+    return tuple(gg)
 
 
 def _charge(entries, table):
@@ -513,7 +513,7 @@ def closed_form_counts(poset, max_degree=None, top=None):
             return sum(accumulate(range(d + 1), lambda c, i: c * (4 * i + 2) // (i + 2), initial=1))
         entries = sum(_table_entries(e + 1, top - e) for e in range(1, min(d, top - 1) + 1))
         _charge(entries, f"at degree {d} needs a walk table")  # as stable_filter_counts cuts them
-        return stable_filter_counts(d, top)[1]
+        return stable_filter_counts(d, top)
     return None
 
 
@@ -554,14 +554,18 @@ def _has_segment_in(members, exps):
         exps[:j] + (a,) in members for j, e in enumerate(exps) for a in range(1, e + 1))
 
 
-def _move_closure(gens, family):
-    """Close under _generating_moves (which keep the degree) in rising
-    degree, on exponent tuples.  When degree d begins, the members of lower
-    degree are closed, so generate a stable ideal, and _has_segment_in is
-    exact: a monomial joins only if outside the ideal so far, so members
-    are the minimal generators.  Each is forced, and the result passes the
-    generator test proved in _generating_moves.  Raises CapExceededError
-    once the members pass VERTEX_CAP: x30^6 alone closes to 1,623,160."""
+def closure(gens, family):
+    """Smallest ideal containing gens whose every degree is a filter of the
+    family's order: strongly stable (Borel) for Family.BOREL, stable for
+    Family.STABLE, as a graded-lex sorted tuple of its minimal generators.
+
+    Closes under _generating_moves (which keep the degree) in rising degree,
+    on exponent tuples.  When degree d begins, the members of lower degree
+    are closed, so generate a stable ideal, and _has_segment_in is exact: a
+    monomial joins only if outside the ideal so far, so members are the
+    minimal generators.  Each is forced, and the result passes the generator
+    test proved in _generating_moves.  Raises CapExceededError once the
+    members pass VERTEX_CAP: x30^6 alone closes to 1,623,160."""
     poset = PosetId(family)
     members = set()
     for g in sorted(set(gens), key=graded_lex_key):
@@ -576,28 +580,10 @@ def _move_closure(gens, family):
     return tuple(sorted(map(Monomial, members), key=graded_lex_key))
 
 
-def _is_closed(gens, family):
-    """The generator test by _has_segment_in on set(gens): exact when the
-    ideal is closed (so stable), and rejecting a move outside it if not."""
+def is_closed(gens, family):
+    """Whether the ideal gens generate is closed as closure closes it: every
+    move of every generator stays in the ideal.  The generator test by
+    _has_segment_in on set(gens) is exact when the ideal is closed (so
+    stable), and rejects a move outside it if not."""
     poset, members = PosetId(family), {g.exps for g in gens}
     return all(_has_segment_in(members, u) for g in members for u in _generating_moves(poset, g))
-
-
-def borel_closure(gens):
-    """Smallest strongly-stable (Borel) ideal containing the given generators."""
-    return _move_closure(gens, Family.BOREL)
-
-
-def stable_closure(gens):
-    """Smallest stable ideal containing the given generators."""
-    return _move_closure(gens, Family.STABLE)
-
-
-def is_borel_ideal(gens):
-    """Generator-local test: every move of every generator stays in the
-    ideal.  (Checked against the degreewise definition in the test suite.)"""
-    return _is_closed(gens, Family.BOREL)
-
-
-def is_stable_ideal(gens):
-    return _is_closed(gens, Family.STABLE)

@@ -165,8 +165,7 @@ def _linear_order(h):
     first changes at position i, where it grows.  In C the covers move x_k
     -> x_{k+1} or multiply by x_1, which index reversal turns into a move to
     a smaller index or multiplication by x_n.  The frontier sweep runs in
-    this order, which keeps few live states; _fill needs only some linear
-    extension, and takes a cheaper one."""
+    this order, which keeps few live states, and so does _fill."""
     n = h.poset.nvars
     step = -1 if h.poset.family is Family.DUAL_BOREL else 1
     return sorted(range(len(h)), key=lambda i: h.vertices[i].exponent_vector(n)[::step])
@@ -174,23 +173,13 @@ def _linear_order(h):
 
 def _fill(h, upward, value):
     """Entry i is value(i, the entries of i's upper covers) when upward, of
-    its lower covers otherwise, as a tuple.
-
-    The fill needs a linear extension, and index order, reversed within
-    each degree block for the dual family C, is one: by _generating_moves
-    a cover multiplies by a variable, raising the degree, or moves a unit
-    within one degree.  In A, B and D that move x_j -> x_i with i < j
-    grows the exponent vector at position i, where it first changes, so
-    raises it in lex order, and so raises the graded-lex index.  In C the
-    move x_k -> x_(k+1) shrinks it there, and lowers the index.  The fill
-    runs down that order going up and along it going down, so every cover
+    its lower covers otherwise, as a tuple.  The fill runs down
+    _linear_order going up and along it going down, so every cover
     neighbour's entry is ready."""
     neighbours = [[] for _ in h.vertices]
     for lo, hi in h.covers:
         neighbours[lo if upward else hi].append(hi if upward else lo)
-    order = range(len(h))
-    if h.poset.family is Family.DUAL_BOREL:  # runs of falling keys, reversed in place
-        order = sorted(order, key=lambda i: (h.vertices[i].degree(), -i))
+    order = _linear_order(h)
     out = [0] * len(h)
     for i in reversed(order) if upward else order:
         out[i] = value(i, [out[j] for j in neighbours[i]])

@@ -185,9 +185,8 @@ def test_criterion_06_layerwise_filter_test():
 
 def test_criterion_07_stable_counts_and_walks():
     for d in range(0, 7):
-        total, profile = stable_filter_counts(d)
-        assert total == sum(catalan(i) for i in range(d + 2))
-        assert total == sum(profile)
+        profile = stable_filter_counts(d)
+        assert sum(profile) == sum(catalan(i) for i in range(d + 2))
         h = hasse(f"B[n=3,d={d}]")
         assert list(profile) == [count_filters(h, v) for v in range(len(h) + 1)]
     for region in range(0, 12):

@@ -690,6 +690,18 @@ class TestCount:
         assert (code, out) == (2, "")
         assert err.startswith("error: filter counting needs") and err.endswith(" MiB\n")
 
+    def test_sweep_budget_names_no_flag(self, capsys, monkeypatch):
+        # enumerate counts inside _capped, which names --cap on a cap
+        # refusal; no flag raises the sweep's budget, so it is no cap, and
+        # its line reaches stderr as the library wrote it
+        monkeypatch.setattr(filters, "SWEEP_BUDGET_BYTES", 1000)
+        with pytest.raises(filters.SweepBudgetError) as excinfo:
+            filters._filter_masks(lattice.build_hasse(PosetId.parse("B[n=4,d=4]")))
+        assert not isinstance(excinfo.value, lattice.CapExceededError)
+        code, out, err = run(capsys, "enumerate", "--poset", "B[n=4,d=4]")
+        assert (code, out, err) == (2, "", f"error: {excinfo.value}\n")
+        assert "--" not in err and "raise it" not in err
+
 
 class TestEnumerate:
     def test_text(self, capsys):

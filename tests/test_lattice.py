@@ -156,6 +156,24 @@ class TestBuildHasse:
                 assert sorted(position) == list(range(len(h)))
                 assert all(position[lo] < position[hi] for lo, hi in h.covers)
 
+    @seed(20261021)
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(
+        family=st.sampled_from("ABCD"),
+        nvars=st.integers(min_value=1, max_value=5),
+        degree=st.integers(min_value=0, max_value=6),
+        glued=st.booleans(),
+    )
+    def test_down_masks_are_the_up_masks_transposed(self, family, nvars, degree, glued):
+        # both fills run in _linear_order, one down it and one along it
+        poset, max_degree = poset_of(family, nvars, degree, glued)
+        h = build_hasse(poset, max_degree=max_degree)
+        transposed = [0] * len(h)
+        for i, up in enumerate(h.up_masks()):
+            for j in range(len(h)):
+                transposed[j] |= (up >> j & 1) << i
+        assert down_masks(h) == tuple(transposed)
+
     def test_minimal_and_maximal(self):
         h = build_hasse(PosetId.parse("A[n=3,d=2]"))
         full = (1 << len(h)) - 1

@@ -13,13 +13,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 from hypothesis import seed as fixed_seed
 
-from stableorders.filters import (
-    borel_closure,
-    is_borel_ideal,
-    is_filter,
-    is_stable_ideal,
-    stable_closure,
-)
+from stableorders.filters import closure, is_closed, is_filter
 from stableorders.monomials import Monomial, _moved, graded_lex_key, monomials_up_to_degree
 from stableorders.orders import (
     Family,
@@ -283,12 +277,9 @@ class TestClosures:
     @settings(max_examples=300, deadline=None, database=None)
     @given(gens=st.lists(small_monomials, min_size=1, max_size=4))
     def test_closures_and_closed_tests_match(self, gens):
-        for close, is_closed, family in (
-            (borel_closure, is_borel_ideal, Family.BOREL),
-            (stable_closure, is_stable_ideal, Family.STABLE),
-        ):
-            closed = close(gens)
+        for family in (Family.BOREL, Family.STABLE):
+            closed = closure(gens, family)
             assert closed == old_move_closure(gens, family)
             assert all(type(m) is Monomial for m in closed)
-            assert is_closed(gens) == old_is_closed(gens, family)
-            assert is_closed(closed) and old_is_closed(closed, family)
+            assert is_closed(gens, family) == old_is_closed(gens, family)
+            assert is_closed(closed, family) and old_is_closed(closed, family)
