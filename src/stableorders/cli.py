@@ -240,9 +240,7 @@ def _write_hasse_json(h, names):
 def _cmd_hasse(args):
     poset = _finite_poset(args)
     h = _capped("--cap", build_hasse, poset, cap=args.cap, max_degree=args.max_degree)
-    # each vertex is rendered once, and each format only when asked for:
-    # large diagrams make them costly
-    names = [str(m) for m in h.vertices]
+    names = h.names()
     if args.format == "dot":
         # one node per vertex and one edge per cover, upper -> lower
         sys.stdout.write("digraph hasse {\n")
@@ -303,35 +301,30 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 def _cmd_enumerate(args):
     poset = _finite_poset(args)
     h = _capped("--hasse-cap", build_hasse, poset, cap=args.hasse_cap, max_degree=args.max_degree)
-    masks = _capped("--cap", _filter_masks, h, args.cardinality, cap=args.cap)
+    low, masks = _capped("--cap", _filter_masks, h, args.cardinality, cap=args.cap)
     # A filter lists its vertices by descending graded-lex rank, the order
     # of _sorted_elements.  build_hasse lists the vertices in graded-lex
     # order, so a mask's bits read from the highest down give that order.
-    # Only the bits from vertex N-1 down to the lowest member are spelt, as
-    # compress stops at the shorter input; the empty filter, with no lowest
-    # member, spells all N.
-    def members(table, mask):
-        low = max((mask & -mask).bit_length() - 1, 0)
-        return compress(table, format(mask >> low, f"0{len(h) - low}b").encode().translate(_BIT_BYTES))
+    # Every mask is spelt at one width, vertices N-1 down to low, and picks
+    # its members out of a table of those vertices alone.
+    spec = f"0{len(h) - low}b"
 
-    # each vertex is rendered once, and each format only when asked for
+    def members(table, mask):
+        return compress(table, format(mask, spec).encode().translate(_BIT_BYTES))
+
     if args.format == "json":
         # the layout of json.dumps(payload, indent=2), record by record: an
         # exponent list's items two deeper than its brackets
-        item = _JSON_INDENT + "  "
+        item, sep = _JSON_INDENT + "  ", "," + _JSON_INDENT
         table = [f"[{item}{(',' + item).join(map(str, m.exps))}{_JSON_INDENT}]" if m.exps else "[]"
-                 for m in reversed(h.vertices)]
-        sep = "," + _JSON_INDENT
-
-        def record(mask):
-            elements = f"[{_JSON_INDENT}{sep.join(members(table, mask))}\n      ]" if mask else "[]"
-            return f'{{\n      "elements": {elements}\n    }}'
-
+                 for m in reversed(h.vertices[low:])]
+        elements = (f"[{_JSON_INDENT}{sep.join(members(table, mask))}\n      ]" if mask else "[]"
+                    for mask in masks)
         sys.stdout.write(f'{{\n  "poset": {json.dumps(str(poset))},\n  "filters": ')
-        _write_json_items(map(record, masks))
+        _write_json_items(f'{{\n      "elements": {e}\n    }}' for e in elements)
         sys.stdout.write("\n}\n")
     else:
-        table = [str(m) for m in reversed(h.vertices)]
+        table = h.names()[low:][::-1]
         sys.stdout.writelines(f"{{{', '.join(members(table, mask))}}}\n" for mask in masks)
     return 0
 

@@ -158,8 +158,8 @@ def count_filters(h, cardinality=None):
 
 
 def _filter_masks(h, cardinality=None, cap=FILTER_CAP):
-    """Check the cap now, then return an iterator over every filter as the
-    bitmask of its vertex indices.
+    """Check the cap now, then return (low, masks): every filter as the
+    bitmask of its vertex indices, shifted right by low (see below).
 
     The cap needs a bound, not the count.  No size k has more filters than
     C(N, k), the k-subsets of the N vertices, and a k outside 0..N has
@@ -202,9 +202,9 @@ def _filter_masks(h, cardinality=None, cap=FILTER_CAP):
     pivot, with the largest up-set, is one of them, its contain branch is
     too large for r, still k, and taking out a minimal element leaves every
     other up-set in the mask unchanged.  The survivors form a filter, from
-    which the walk goes on in the same order.  The masks are shifted right
-    by the lowest survivor's index and each yielded mask back: an
-    order-preserving renumbering, under which _pivot picks the same pivots.
+    which the walk goes on in the same order, on masks shifted right by low,
+    the lowest survivor (0 when nothing is dropped): an order-preserving
+    renumbering, under which _pivot picks the same pivots.
 
     Hence every pushed branch yields a filter.  The full listing takes one
     pivot step fewer than it lists filters, each step pushing both
@@ -228,7 +228,7 @@ def _filter_masks(h, cardinality=None, cap=FILTER_CAP):
         if total > cap:
             raise CapExceededError(f"{total} filters exceed the cap of {cap}")
     if not fits:
-        return iter(())
+        return 0, iter(())
     k = len(h) + 1 if cardinality is None else cardinality
     up, covers = h.up_masks(), [0] * len(h)
     kept = [u.bit_count() <= k for u in up]
@@ -247,10 +247,10 @@ def _filter_masks(h, cardinality=None, cap=FILTER_CAP):
         while stack:
             mask, least, chosen, r = stack.pop()
             if r == 0:
-                yield chosen << low
+                yield chosen
                 continue
             if r == mask.bit_count() or not mask:
-                yield (chosen | mask) << low
+                yield chosen | mask
                 continue
             pivot = _pivot(up, least, mask)
             principal = up[pivot] & mask
@@ -260,7 +260,7 @@ def _filter_masks(h, cardinality=None, cap=FILTER_CAP):
             rest = mask ^ (1 << pivot)
             stack.append((rest, (least | covers[pivot]) & rest, chosen, r))
 
-    return walk()
+    return low, walk()
 
 
 def catalan(n):

@@ -45,16 +45,16 @@ class HasseDiagram:
     """A finite poset given by its vertices and covering pairs.
 
     Vertices are in graded-lex order; covers are (lower, upper) index pairs.
-    The up masks are computed lazily and cached.  A diagram equals only
-    itself.  build_hasse hands the same diagram to every caller that asks
-    for it in one process, so nothing assigns to one once it is built.
+    The up masks and names are filled lazily and cached.  A diagram equals
+    only itself.  build_hasse hands the same diagram to every caller that
+    asks for it in one process, so nothing assigns to one once it is built.
     """
 
-    __slots__ = ("poset", "vertices", "covers", "_up")
+    __slots__ = ("poset", "vertices", "covers", "_up", "_names")
 
     def __init__(self, poset, vertices, covers):
         self.poset, self.vertices, self.covers = poset, vertices, covers
-        self._up = None
+        self._up = self._names = None
 
     def __repr__(self):
         return f"HasseDiagram(poset={self.poset!r}, vertices={self.vertices!r}, covers={self.covers!r})"
@@ -67,6 +67,12 @@ class HasseDiagram:
         if self._up is None:
             self._up = _fill(self, True, lambda i, ups: reduce(or_, ups, 1 << i))
         return self._up
+
+    def names(self):
+        """names()[i] is str(vertex i)."""
+        if self._names is None:
+            self._names = tuple(map(str, self.vertices))
+        return self._names
 
 
 def diagram_size(poset, cap=VERTEX_CAP, max_degree=None):
@@ -113,12 +119,13 @@ def build_hasse(poset, cap=VERTEX_CAP, max_degree=None):
 
     Every call makes those refusals, then returns the diagram an earlier
     call built for the same (poset, max_degree), if it is still held, with
-    whatever up masks it has filled.  The diagrams held together stay
+    the up masks and names it has filled.  The diagrams held together stay
     within one diagram's budgets, VERTEX_CAP vertices and SLOT_BUDGET
     slots: before a build, the least recently used are dropped until the
     new one fits, and one past VERTEX_CAP (a raised cap) is not held.  So
-    the up masks held, about N^2 bits for N vertices, never pass those of
-    one diagram at the default cap, as the sum of the N^2 is at most the
+    the names held, one string per vertex, are at most VERTEX_CAP, and the
+    up masks held, about N^2 bits for N vertices, never pass those of one
+    diagram at the default cap, as the sum of the N^2 is at most the
     square of the sum.  The held diagrams take no lock, so calls from
     several threads at once are not safe; the package starts no thread."""
     size = diagram_size(poset, cap, max_degree)

@@ -423,8 +423,9 @@ def enumerate_filters(h, cardinality=None, cap=FILTER_CAP):
     _filter_masks: at each pivot, the filters avoiding it come before
     those containing it.  Raises CapExceededError as _filter_masks does,
     when the first filter is asked for."""
-    vertices = h.vertices
-    for chosen in _filter_masks(h, cardinality, cap):
+    low, masks = _filter_masks(h, cardinality, cap)
+    vertices = h.vertices[low:]
+    for chosen in masks:
         yield frozenset(vertices[i] for i in _iter_bits(chosen))
 
 

@@ -9,13 +9,15 @@ import resource
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import compress
 from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import seed as fixed_seed
 from hypothesis import strategies as st
 
@@ -703,7 +705,75 @@ class TestCount:
         assert "--" not in err and "raise it" not in err
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+_JSON_INDENT = "\n" + " " * 8
+
+
+def per_filter_listing(h, masks, fmt):
+    """enumerate's stdout for the absolute masks given, each filter spelt
+    from its own lowest bit over every vertex, reversed: the renderer
+    before a listing spelt its filters at one width over its window."""
+    def members(table, mask):
+        low = max((mask & -mask).bit_length() - 1, 0)
+        return compress(table, format(mask >> low, f"0{len(h) - low}b").encode().translate(_BIT_BYTES))
+
+    if fmt == "text":
+        table = [str(m) for m in reversed(h.vertices)]
+        return "".join(f"{{{', '.join(members(table, mask))}}}\n" for mask in masks)
+    item, sep = _JSON_INDENT + "  ", "," + _JSON_INDENT
+    table = [f"[{item}{(',' + item).join(map(str, m.exps))}{_JSON_INDENT}]" if m.exps else "[]"
+             for m in reversed(h.vertices)]
+    records = [
+        '{\n      "elements": '
+        + (f"[{_JSON_INDENT}{sep.join(members(table, mask))}\n      ]" if mask else "[]")
+        + "\n    }"
+        for mask in masks]
+    items = "[\n    " + ",\n    ".join(records) + "\n  ]" if records else "[]"
+    return f'{{\n  "poset": {json.dumps(str(h.poset))},\n  "filters": {items}\n}}\n'
+
+
 class TestEnumerate:
+    @fixed_seed(20321)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        family=st.sampled_from("ABCD"),
+        nvars=st.integers(min_value=1, max_value=5),
+        degree=st.integers(min_value=-1, max_value=6),
+        glued=st.booleans(),
+    )
+    @example(family="D", nvars=3, degree=-1, glued=True)  # no vertex: a window 0 wide
+    def test_one_width_spells_what_each_filter_spelt(self, family, nvars, degree, glued):
+        assume(glued or degree >= 0)
+        poset_text = f"{family}[n={nvars}]" if glued else f"{family}[n={nvars},d={degree}]"
+        argv = ["enumerate", "--poset", poset_text] + (["--max-degree", str(degree)] if glued else [])
+        h = lattice.build_hasse(PosetId.parse(poset_text), max_degree=degree if glued else None)
+        assume(len(h) <= 20)
+        for cardinality in [None, *range(-1, len(h) + 2)]:
+            sized = [] if cardinality is None else ["--cardinality", str(cardinality)]
+            low, masks = filters._filter_masks(h, cardinality, cap=2**len(h))
+            masks = [m << low for m in masks]
+            for fmt in ("text", "json"):
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main([*argv, *sized, "--format", fmt])
+                assert (code, out.getvalue(), err.getvalue()) == (0, per_filter_listing(h, masks, fmt), "")
+
+    def test_one_process_prints_what_two_print(self, capsys, monkeypatch):
+        # hasse fills the held names, and enumerate then reads them
+        monkeypatch.setattr(lattice, "_built", {})
+        monkeypatch.setattr(lattice, "_held", [0, 0])
+        src = Path(__file__).resolve().parents[1] / "src"
+        for fmt in ("text", "json", "dot"):
+            for sized in ([], ["--cardinality", "3"]):
+                hasse = ["hasse", "--poset", "D[n=2,d=5]", "--format", fmt]
+                listing = ["enumerate", "--poset", "D[n=2,d=5]", *sized,
+                           "--format", "text" if fmt == "dot" else fmt]
+                fresh = [subprocess.run([sys.executable, "-m", "stableorders.cli", *argv],
+                                        capture_output=True, text=True, check=True,
+                                        env=dict(os.environ, PYTHONPATH=str(src))).stdout
+                         for argv in (hasse, listing)]
+                assert [run(capsys, *hasse)[1], run(capsys, *listing)[1]] == fresh
+
     def test_text(self, capsys):
         code, out, _ = run(
             capsys, "enumerate", "--poset", "B[n=3,d=2]", "--cardinality", "4"

@@ -205,8 +205,8 @@ class TestCounting:
             if v is not None:
                 assert filters == [f for f in got if len(f) == v]
             # the mask walk behind the CLI decodes to the same filters in order
-            masks = list(_filter_masks(h, v))
-            assert [frozenset(h.vertices[i] for i in range(len(h)) if m >> i & 1)
+            low, masks = _filter_masks(h, v)
+            assert [frozenset(h.vertices[i] for i in range(len(h)) if m << low >> i & 1)
                     for m in masks] == filters
             # and the CLI renders them as the frozensets through the sorted path
             sized = [] if v is None else ["--cardinality", str(v)]
@@ -379,7 +379,7 @@ class TestEnumerationCap:
                         _filter_masks(h, cardinality, cap)
                     assert str(excinfo.value) == f"{count} filters exceed the cap of {cap}"
                 else:
-                    assert len(list(_filter_masks(h, cardinality, cap))) == count
+                    assert len(list(_filter_masks(h, cardinality, cap)[1])) == count
 
     @pytest.mark.parametrize(
         "poset_text, max_degree",
@@ -396,9 +396,9 @@ class TestEnumerationCap:
             raise AssertionError("the enumeration of a closed-form poset swept")
 
         monkeypatch.setattr(filters, "_frontier_sweep", sweep)
-        assert len(list(_filter_masks(h))) == sum(profile)
+        assert len(list(_filter_masks(h)[1])) == sum(profile)
         for cardinality in range(len(h) + 1):
-            assert len(list(_filter_masks(h, cardinality))) == profile[cardinality]
+            assert len(list(_filter_masks(h, cardinality)[1])) == profile[cardinality]
         # below the total, the cap is checked against the closed form by size
         cap = sum(profile) - 1
         for cardinality in range(-1, len(h) + 2):
@@ -407,7 +407,7 @@ class TestEnumerationCap:
                 with pytest.raises(CapExceededError, match=f"^{count} filters exceed"):
                     _filter_masks(h, cardinality, cap)
             else:
-                assert len(list(_filter_masks(h, cardinality, cap))) == count
+                assert len(list(_filter_masks(h, cardinality, cap)[1])) == count
         # and so are count's sizes
         poset = ["--poset", poset_text] + ([] if max_degree is None else ["--max-degree", str(max_degree)])
         assert cli.main(["count", *poset, "--by-cardinality"]) == 0
@@ -428,12 +428,12 @@ class TestEnumerationCap:
             return sweep(h, width, top)
 
         monkeypatch.setattr(filters, "_frontier_sweep", recorded)
-        assert len(list(_filter_masks(h, 17))) == expected
+        assert len(list(_filter_masks(h, 17)[1])) == expected
         assert calls == [(0, None)]
         # past the cap, size 17 is counted by a cut sweep as wide as the total
         calls.clear()
         total = sweep(h, 0)
-        assert len(list(_filter_masks(h, 17, total - 1))) == expected
+        assert len(list(_filter_masks(h, 17, total - 1)[1])) == expected
         assert calls == [(0, None), (total.bit_length(), 17)]
 
     def test_few_subsets_need_no_count(self, monkeypatch):
@@ -449,12 +449,12 @@ class TestEnumerationCap:
 
             monkeypatch.setattr(filters, name, recorded)
         for k in (0, 1, 2, 3, n - 2, n - 1, n):
-            assert len(list(_filter_masks(h, k, comb(n, k)))) == profile[k]
+            assert len(list(_filter_masks(h, k, comb(n, k))[1])) == profile[k]
         for k in (-1, n + 1, n + 40):
-            assert list(_filter_masks(h, k, 0)) == []
+            assert list(_filter_masks(h, k, 0)[1]) == []
         assert calls == []
         # a bound past the cap takes the route through the total
-        assert len(list(_filter_masks(h, 2, comb(n, 2) - 1))) == profile[2]
+        assert len(list(_filter_masks(h, 2, comb(n, 2) - 1)[1])) == profile[2]
         assert calls[:2] == ["closed_form_counts", "_frontier_sweep"]
         calls.clear()
         with pytest.raises(CapExceededError, match="^0 filters exceed the cap of -1$"):
@@ -526,7 +526,8 @@ class TestPivotWalk:
         assume(len(h) <= 40)
         for cardinality in [None, *range(-1, len(h) + 2)]:
             expected = list(unstripped_walk(h, cardinality))
-            assert list(_filter_masks(h, cardinality, cap=len(expected))) == expected
+            low, masks = _filter_masks(h, cardinality, cap=len(expected))
+            assert [m << low for m in masks] == expected
 
     @fixed_seed(20271)
     @settings(max_examples=80, deadline=None, database=None)
@@ -584,7 +585,9 @@ class TestPivotWalk:
 
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(filters, "_pivot", recorded)
-                next(_filter_masks(h, cardinality, cap=2**len(h)), None)
+                window, masks = _filter_masks(h, cardinality, cap=2**len(h))
+                next(masks, None)
+            assert window == low
             # the root closes without a pivot when it lists one filter only
             closes = not keep or k in (0, keep.bit_count())
             assert first[:1] == ([] if closes else [least])
@@ -599,7 +602,7 @@ class TestPivotWalk:
 
         monkeypatch.setattr(filters, "_pivot", counted)
         h = build_hasse(PosetId.parse("D[n=2,d=30]"))
-        assert sum(1 for _ in _filter_masks(h, 3)) == 4525
+        assert sum(1 for _ in _filter_masks(h, 3)[1]) == 4525
         assert len(calls) <= 2 * 4525
 
 

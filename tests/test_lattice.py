@@ -273,11 +273,14 @@ class TestDiagramCache:
             return
         if fill_first:
             h.up_masks()
+            h.names()
         again = build_hasse(poset, max_degree=max_degree)
         fresh = _build(poset, max_degree)
         assert again is h and fresh is not h
         assert (again.vertices, again.covers) == (fresh.vertices, fresh.covers)
         assert again.up_masks() == fresh.up_masks()
+        assert again.names() == fresh.names() == tuple(map(str, fresh.vertices))
+        assert build_hasse(poset, max_degree=max_degree).names() is again.names()
         # the fill's order is a linear extension: the masks are the order's
         for (i, m), (j, mp) in product(enumerate(fresh.vertices), repeat=2):
             assert bool(fresh.up_masks()[i] >> j & 1) == leq(poset, m, mp)
@@ -303,6 +306,19 @@ class TestDiagramCache:
         assert list(lattice._built) == [(a, None), (PosetId.parse("B[n=3,d=2]"), None)]
         assert build_hasse(a) is ha and build_hasse(b) is not hb
         assert_held_within(20, lattice.SLOT_BUDGET)
+
+    def test_names_are_held_and_dropped_with_their_diagram(self, empty_cache, monkeypatch):
+        monkeypatch.setattr(lattice, "VERTEX_CAP", 20)
+        a, b = PosetId.parse("A[n=3,d=3]"), PosetId.parse("D[n=2,d=2]")  # 10 and 6 vertices
+        names = build_hasse(a).names()
+        assert names == tuple(map(str, build_hasse(a).vertices))
+        assert build_hasse(b).names() is not names and build_hasse(a).names() is names
+        build_hasse(PosetId.parse("B[n=3,d=2]"))  # 6 more: 22 > 20, so b goes
+        build_hasse(PosetId.parse("C[n=3,d=2]"))  # and 6 more: a goes
+        assert (a, None) not in lattice._built
+        assert all(h.names() is not names for h in lattice._built.values())
+        again = build_hasse(a).names()
+        assert again == names and again is not names
 
     def test_slots_bound_what_is_held(self, empty_cache, monkeypatch):
         monkeypatch.setattr(lattice, "SLOT_BUDGET", 40)
