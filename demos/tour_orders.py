@@ -6,8 +6,8 @@ import argparse
 from stableorders import cli
 from stableorders.lattice import build_hasse
 from stableorders.monomials import Monomial
-from stableorders.orders import PosetId, relation
-from stableorders.verify import borel_moves_up, partial_sums, stable_moves_up
+from stableorders.orders import Family, PosetId, relation
+from stableorders.verify import moves_up, partial_sums
 
 M = Monomial.parse
 
@@ -28,8 +28,8 @@ def main():
     print("One-step exchange moves push an exponent onto a smaller variable index.")
     m = M("x2*x3")
     print(f"moves up from {m}:")
-    print(f"  all transfers:        {sorted(map(str, borel_moves_up(m)))}")
-    print(f"  last-variable only:   {sorted(map(str, stable_moves_up(m)))}")
+    print(f"  all transfers:        {sorted(map(str, moves_up(m, Family.BOREL)))}")
+    print(f"  last-variable only:   {sorted(map(str, moves_up(m, Family.STABLE)))}")
     print()
 
     print("The four order families compared on the same pairs:")

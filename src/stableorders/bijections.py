@@ -15,7 +15,7 @@ from operator import mul
 
 from .monomials import Monomial
 from .orders import Family, PosetId, _Record
-from .lattice import VERTEX_CAP, CapExceededError
+from .lattice import SLOT_BUDGET, VERTEX_CAP, CapExceededError
 from .filters import is_filter
 
 
@@ -25,7 +25,9 @@ from .filters import is_filter
 
 def monomial_to_young(m):
     """Rows of the Young diagram: one row of length i per copy of x_i,
-    listed weakly decreasing."""
+    listed weakly decreasing; ValueError past SLOT_BUDGET rows."""
+    if m.degree() > SLOT_BUDGET:
+        raise ValueError(f"{m} has degree {m.degree()}, more rows than the budget of {SLOT_BUDGET}")
     rows = []
     for i in range(m.max_support(), 0, -1):
         rows.extend([i] * m.exponent(i))

@@ -250,9 +250,8 @@ def _cmd_hasse(args):
     elif args.format == "json":
         _write_hasse_json(h, names)
     else:
-        header = (f"poset: {poset}", f"vertices: {len(h)}", f"covers: {len(h.covers)}")
-        covers = (f"{names[hi]} covers {names[lo]}" for lo, hi in h.covers)
-        _emit(args, None, *header, *covers)
+        sys.stdout.write(f"poset: {poset}\nvertices: {len(h)}\ncovers: {len(h.covers)}\n")
+        sys.stdout.writelines(f"{names[hi]} covers {names[lo]}\n" for lo, hi in h.covers)
     return 0
 
 

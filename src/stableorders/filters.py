@@ -542,16 +542,16 @@ def minimal_generators(gens):
     return tuple(kept)
 
 
-def _has_segment_in(members, exps):
+def _has_segment_in(least, exps):
     """Whether an initial segment of the exponent tuple exps (its first k
-    variables in index order, k = 0 .. its degree) is in `members`.  By
-    Eliahou-Kervaire each m in a stable ideal is g*w with g a minimal
-    generator and max(g) <= min(w), so g is such a segment: the test is
-    exact when `members` lies in a stable ideal and holds its minimal
-    generators, and never accepts m outside the ideal `members` generate.
-    The whole tuple, the longest segment, is looked up first."""
-    return exps in members or () in members or any(
-        exps[:j] + (a,) in members for j, e in enumerate(exps) for a in range(1, e + 1))
+    variables in index order, k = 0 .. its degree) is a member: least maps
+    p to the least a with p + (a,) a member, () to 0 for the unit, and the
+    whole tuple is looked up first.  By Eliahou-Kervaire each m in a stable
+    ideal is g*w with g a minimal generator and max(g) <= min(w), so g is
+    such a segment: the test is exact when the members lie in a stable ideal
+    and hold its minimal generators, and never accepts m outside theirs."""
+    return exps and least.get(exps[:-1]) == exps[-1] or least.get((), 1) == 0 or any(
+        e and least.get(exps[:j], e + 1) <= e for j, e in enumerate(exps))
 
 
 def closure(gens, family):
@@ -564,20 +564,20 @@ def closure(gens, family):
     are closed, so generate a stable ideal, and _has_segment_in is exact: a
     monomial joins only if outside the ideal so far, so members are the
     minimal generators.  Each is forced, and the result passes the generator
-    test proved in _generating_moves.  Raises CapExceededError once the
-    members pass VERTEX_CAP: x30^6 alone closes to 1,623,160."""
-    poset = PosetId(family)
-    members = set()
+    test proved in _generating_moves.  Members with one prefix would divide
+    one another, so least holds them all.  Raises CapExceededError once
+    they pass VERTEX_CAP: x30^6 alone closes to 1,623,160."""
+    poset, least = PosetId(family), {}
     for g in sorted(set(gens), key=graded_lex_key):
         queue = [g.exps]
         while queue:
             e = queue.pop()
-            if not _has_segment_in(members, e):
-                members.add(e)
-                if len(members) > VERTEX_CAP:
+            if not _has_segment_in(least, e):
+                least[e[:-1]] = e[-1] if e else 0
+                if len(least) > VERTEX_CAP:
                     raise CapExceededError(f"the closure passed the cap of {VERTEX_CAP} generators")
                 queue.extend(_generating_moves(poset, e))
-    return tuple(sorted(map(Monomial, members), key=graded_lex_key))
+    return tuple(sorted((Monomial(p + (a,) if a else p) for p, a in least.items()), key=graded_lex_key))
 
 
 def is_closed(gens, family):
@@ -585,5 +585,6 @@ def is_closed(gens, family):
     move of every generator stays in the ideal.  The generator test by
     _has_segment_in on set(gens) is exact when the ideal is closed (so
     stable), and rejects a move outside it if not."""
-    poset, members = PosetId(family), {g.exps for g in gens}
-    return all(_has_segment_in(members, u) for g in members for u in _generating_moves(poset, g))
+    poset, members = PosetId(family), sorted({g.exps for g in gens}, reverse=True)
+    least = {e[:-1]: e[-1] if e else 0 for e in members}  # of each prefix, the least a comes last
+    return all(_has_segment_in(least, u) for g in members for u in _generating_moves(poset, g))

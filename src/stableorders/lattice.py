@@ -104,8 +104,8 @@ def diagram_size(poset, cap=VERTEX_CAP, max_degree=None):
     return size
 
 
-# The diagrams built in this process by (poset, max_degree), least recently
-# used first, and the vertices and exponent slots they hold together.
+# The diagrams built in this process by (poset, max_degree or None at a fixed
+# degree), least recently used first, and the vertices and slots they hold.
 _built, _held = {}, [0, 0]
 
 
@@ -118,14 +118,14 @@ def build_hasse(poset, cap=VERTEX_CAP, max_degree=None):
     vertex may hold exceed SLOT_BUDGET.
 
     Every call makes those refusals, then returns the diagram an earlier
-    call built for the same (poset, max_degree), if it is still held, with
-    the up masks and names it has filled.  The diagrams held together stay
-    within one diagram's budgets, VERTEX_CAP vertices and SLOT_BUDGET
-    slots: before a build, the least recently used are dropped until the
-    new one fits, and one past VERTEX_CAP (a raised cap) is not held.  So
-    the names held, one string per vertex, are at most VERTEX_CAP, and the
-    up masks held, about N^2 bits for N vertices, never pass those of one
-    diagram at the default cap, as the sum of the N^2 is at most the
+    call built for the same poset (and max_degree, if glued), if it is still
+    held, with the up masks and names it has filled.  The diagrams held
+    together stay within one diagram's budgets, VERTEX_CAP vertices and
+    SLOT_BUDGET slots: before a build, the least recently used are dropped
+    until the new one fits, and one past VERTEX_CAP (a raised cap) is not
+    held.  So the names held, one string per vertex, are at most VERTEX_CAP,
+    and the up masks held, about N^2 bits for N vertices, never pass those
+    of one diagram at the default cap, as the sum of the N^2 is at most the
     square of the sum.  The held diagrams take no lock, so calls from
     several threads at once are not safe; the package starts no thread."""
     size = diagram_size(poset, cap, max_degree)
@@ -133,7 +133,7 @@ def build_hasse(poset, cap=VERTEX_CAP, max_degree=None):
     if size * n > SLOT_BUDGET:
         raise ValueError(
             f"{size} vertices of up to {n} exponent slots exceed the budget of {SLOT_BUDGET} slots")
-    key = (poset, max_degree)
+    key = (poset, max_degree if poset.degree is None else None)
     h = _built.pop(key, None)  # put back last: the most recently used
     if h is None:
         if not 0 < size <= VERTEX_CAP:  # nothing to save, or too large to hold
@@ -244,9 +244,9 @@ def _stable_meet(m, mp):
     the stripped parts, and u*x_n^a (a > 0) lies below a monomial free of
     x_n iff u*x_{n-1}^a does.  When neither side uses x_n, every lower bound
     with x_n lies below one free of x_n, so the meet is that on n - 1
-    variables; on two variables the order is a chain.  When both use x_n,
-    the lower bounds with x_n are w*x_n^(d - deg w) for the common divisors
-    w of the stripped parts, so the meet is their gcd padded back with x_n.
+    variables.  When both use x_n, the lower bounds with x_n are
+    w*x_n^(d - deg w) for the common divisors w of the stripped parts, so
+    the meet is their gcd padded back with x_n.
 
     Mixed case: f is free of x_n and D = u*x_n^a with a > 0.  Every lower
     bound of D uses x_n, so it is w*x_n^(d - deg w) for a divisor w of u,
@@ -255,23 +255,23 @@ def _stable_meet(m, mp):
     x_k, since d - deg w >= d - deg u > 0.  If f uses x_k, the condition is
     that w without x_k divides f without x_k, whatever w's x_k exponent.
     If not, padding with x_{k-1} absorbs w's x_k part, and the condition is
-    the same one for w without x_k on k - 1 variables.  On two variables the
-    chain asks w_1 <= d - f_2 = f_1, the same divisibility, and on one
-    variable every w passes.  So with k the largest index below n with
-    f_k > 0 (or k = 1 when there is none), w passes iff w_i <= f_i for all
-    i < k.  The largest such divisor w* keeps u's exponents from x_k to
-    x_{n-1} and takes gcd(u, f) below x_k.  It passes, and every w that
-    passes divides it, so w*x_n^(d - deg w*) lies above every common lower
-    bound and is the meet: the formula constructs the maximum.
+    the same one for w without x_k on k - 1 variables.  On one variable
+    every w passes.  So with k the largest index below n with f_k > 0 (or
+    k = 1 when there is none), w passes iff w_i <= f_i for all i < k.  The
+    largest such divisor w* keeps u's exponents from x_k to x_{n-1} and
+    takes gcd(u, f) below x_k.  It passes, and every w that passes divides
+    it, so w*x_n^(d - deg w*) lies above every common lower bound and is
+    the meet: the formula constructs the maximum.
 
     The first case is why the split may start from the operands' window,
-    where it never arises: one operand uses the window's last variable.
+    where it never arises: one operand uses the window's last variable.  So
+    two variables need no case: the meet is the operand with the smaller x_1
+    exponent if both use x_2, else (k = 1, w* = u) the one that does.
     """
     n = _window(m, mp)
+    if n < 2:
+        return m
     a, b = m.exponent_vector(n), mp.exponent_vector(n)
-    if n <= 2:
-        # a chain: the larger last exponent sits lower
-        return m if n < 2 or a[1] >= b[1] else mp
     if a[n - 1] and b[n - 1]:
         u, f, k = a, b, n - 1
     else:

@@ -194,14 +194,14 @@ def _stable_leq(m, mp, n):
     of x_n lies below something with x_n, and a monomial u*x_n^a with a > 0
     sits below a free one exactly when u*x_{n-1}^a does, the least monomial
     free of x_n above it.  Free of x_n, it is the order on n - 1 variables.
-    On two variables the order is a chain, decided by the last exponent; on
-    one there is a single monomial of each degree.
+    On two variables (a chain) it compares x_1 exponents if both use x_2 and
+    answers no if only mp does; one variable has one monomial per degree.
 
     Each step either answers or lowers n by one, so the split runs as a loop
     over exponent lists: padding u with x_{n-1}^a adds a to entry n - 1.
     """
     a, b = m.exponent_vector(n), mp.exponent_vector(n)
-    while n > 2:
+    while n > 1:
         top, other_top = a[n - 1], b[n - 1]
         if top and other_top:
             return all(map(le, a[: n - 1], b[: n - 1]))
@@ -210,7 +210,7 @@ def _stable_leq(m, mp, n):
             return False
         a[n - 2] += top
         n -= 1
-    return n < 2 or a[1] >= b[1]
+    return True
 
 
 def _lex_greatest_divisor(mp, degree):

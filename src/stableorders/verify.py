@@ -3,13 +3,12 @@ runtime, mostly by checking a fast path against an independent oracle (move
 reachability, pivot counts, subset scans, brute-force meets and joins).
 
 The oracles live here, and in no module a command answers from: the
-exchange moves borel_moves_up and stable_moves_up, which
-reachability_oracle walks breadth first (the check on orders.leq),
-diagram_leq, which reads the same relation off a diagram's up masks, and
-down_masks, their transpose; the pairwise meets and joins of
-_meet_join_tables, and check_distributive, find_n5 and height_width,
-which read lattice facts off them; the memoized
-pivot recursion pivot_filter_counts (the check on the frontier sweep); and
+exchange moves moves_up, which reachability_oracle walks breadth first
+(the check on orders.leq), diagram_leq, which reads the same relation off
+a diagram's up masks, and down_masks, their transpose; the pairwise meets
+and joins of _meet_join_tables, and check_distributive, find_n5 and
+height_width, which read lattice facts off them; the memoized pivot
+recursion pivot_filter_counts (the check on the frontier sweep); and
 ordinal_sum_leq, the intersection of the degree-compatible term orders.
 
 So do the paper's constructions that no command runs, each a second way
@@ -46,6 +45,7 @@ from .filters import (
     FILTER_CAP,
     _filter_masks,
     _pivot,
+    _q_product,
     catalan,
     closed_form_counts,
     closure,
@@ -77,31 +77,15 @@ from .termorders import GREATER, LESS, TermOrder, refines_borel, separating_witn
 # fast paths against
 
 
-def borel_moves_up(m):
-    """All single exchange moves x_i/x_j with i < j, one for each usable pair.
-
-    These generate the strongly-stable (Borel) order: each move replaces one
-    copy of some occurring variable x_j by a strictly smaller-index variable.
-    """
-    moves = set()
-    for j in range(2, m.max_support() + 1):
-        if m.exponent(j) == 0:
-            continue
-        for i in range(1, j):
-            moves.add(Monomial(_moved(m.exps, i, j)))
-    return frozenset(moves)
-
-
-def stable_moves_up(m):
-    """Exchange moves allowed in the stable order: only the last variable moves.
-
-    Only one copy of x_v, v = max_support(m), may be replaced by a
-    smaller-index variable.
-    """
+def moves_up(m, family):
+    """The single exchange moves that generate the family's order above m:
+    each replaces one copy of an occurring x_j by some x_i, i < j.  In the
+    strongly-stable (Borel) order any x_j moves, in the stable order only the
+    last, x_v with v = max_support(m); the other families have none."""
     v = m.max_support()
-    if v < 2:
-        return frozenset()
-    return frozenset(Monomial(_moved(m.exps, i, v)) for i in range(1, v))
+    sources = {Family.BOREL: range(2, v + 1), Family.STABLE: (v,)}.get(family, ())
+    return frozenset(
+        Monomial(_moved(m.exps, i, j)) for j in sources for i in range(1, j) if m.exps[j - 1])
 
 
 def reachability_oracle(poset, m, mp):
@@ -127,11 +111,7 @@ def reachability_oracle(poset, m, mp):
     allow_multiplication = poset.degree is None or family is Family.DIVISIBILITY
 
     def neighbors(u):
-        out = set()
-        if family is Family.BOREL:
-            out.update(borel_moves_up(u))
-        elif family is Family.STABLE:
-            out.update(stable_moves_up(u))
+        out = set(moves_up(u, family))
         if allow_multiplication and u.degree() < target_degree:
             out.update(Monomial(_moved(u.exps, i)) for i in range(1, nvars + 1))
         return out
@@ -178,23 +158,22 @@ def _iter_bits(mask):
 
 
 def _meet_join_tables(h):
-    """All pairwise meets and joins by bitmask scans; raises NotLatticeError."""
+    """All pairwise meets and joins by bitmask scans; raises NotLatticeError.
+    The meet of a pair is the one common lower bound that no other lies
+    above, and the join the same with the masks swapped."""
     n = len(h)
     up, down = h.up_masks(), down_masks(h)
     meets = [[0] * n for _ in range(n)]
     joins = [[0] * n for _ in range(n)]
+    scans = ((down, up, meets, "meet"), (up, down, joins, "join"))
     for i in range(n):
         for j in range(i, n):
-            common = down[i] & down[j]
-            best = [k for k in _iter_bits(common) if up[k] & common == 1 << k]
-            if len(best) != 1:
-                raise NotLatticeError(f"{h.vertices[i]} and {h.vertices[j]} lack a unique meet")
-            meets[i][j] = meets[j][i] = best[0]
-            common = up[i] & up[j]
-            best = [k for k in _iter_bits(common) if down[k] & common == 1 << k]
-            if len(best) != 1:
-                raise NotLatticeError(f"{h.vertices[i]} and {h.vertices[j]} lack a unique join")
-            joins[i][j] = joins[j][i] = best[0]
+            for toward, away, table, word in scans:
+                common = toward[i] & toward[j]
+                best = [k for k in _iter_bits(common) if away[k] & common == 1 << k]
+                if len(best) != 1:
+                    raise NotLatticeError(f"{h.vertices[i]} and {h.vertices[j]} lack a unique {word}")
+                table[i][j] = table[j][i] = best[0]
     return meets, joins
 
 
@@ -342,26 +321,15 @@ def rank_sizes(h):
 
 
 def gaussian(a, b):
-    """Gaussian binomial [a+b choose a] by the Pascal-type recurrence
-    P(a,b) = P(a-1,b) + q^a * P(a,b-1); counts partitions in an a-by-b box.
-    Returns the coefficient tuple, constant term first."""
+    """Gaussian binomial [a+b choose a], which counts partitions in an a-by-b
+    box: the product of (1 - q^(b+i))/(1 - q^i) over i = 1..a, a polynomial
+    of degree a*b, read off _q_product as _tspp_exponents reads [side+2
+    choose 3].  Returns the coefficient tuple, constant term first."""
     if a < 0 or b < 0:
         raise ValueError("gaussian(a, b) needs a, b >= 0")
-    previous_row = [[1]] * (b + 1)  # row i = 0
-    for i in range(1, a + 1):
-        row = [[1]]
-        for j in range(1, b + 1):
-            upper = previous_row[j]
-            left = row[j - 1]
-            size = i * j + 1
-            coeffs = [0] * size
-            for k, v in enumerate(upper):
-                coeffs[k] += v
-            for k, v in enumerate(left):
-                coeffs[k + i] += v
-            row.append(coeffs)
-        previous_row = row
-    return tuple(previous_row[b])
+    # t = b+1 .. a+b in the numerator, t = 1 .. a in the denominator
+    exponents = {t: (t > b) - (t <= a) for t in range(1, a + b + 1)}
+    return tuple(_q_product(exponents, a * b))
 
 
 def _is_up_closed(keys, poset):

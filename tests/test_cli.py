@@ -195,6 +195,14 @@ class TestHasse:
         }
         assert (code, out) == (0, json.dumps(payload, indent=2) + "\n")
 
+    def test_max_degree_on_a_fixed_degree_poset_holds_no_second_diagram(self, capsys, monkeypatch):
+        monkeypatch.setattr(lattice, "_built", {})
+        monkeypatch.setattr(lattice, "_held", [0, 0])
+        plain = run(capsys, "hasse", "--poset", "A[n=3,d=4]")
+        assert run(capsys, "hasse", "--poset", "A[n=3,d=4]", "--max-degree", "7") == plain
+        assert plain[0] == 0 and plain[1].startswith("poset: A[n=3,d=4]\nvertices: 15\n")
+        assert len(lattice._built) == 1 and lattice._held == [15, 45]
+
     def test_cap(self, capsys):
         code, _, err = run(capsys, "hasse", "--poset", "A[n=3,d=2]", "--cap", "2")
         assert code == 2

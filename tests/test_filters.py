@@ -32,15 +32,14 @@ from stableorders.lattice import CapExceededError, _linear_order, build_hasse
 from stableorders.monomials import ONE, Monomial
 from stableorders.orders import Family, GroundSetError, PosetId, ground_monomials, leq
 from stableorders.verify import (
-    borel_moves_up,
     boundary,
     down_masks,
     enumerate_filters,
     filter_count_three_vars,
     interior,
     is_filter_by_layers,
+    moves_up,
     pivot_filter_counts,
-    stable_moves_up,
     weighted_walk_count,
 )
 
@@ -55,21 +54,21 @@ def parse_set(*texts):
     return frozenset(M(t) for t in texts)
 
 
-def full_move_closure(gens, moves_up):
+def full_move_closure(gens, family):
     """Minimal generators of the smallest ideal containing gens that holds
     every move (moves_up, all of them, not only covers) of its generators."""
     basis = set(gens)
     queue = list(basis)
     while queue:
-        for u in moves_up(queue.pop()):
+        for u in moves_up(queue.pop(), family):
             if not any(g.divides(u) for g in basis):
                 basis.add(u)
                 queue.append(u)
     return minimal_generators(basis)
 
 
-def full_move_test(gens, moves_up):
-    return all(any(h.divides(u) for h in gens) for g in gens for u in moves_up(g))
+def full_move_test(gens, family):
+    return all(any(h.divides(u) for h in gens) for g in gens for u in moves_up(g, family))
 
 
 generator_sets = st.lists(
@@ -1028,11 +1027,11 @@ class TestIdeals:
     @settings(max_examples=200, deadline=None, database=None)
     @given(gens=generator_sets)
     def test_cover_moves_match_full_moves(self, gens):
-        for family, moves_up in ((Family.BOREL, borel_moves_up), (Family.STABLE, stable_moves_up)):
+        for family in (Family.BOREL, Family.STABLE):
             closed = closure(gens, family)
-            assert closed == full_move_closure(gens, moves_up)
-            assert is_closed(gens, family) == full_move_test(gens, moves_up)
-            assert is_closed(closed, family) and full_move_test(closed, moves_up)
+            assert closed == full_move_closure(gens, family)
+            assert is_closed(gens, family) == full_move_test(gens, family)
+            assert is_closed(closed, family) and full_move_test(closed, family)
 
 
 def test_star_import():

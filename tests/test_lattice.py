@@ -1,6 +1,7 @@
 """Tests for Hasse diagrams, meets and joins, and rank statistics."""
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
@@ -19,7 +20,7 @@ from stableorders.lattice import (
     join,
     meet,
 )
-from stableorders.monomials import Monomial
+from stableorders.monomials import Monomial, monomials_up_to_degree
 from stableorders.orders import (
     Family,
     GroundSetError,
@@ -338,6 +339,14 @@ class TestDiagramCache:
         assert build_hasse(small) is hs and list(lattice._built) == [(small, None)]
         assert_held_within(9, lattice.SLOT_BUDGET)
 
+    def test_a_fixed_degree_poset_is_held_once_whatever_its_max_degree(self, empty_cache):
+        # a fixed-degree poset ignores max_degree, so every max_degree asks
+        # for the one diagram, held and charged once
+        poset = PosetId.parse("A[n=3,d=4]")  # 15 vertices of 3 slots
+        h = build_hasse(poset)
+        assert build_hasse(poset, max_degree=7) is h and build_hasse(poset, max_degree=2) is h
+        assert list(lattice._built) == [(poset, None)] and lattice._held == [15, 45]
+
     def test_an_empty_diagram_is_not_held(self, empty_cache):
         poset = PosetId.parse("C[n=3]")
         assert len(build_hasse(poset, max_degree=-1)) == 0
@@ -449,6 +458,58 @@ class TestMeetJoin:
         for m in pool:
             assert meet(poset, m, m) == m
             assert join(poset, m, m) == m
+
+
+@lru_cache(maxsize=None)
+def stable_tables(poset):
+    """_meet_join_tables of the poset's diagram, computed once per poset."""
+    return _meet_join_tables(build_hasse(poset))
+
+
+class TestStableSplit:
+    """The stable case split runs down to one variable, with no case for the
+    two-variable chain: half the pairs lie in x1 and x2 alone, where that
+    case would answer."""
+
+    @seed(20261022)
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(
+        nvars=st.integers(min_value=1, max_value=5),
+        degree=st.integers(min_value=0, max_value=5),
+        glued=st.booleans(),
+        two=st.booleans(),
+        data=st.data(),
+    )
+    def test_split_matches_the_oracles(self, nvars, degree, glued, two, data):
+        if glued:  # glued B on at most 4 variables, up to degree 4
+            nvars, degree = min(nvars, 4), min(degree, 4)
+            poset, pool = PosetId(Family.STABLE, nvars), monomials_up_to_degree(nvars, degree)
+        else:
+            poset = PosetId(Family.STABLE, nvars, degree)
+            pool = ground_monomials(poset)
+        if two:
+            pool = [m for m in pool if m.max_support() <= 2]
+        m, mp = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
+        assert leq(poset, m, mp) == reachability_oracle(poset, m, mp)
+        if not glued:
+            h = build_hasse(poset)
+            meets, joins = stable_tables(poset)
+            i, j = h.vertices.index(m), h.vertices.index(mp)
+            assert meet(poset, m, mp) == h.vertices[meets[i][j]]
+            assert join(poset, m, mp) == h.vertices[joins[i][j]]
+
+    @pytest.mark.parametrize(("poset_text", "max_degree", "message"), [
+        ("D[n=2,d=2]", None, "x2 and x1^2 lack a unique join"),
+        ("D[n=3,d=2]", None, "x3 and x2^2 lack a unique join"),
+        ("D[n=2]", 3, "x2 and x1^3 lack a unique join"),
+    ])
+    def test_tables_refuse_at_the_first_pair_without_a_bound(self, poset_text, max_degree, message):
+        # the meet and the join of each pair are scanned before the next
+        # pair's, so the first pair lacking either names the refusal
+        h = build_hasse(PosetId.parse(poset_text), max_degree=max_degree)
+        with pytest.raises(NotLatticeError) as excinfo:
+            _meet_join_tables(h)
+        assert str(excinfo.value) == message
 
 
 def _outcome(fn, poset, m, mp):

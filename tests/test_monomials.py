@@ -16,7 +16,8 @@ from stableorders.monomials import (
     monomials_of_degree,
     monomials_up_to_degree,
 )
-from stableorders.verify import borel_moves_up, stable_moves_up
+from stableorders.orders import Family
+from stableorders.verify import moves_up
 
 exponent_vectors = st.lists(st.integers(min_value=0, max_value=5), max_size=5)
 monomials = exponent_vectors.map(Monomial)
@@ -172,27 +173,31 @@ class TestArithmetic:
 
 class TestMoves:
     def test_borel_moves_example(self):
-        got = borel_moves_up(Monomial.parse("x2*x3"))
+        got = moves_up(Monomial.parse("x2*x3"), Family.BOREL)
         want = {Monomial.parse(s) for s in ("x1*x3", "x1*x2", "x2^2")}
         assert got == want
 
     def test_stable_moves_only_touch_last_variable(self):
-        assert stable_moves_up(Monomial.parse("x2*x3")) == {
+        assert moves_up(Monomial.parse("x2*x3"), Family.STABLE) == {
             Monomial.parse("x1*x2"),
             Monomial.parse("x2^2"),
         }
-        assert stable_moves_up(Monomial.parse("x2^2")) == {Monomial.parse("x1*x2")}
-        assert stable_moves_up(ONE) == frozenset()
-        assert stable_moves_up(Monomial.parse("x1^3")) == frozenset()
+        assert moves_up(Monomial.parse("x2^2"), Family.STABLE) == {Monomial.parse("x1*x2")}
+        assert moves_up(ONE, Family.STABLE) == frozenset()
+        assert moves_up(Monomial.parse("x1^3"), Family.STABLE) == frozenset()
 
     @given(nonunit_monomials)
     def test_moves_preserve_degree(self, m):
-        for mp in borel_moves_up(m):
+        for mp in moves_up(m, Family.BOREL):
             assert mp.degree() == m.degree()
+
+    @given(monomials)
+    def test_other_families_have_no_moves(self, m):
+        assert moves_up(m, Family.DUAL_BOREL) == moves_up(m, Family.DIVISIBILITY) == frozenset()
 
     @given(nonunit_monomials)
     def test_stable_moves_are_borel_moves(self, m):
-        assert stable_moves_up(m) <= borel_moves_up(m)
+        assert moves_up(m, Family.STABLE) <= moves_up(m, Family.BOREL)
 
     @given(nonunit_monomials)
     def test_index_weight_strictly_drops_along_moves(self, m):
@@ -201,7 +206,7 @@ class TestMoves:
         def index_weight(u):
             return sum(i * e for i, e in enumerate(u.exps, start=1))
 
-        for mp in borel_moves_up(m):
+        for mp in moves_up(m, Family.BOREL):
             assert index_weight(mp) < index_weight(m)
             assert mp != m
 

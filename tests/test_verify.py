@@ -162,7 +162,7 @@ def test_a_short_call_imports_only_what_it_uses():
 # an answer, which live in verify only, and the helpers that nothing in the
 # package called, now gone from it or kept in the tests.
 ORACLES = {
-    "borel_moves_up", "stable_moves_up", "reachability_oracle", "_meet_join_tables",
+    "moves_up", "reachability_oracle", "_meet_join_tables",
     "check_distributive", "find_n5", "height_width", "_filter_poly", "pivot_filter_counts",
     "ordinal_sum_leq",
     "partial_sums",
